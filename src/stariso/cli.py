@@ -1,8 +1,9 @@
 """Command-line frontend.
 
 Exit codes: 0 on success, 1 on usage or parse errors, 2 when a
-verification finds a violation (a failing set in ``verify-set``, or any
-violation record in ``sweep``).
+verification finds a violation (a failing set in ``verify-set``, a
+``solve --witness`` set that does not re-verify, or any violation record
+in ``sweep``).
 """
 
 from __future__ import annotations
@@ -71,7 +72,8 @@ def _parse_vertex_list(text: str, g: Graph) -> frozenset[int]:
 @click.option("--k", required=True, type=int)
 @click.option("--witness", is_flag=True, help="Also print a minimum witness set.")
 @click.option("--graph6", is_flag=True, help="Input is graph6 instead of an edge list.")
-def solve(path: str, k: int, witness: bool, graph6: bool) -> None:
+@click.pass_context
+def solve(ctx: click.Context, path: str, k: int, witness: bool, graph6: bool) -> None:
     """Compute the k-isolation number of the input graph."""
     g = _load(path, graph6)
     if k < 1:
@@ -89,9 +91,12 @@ def solve(path: str, k: int, witness: bool, graph6: bool) -> None:
             sol = iota_bruteforce(g, k, size_cap=g.n if g.n > 16 else None)
         except InstanceTooLarge as exc:
             raise click.ClickException(str(exc)) from exc
+    if witness and not is_isolating(g, sol.set, k):
+        click.echo(f"error: the {sol.method} witness of size {sol.size} is not "
+                   f"{k}-isolating", err=True)
+        ctx.exit(2)
     click.echo(sol.size)
     if witness:
-        assert is_isolating(g, sol.set, k)
         click.echo(",".join(str(v) for v in sorted(sol.set)))
 
 

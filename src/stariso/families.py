@@ -37,8 +37,9 @@ def _components(vertices: set[int], g: Graph) -> list[set[int]]:
     """Connected components of the subgraph induced on ``vertices``."""
     remaining = set(vertices)
     comps = []
-    while remaining:
-        start = min(remaining)
+    for start in sorted(remaining):
+        if start not in remaining:
+            continue
         seen = {start}
         queue = deque([start])
         while queue:
@@ -521,12 +522,9 @@ class TkCertificate:
             v.append(f"|L|={len(L)} != (k-1)n0-k(h-1)={(k - 1) * n0 - k * (h - 1)}")
         if n != (k + 2) * n0 - (k + 1) * (h - 1) or n < 2 * k + 4:
             v.append(f"n={n} != (k+2)n0-(k+1)(h-1) >= 2k+4")
-        c_list = sorted(C)
-        for i, c1 in enumerate(c_list):
-            dist = g.bfs_distances(c1)
-            for c2 in c_list[i + 1:]:
-                if dist[c2] < 5:
-                    v.append(f"C vertices {c1}, {c2} at distance {dist[c2]} < 5")
+        # implied by the clauses above, but kept as an explicit re-check
+        for (c1, c2), d in sorted(_close_hub_pairs(g, C).items()):
+            v.append(f"C vertices {c1}, {c2} at distance {d} < 5")
         return v
 
     def to_json_dict(self) -> dict:
@@ -539,6 +537,40 @@ class TkCertificate:
             "h": self.h,
             "n0": self.n0,
         }
+
+
+def _close_hub_pairs(g: Graph, hubs: frozenset[int]) -> dict[tuple[int, int], int]:
+    """Hub pairs at distance < 5, found by one owner-labelled BFS from all
+    hubs cut at radius 2.
+
+    Every vertex on a path of length <= 4 between two hubs lies within 2 of
+    a hub, and along it the owner changes across some edge (u, w) with
+    dist[u] + dist[w] + 1 no longer than the path; conversely such an edge
+    closes a walk of that length between its two owners.  So two hubs are
+    closer than 5 exactly when some edge joins their owner cells with
+    dist[u] + dist[w] + 1 < 5, and in a tree that sum is their distance.
+    """
+    adjacency = g.adjacency
+    owner = [-1] * g.n
+    dist = [0] * g.n
+    reached = sorted(hubs)
+    for c in reached:
+        owner[c] = c
+    for u in reached:  # grows while iterated: a BFS queue
+        if dist[u] == 2:
+            continue
+        for w in adjacency[u]:
+            if owner[w] < 0:
+                owner[w] = owner[u]
+                dist[w] = dist[u] + 1
+                reached.append(w)
+    close: dict[tuple[int, int], int] = {}
+    for u in reached:
+        for w in adjacency[u]:
+            d = dist[u] + dist[w] + 1
+            if owner[w] > owner[u] and d < close.get((owner[u], owner[w]), 5):
+                close[owner[u], owner[w]] = d
+    return close
 
 
 def gen_family_Tk(

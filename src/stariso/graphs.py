@@ -13,8 +13,6 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-import networkx as nx
-
 #: Number of free (unlabeled) trees on n vertices, n = 1..12.
 FREE_TREE_COUNTS = (1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551)
 
@@ -28,24 +26,16 @@ class GraphError(ValueError):
 class Graph:
     """A simple undirected graph on vertices 0..n-1.
 
-    Adjacency is stored both as sorted neighbor tuples and as per-vertex
-    bitmasks; instances are immutable after construction and safe to share
-    across workers.
+    Adjacency is stored once, as sorted neighbor tuples, so memory grows
+    linearly in n + m; instances are immutable after construction and safe
+    to share across workers.
     """
 
-    __slots__ = ("n", "adjacency", "adj_masks", "full_mask", "edge_count")
+    __slots__ = ("n", "adjacency", "edge_count")
 
     def __init__(self, n: int, adjacency: tuple[tuple[int, ...], ...]):
         self.n = n
         self.adjacency = adjacency
-        masks = []
-        for neighbors in adjacency:
-            m = 0
-            for v in neighbors:
-                m |= 1 << v
-            masks.append(m)
-        self.adj_masks = tuple(masks)
-        self.full_mask = (1 << n) - 1
         self.edge_count = sum(len(a) for a in adjacency) // 2
 
     def degree(self, v: int) -> int:
@@ -61,28 +51,23 @@ class Graph:
         return [(u, v) for u in range(self.n) for v in self.adjacency[u] if u < v]
 
     def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.adj_masks[u] >> v & 1)
+        return v in self.adjacency[u]
 
     def is_connected(self) -> bool:
         if self.n == 0:
             return False
-        seen = self._bfs_reach(0)
-        return seen == self.full_mask
-
-    def _bfs_reach(self, start: int) -> int:
-        seen = 1 << start
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                fresh = self.adj_masks[u] & ~seen
-                seen |= fresh
-                while fresh:
-                    v = (fresh & -fresh).bit_length() - 1
-                    fresh &= fresh - 1
-                    nxt.append(v)
-            frontier = nxt
-        return seen
+        adjacency = self.adjacency
+        seen = bytearray(self.n)
+        seen[0] = 1
+        stack = [0]
+        reached = 1
+        while stack:
+            for v in adjacency[stack.pop()]:
+                if not seen[v]:
+                    seen[v] = 1
+                    reached += 1
+                    stack.append(v)
+        return reached == self.n
 
     def bfs_distances(self, start: int) -> list[int]:
         """Distances from start; -1 for unreachable vertices."""
@@ -212,13 +197,6 @@ def closed_neighborhood(g: Graph, vertices: Iterable[int]) -> frozenset[int]:
         result.add(v)
         result.update(g.adjacency[v])
     return frozenset(result)
-
-
-def closed_neighborhood_mask(g: Graph, vertices: Iterable[int]) -> int:
-    mask = 0
-    for v in vertices:
-        mask |= g.adj_masks[v] | (1 << v)
-    return mask
 
 
 @dataclass(frozen=True)
@@ -373,5 +351,7 @@ def enumerate_free_trees(n: int) -> Iterator[Tree]:
     if n == 1:
         yield as_tree(build_graph(1, []))
         return
+    import networkx as nx  # deferred: importing it dominates CLI start-up
+
     for g in nx.nonisomorphic_trees(n):
         yield as_tree(build_graph(n, list(g.edges())))

@@ -1,17 +1,18 @@
 """Exact solvers for k-star isolation and domination.
 
-``iota_bruteforce`` is the increasing-size subset oracle; ``iota_tree_dp``
-is the rooted dynamic program used everywhere at scale.  Both return a
-witness set that re-verifies through ``is_isolating``.
+``iota_bruteforce`` is the increasing-size subset oracle (n <= 24); it and
+``gamma_bruteforce`` build per-vertex bitmasks locally for the search.
+``iota_tree_dp`` is the flat rooted dynamic program used everywhere at
+scale, linear in time and memory.  Both return a witness set that
+re-verifies through ``is_isolating``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import inf
 
-from .graphs import Graph, GraphError, Tree, closed_neighborhood_mask
+from .graphs import Graph, GraphError, Tree, closed_neighborhood
 
 BRUTE_FORCE_MAX_N = 24
 BRUTE_FORCE_FREE_N = 16  # above this a size_cap is mandatory
@@ -60,8 +61,8 @@ class Residual:
 
 def residual(g: Graph, dominators: frozenset[int] | set[int]) -> Residual:
     _check_vertex_set(g, dominators)
-    removed = closed_neighborhood_mask(g, dominators)
-    keep = [v for v in range(g.n) if not (removed >> v & 1)]
+    removed = closed_neighborhood(g, dominators)
+    keep = [v for v in range(g.n) if v not in removed]
     sub, index_map = g.induced_subgraph(keep)
     return Residual(sub, index_map)
 
@@ -84,16 +85,27 @@ def _check_vertex_set(g: Graph, vertices) -> None:
             raise GraphError(f"vertex {v} out of range for n={g.n}")
 
 
-def _residual_has_k_star(g: Graph, picked: tuple[int, ...], k: int) -> bool:
+def _adjacency_masks(g: Graph) -> list[int]:
+    """Open-neighborhood bitmask of every vertex (brute-force sizes only)."""
+    masks = []
+    for neighbors in g.adjacency:
+        m = 0
+        for w in neighbors:
+            m |= 1 << w
+        masks.append(m)
+    return masks
+
+
+def _residual_has_k_star(adj: list[int], full: int, picked: tuple[int, ...], k: int) -> bool:
     removed = 0
     for v in picked:
-        removed |= g.adj_masks[v] | (1 << v)
-    remaining = g.full_mask & ~removed
+        removed |= adj[v] | (1 << v)
+    remaining = full & ~removed
     m = remaining
     while m:
         v = (m & -m).bit_length() - 1
         m &= m - 1
-        if (g.adj_masks[v] & remaining).bit_count() >= k:
+        if (adj[v] & remaining).bit_count() >= k:
             return True
     return False
 
@@ -114,9 +126,11 @@ def iota_bruteforce(g: Graph, k: int, size_cap: int | None = None) -> IsolationS
             f"size_cap is mandatory for n > {BRUTE_FORCE_FREE_N} (n={g.n})"
         )
     limit = g.n if size_cap is None else min(size_cap, g.n)
+    adj = _adjacency_masks(g)
+    full = (1 << g.n) - 1
     for size in range(limit + 1):
         for picked in combinations(range(g.n), size):
-            if not _residual_has_k_star(g, picked, k):
+            if not _residual_has_k_star(adj, full, picked, k):
                 return IsolationSolution(k, frozenset(picked), size, "brute_force")
     raise SizeCapExceeded(limit)
 
@@ -126,12 +140,14 @@ def gamma_bruteforce(g: Graph) -> DominationSolution:
     isolation brute force."""
     if g.n > BRUTE_FORCE_MAX_N:
         raise InstanceTooLarge(f"brute force capped at n={BRUTE_FORCE_MAX_N}, got {g.n}")
+    adj = _adjacency_masks(g)
+    full = (1 << g.n) - 1
     for size in range(g.n + 1):
         for picked in combinations(range(g.n), size):
             covered = 0
             for v in picked:
-                covered |= g.adj_masks[v] | (1 << v)
-            if covered == g.full_mask:
+                covered |= adj[v] | (1 << v)
+            if covered == full:
                 return DominationSolution(frozenset(picked), size)
     raise AssertionError("unreachable: V always dominates")
 
@@ -152,8 +168,12 @@ _IN, _SAT, _NEED, _FREE_HI, _FREE_LO = range(5)
 def iota_tree_dp(t: Tree, k: int, root: int = 0) -> IsolationSolution:
     """Exact minimum k-isolating set of a tree via a rooted 5-state DP.
 
-    The root choice cannot change the optimum; it only steers tie-breaks in
-    the reconstructed witness.
+    One bottom-up pass fills five int cost arrays (``n + 1`` marks an
+    infeasible state); one top-down pass re-derives each vertex's child
+    states with the same comparisons and collects the IN vertices.  Ties
+    go to the earliest state in the order IN, SAT, NEED, FREE_HI and then
+    to the earliest child in adjacency order.  The root choice cannot
+    change the optimum; it only steers tie-breaks in the witness.
     """
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
@@ -161,116 +181,146 @@ def iota_tree_dp(t: Tree, k: int, root: int = 0) -> IsolationSolution:
     n = g.n
     if n == 1:
         return IsolationSolution(k, frozenset(), 0, "tree_dp")
+    adj = g.adjacency
 
-    order = [root]
     parent = [-1] * n
     parent[root] = root
+    order = [root]
     for u in order:
-        for v in g.adjacency[u]:
-            if parent[v] == -1:
+        for v in adj[u]:
+            if parent[v] < 0:
                 parent[v] = u
                 order.append(v)
-    parent[root] = -1
-    children: list[list[int]] = [[] for _ in range(n)]
-    for v in order[1:]:
-        children[parent[v]].append(v)
 
-    cost = [[inf] * 5 for _ in range(n)]
-    choice: list[list[list[tuple[int, int]] | None]] = [[None] * 5 for _ in range(n)]
-
+    inf = n + 1  # above every feasible cost
+    hi_budget, lo_budget = k - 1, k - 2
+    # initialised to the costs of a leaf, which the loop then skips
+    c_in = [1] * n
+    c_sat = [inf] * n
+    c_need = [0] * n
+    c_hi = [0] * n
+    c_lo = [0 if k >= 2 else inf] * n
     for v in reversed(order):
-        cs = children[v]
-        cv = cost[v]
-        # IN: children may be IN, SAT or NEED
-        total = 1
-        picks = []
-        for c in cs:
-            s = min((_IN, _SAT, _NEED), key=lambda st: cost[c][st])
-            total += cost[c][s]
-            picks.append((c, s))
-        cv[_IN] = total
-        choice[v][_IN] = picks
-
-        # SAT: children may be IN, SAT or FREE_HI, with at least one IN
-        if cs:
-            base = 0.0
-            picks = []
-            have_in = False
-            for c in cs:
-                s = min((_IN, _SAT, _FREE_HI), key=lambda st: cost[c][st])
-                base += cost[c][s]
-                picks.append((c, s))
-                have_in = have_in or s == _IN
-            if not have_in:
-                uplift, which = min(
-                    (cost[c][_IN] - cost[c][picks[i][1]], i)
-                    for i, c in enumerate(cs)
-                )
-                base += uplift
-                picks[which] = (cs[which], _IN)
-            cv[_SAT] = base
-            choice[v][_SAT] = picks
-
-        # NEED: children may be SAT or FREE_HI; parent must take v's cover
-        total = 0.0
-        picks = []
-        for c in cs:
-            s = min((_SAT, _FREE_HI), key=lambda st: cost[c][st])
-            total += cost[c][s]
-            picks.append((c, s))
-        cv[_NEED] = total
-        choice[v][_NEED] = picks
-
-        # FREE with budget J residual children (J = k-1 covered parent,
-        # J = k-2 residual parent); free children need their own LO budget
-        for state, budget in ((_FREE_HI, k - 1), (_FREE_LO, k - 2)):
-            if budget < 0:
+        p = parent[v]
+        if len(adj[v]) == 1 and v != root:
+            continue
+        total_in = 1
+        total_sat = 0
+        has_in = False
+        uplift = inf
+        total_need = 0
+        free = 0
+        must = 0
+        gains = []
+        for c in adj[v]:
+            if c == p:
                 continue
-            base = 0.0
-            picks = []
-            must = []
-            optional = []
-            feasible = True
-            for i, c in enumerate(cs):
-                sat_c = cost[c][_SAT]
-                free_c = cost[c][_FREE_LO]
-                if sat_c == inf:
-                    if free_c == inf:
-                        feasible = False
-                        break
-                    must.append(i)
-                    base += free_c
-                    picks.append((c, _FREE_LO))
+            a, b, d, f = c_in[c], c_sat[c], c_need[c], c_hi[c]
+            # IN: children may be IN, SAT or NEED
+            total_in += a if a <= b and a <= d else (b if b <= d else d)
+            # SAT: children IN, SAT or FREE_HI, at least one IN (cheapest uplift)
+            # NEED: children SAT or FREE_HI; the parent must take v's cover
+            m = b if b <= f else f
+            total_need += m
+            if a <= m:
+                total_sat += a
+                has_in = True
+            else:
+                total_sat += m
+                if a - m < uplift:
+                    uplift = a - m
+            # FREE: children SAT or FREE_LO, at most budget of them FREE_LO
+            if free < inf:
+                lo = c_lo[c]
+                if b >= inf:
+                    if lo >= inf:
+                        free = inf
+                    else:
+                        must += 1
+                        free += lo
                 else:
-                    base += sat_c
-                    picks.append((c, _SAT))
-                    if free_c < sat_c:
-                        optional.append((free_c - sat_c, i))
-            if not feasible or len(must) > budget:
-                continue
+                    free += b
+                    if lo < b:
+                        gains.append(lo - b)
+        c_in[v] = total_in
+        if not has_in:
+            total_sat += uplift
+        c_sat[v] = total_sat if total_sat < inf else inf
+        c_need[v] = total_need if total_need < inf else inf
+        if free >= inf:
+            c_hi[v] = c_lo[v] = inf
+        else:
+            gains.sort()
+            c_hi[v] = free + sum(gains[: hi_budget - must]) if must <= hi_budget else inf
+            c_lo[v] = free + sum(gains[: lo_budget - must]) if must <= lo_budget else inf
+
+    best_state, best = _IN, c_in[root]
+    if c_sat[root] < best:
+        best_state, best = _SAT, c_sat[root]
+    if c_hi[root] < best:
+        best_state, best = _FREE_HI, c_hi[root]
+    if best >= inf:
+        raise RuntimeError(f"tree DP found no feasible root state (k={k}, n={n})")
+
+    state = bytearray(n)
+    state[root] = best_state
+    witness = []
+    for v in order:
+        p = parent[v]
+        s = state[v]
+        if s == _IN:
+            witness.append(v)
+            for c in adj[v]:
+                if c != p:
+                    a, b, d = c_in[c], c_sat[c], c_need[c]
+                    state[c] = _IN if a <= b and a <= d else (_SAT if b <= d else _NEED)
+        elif s == _NEED:
+            for c in adj[v]:
+                if c != p:
+                    state[c] = _SAT if c_sat[c] <= c_hi[c] else _FREE_HI
+        elif s == _SAT:
+            has_in = False
+            uplift, cheapest = inf, -1
+            for c in adj[v]:
+                if c == p:
+                    continue
+                a, b, f = c_in[c], c_sat[c], c_hi[c]
+                m = b if b <= f else f
+                if a <= m:
+                    state[c] = _IN
+                    has_in = True
+                else:
+                    state[c] = _SAT if b <= f else _FREE_HI
+                    if a - m < uplift:
+                        uplift, cheapest = a - m, c
+            if not has_in:
+                state[cheapest] = _IN
+        else:
+            budget = hi_budget if s == _FREE_HI else lo_budget
+            must = 0
+            optional = []
+            i = 0
+            for c in adj[v]:
+                if c == p:
+                    continue
+                b, lo = c_sat[c], c_lo[c]
+                if b >= inf:
+                    state[c] = _FREE_LO
+                    must += 1
+                else:
+                    state[c] = _SAT
+                    if lo < b:
+                        optional.append((lo - b, i, c))
+                i += 1
             optional.sort()
-            for gain, i in optional[: budget - len(must)]:
-                base += gain
-                picks[i] = (cs[i], _FREE_LO)
-            cv[state] = base
-            choice[v][state] = picks
+            for _, _, c in optional[: budget - must]:
+                state[c] = _FREE_LO
 
-    root_states = (_IN, _SAT, _FREE_HI)
-    best_state = min(root_states, key=lambda st: cost[root][st])
-    best = cost[root][best_state]
-    assert best < inf
-
-    witness: set[int] = set()
-    stack = [(root, best_state)]
-    while stack:
-        v, state = stack.pop()
-        if state == _IN:
-            witness.add(v)
-        picks = choice[v][state]
-        if picks:
-            stack.extend(picks)
-    assert len(witness) == best
-    return IsolationSolution(k, frozenset(witness), int(best), "tree_dp")
+    if len(witness) != best:
+        raise RuntimeError(
+            f"tree DP witness has {len(witness)} vertices, optimum is {best} (k={k}, n={n})"
+        )
+    return IsolationSolution(k, frozenset(witness), best, "tree_dp")
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,20 @@
 """Command-line interface: outputs, exit codes and file formats."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import networkx as nx
 import pytest
 
+import stariso
 from stariso.cli import main
 from stariso.formats import parse_edgelist
 from stariso.graphs import as_tree, build_graph
 from stariso.families import recognize_F
-from stariso.solver import is_isolating
+from stariso.solver import IsolationSolution, is_isolating
 
 
 def path_edgelist(n):
@@ -59,6 +64,18 @@ class TestSolve:
         c4 = write(tmp_path, "c4.txt", "4\n0 1\n1 2\n2 3\n0 3\n")
         assert main(["solve", "--input", c4, "--k", "1"]) == 0
         assert capsys.readouterr().out.strip() == "1"
+
+    def test_witness_that_does_not_isolate_exits_2(self, p8_file, monkeypatch, capsys):
+        import stariso.cli as cli_mod
+
+        monkeypatch.setattr(
+            cli_mod, "iota_tree_dp",
+            lambda tree, k: IsolationSolution(k, frozenset({0}), 1, "tree_dp"),
+        )
+        assert main(["solve", "--input", p8_file, "--k", "2", "--witness"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "not 2-isolating" in captured.err
 
     def test_disconnected_rejected(self, tmp_path, capsys):
         f = write(tmp_path, "dis.txt", "4\n0 1\n2 3\n")
@@ -242,6 +259,16 @@ class TestSweepCommand:
         assert main(["sweep", "--max-n", "2"]) == 2
         captured = capsys.readouterr()
         assert "VIOLATION" in captured.err
+
+
+def test_cli_import_leaves_networkx_unloaded():
+    src = str(Path(stariso.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, stariso.cli; print('networkx' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 class TestUsageErrors:

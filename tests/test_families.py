@@ -382,6 +382,29 @@ class TestRecognizeTk:
             assert got.h == cert.h
 
 
+class TestTkCertificateValidate:
+    def test_hub_distance_clause_fires(self):
+        # C1-B1-A-B2-C2: A vertex 0 carries two bridges, so hubs 5 and 6
+        # sit at distance 4; vertex 1 completes the A component
+        edges = [(0, 1), (0, 2), (0, 3), (1, 4), (2, 5), (3, 6), (4, 7),
+                 (5, 8), (6, 9), (7, 10)]
+        t = as_tree(build_graph(11, edges))
+        cert = TkCertificate(
+            k=2,
+            a_set=frozenset({0, 1}),
+            b_set=frozenset({2, 3, 4}),
+            c_set=frozenset({5, 6, 7}),
+            leaf_set=frozenset({8, 9, 10}),
+            h=1,
+            n0=2,
+        )
+        violations = cert.validate(t)
+        assert "A vertex 0 has 2 B-neighbors, want 1" in violations
+        assert "C vertices 5, 6 at distance 4 < 5" in violations
+        # hub 7 is at distance 5 from both others
+        assert not any("C vertices" in v and "7" in v for v in violations)
+
+
 class TestMinIsoSetTk:
     def test_eight_path(self):
         cert = recognize_Tk(path_tree(8), 2)

@@ -1,7 +1,9 @@
 """Solver tests: residual graphs, brute force, the tree DP, domination
 and the witness normalizers."""
 
+import hashlib
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -165,6 +167,28 @@ class TestTreeDp:
     def test_optimum_independent_of_root(self, t, k):
         sizes = {iota_tree_dp(t, k, root=r).size for r in range(t.n)}
         assert len(sizes) == 1
+
+    def test_witnesses_match_golden_digest(self):
+        """Witnesses are pinned for every root, not only their sizes: the
+        digest was recorded from the original nested-list DP and covers every
+        free tree with n <= 10, k in 1..4 and every root, plus root-0
+        witnesses of three seeded Prufer trees at n = 2000."""
+        h = hashlib.sha256()
+        for n in range(1, 11):
+            for idx, t in enumerate(enumerate_free_trees(n)):
+                for k in (1, 2, 3, 4):
+                    for root in range(n):
+                        w = sorted(iota_tree_dp(t, k, root).set)
+                        h.update(repr((n, idx, k, root, w)).encode())
+        for seed in (0, 1, 2):
+            rng = random.Random(seed)
+            t = prufer_decode([rng.randrange(2000) for _ in range(1998)])
+            for k in (1, 2, 3, 4):
+                w = sorted(iota_tree_dp(t, k, 0).set)
+                h.update(repr(("prufer", seed, k, w)).encode())
+        assert h.hexdigest() == (
+            "aed4e9d72920ef28f2789356623e784f9fde9db5d1612078f56ebca2b38ef430"
+        )
 
     def test_monotone_in_k(self):
         for n in range(2, 10):
