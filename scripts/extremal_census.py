@@ -3,7 +3,8 @@
 
 For each order n and each k, counts how many isomorphism classes attain
 each closed-form bound exactly, alongside the family-recognizer counts,
-so the characterizations can be eyeballed order by order.
+so the characterizations can be eyeballed order by order.  A view over
+the records of a sweep with no check suites enabled.
 
 Usage:
     python scripts/extremal_census.py [--max-n 12] [--k-list 1,2,3]
@@ -12,9 +13,9 @@ Usage:
 import argparse
 from collections import defaultdict
 
-from stariso.bounds import evaluate_bounds
-from stariso.families import recognize_F, recognize_Tk
-from stariso.graphs import enumerate_free_trees, is_star
+from stariso.sweep import SweepConfig, run_sweep
+
+NAMES = ("caro_trees", "order_minus_leaves", "order_plus_leaves", "star_bound")
 
 
 def main() -> None:
@@ -23,43 +24,32 @@ def main() -> None:
     parser.add_argument("--k-list", default="1,2,3")
     args = parser.parse_args()
     ks = [int(f) for f in args.k_list.split(",")]
+    records, _ = run_sweep(SweepConfig(args.max_n, tuple(ks), checks=(), bf_max=0))
 
     for k in ks:
         print(f"\n== k = {k} ==")
-        header = f"{'n':>3} {'classes':>8} {'iota=0':>7}"
-        names = None
-        rows = []
-        for n in range(1, args.max_n + 1):
-            classes = 0
-            zero = 0
-            eq_counts: dict[str, int] = defaultdict(int)
-            members = 0
-            for t in enumerate_free_trees(n):
-                classes += 1
-                report = evaluate_bounds(t, k)
-                if report.iota == 0:
-                    zero += 1
-                for name, flag in report.equality.items():
-                    if flag:
-                        eq_counts[name] += 1
-                if k == 1:
-                    members += recognize_F(t) is not None
-                else:
-                    members += is_star(t, k) or recognize_Tk(t, k) is not None
-            if names is None:
-                names = sorted(
-                    {"order_minus_leaves", "order_plus_leaves", "star_bound",
-                     "caro_trees"}
-                )
-            row = [f"{n:>3}", f"{classes:>8}", f"{zero:>7}"]
-            row += [f"{eq_counts[name]:>7}" for name in names]
-            row.append(f"{members:>8}")
-            rows.append(" ".join(row))
+        classes: dict[int, int] = defaultdict(int)
+        zero: dict[int, int] = defaultdict(int)
+        members: dict[int, int] = defaultdict(int)
+        eq_counts: dict[tuple[int, str], int] = defaultdict(int)
+        for rec in records:
+            entry = rec.per_k[k]
+            classes[rec.n] += 1
+            zero[rec.n] += entry["iota"] == 0
+            for name, flag in entry["equality"].items():
+                eq_counts[rec.n, name] += flag
+            if k == 1:
+                members[rec.n] += rec.family_F
+            else:
+                members[rec.n] += (rec.n == k + 1 and rec.l == k) or entry["tk_member"]
         family = "family" if k == 1 else "star+hub"
-        print(header + " " + " ".join(f"{name[:7]:>7}" for name in names)
-              + f" {family:>8}")
-        for row in rows:
-            print(row)
+        print(f"{'n':>3} {'classes':>8} {'iota=0':>7} "
+              + " ".join(f"{name[:7]:>7}" for name in NAMES) + f" {family:>8}")
+        for n in range(1, args.max_n + 1):
+            row = [f"{n:>3}", f"{classes[n]:>8}", f"{zero[n]:>7}"]
+            row += [f"{eq_counts[n, name]:>7}" for name in NAMES]
+            row.append(f"{members[n]:>8}")
+            print(" ".join(row))
     print("\nequality columns count isomorphism classes with iota equal to the bound;")
     print("the final column counts recognized extremal-family members.")
 

@@ -2,9 +2,10 @@
 """Full desk-scale machine check.
 
 Runs every check suite over all free trees up to --max-n for the given k
-values, extends the k = 2 equality characterization one order further
-(where brute force is switched off and the DP carries the sweep), and
-writes one JSON-lines record per tree.
+values, extends the k = 2 equality characterization (the tk-equality
+suite) one order further, where brute force is switched off and the DP
+carries the sweep, and writes one JSON-lines record per tree of the main
+sweep.
 
 Usage:
     python scripts/full_verification.py [--max-n 12] [--k-list 1,2,3]
@@ -17,12 +18,9 @@ instance.
 import argparse
 import sys
 import time
-from fractions import Fraction
 
-from stariso.graphs import enumerate_free_trees, is_star
-from stariso.solver import iota_tree_dp
-from stariso.families import recognize_Tk
-from stariso.sweep import SweepConfig, run_sweep
+from stariso.graphs import enumerate_free_trees
+from stariso.sweep import SweepConfig, check_tree, run_sweep
 
 
 def main() -> int:
@@ -44,7 +42,6 @@ def main() -> int:
         jobs=args.jobs,
         seed=args.seed,
     )
-    config.validate()
 
     t0 = time.time()
     records, violations = run_sweep(config)
@@ -52,22 +49,22 @@ def main() -> int:
     print(f"sweep: {enumerated} trees (n <= {args.max_n}), k in {ks}, "
           f"{violations} violations  [{time.time() - t0:.1f}s]")
 
+    tk_config = SweepConfig(max_n=args.extend_tk_n, k_list=(2,),
+                            checks=("tk-equality",), bf_max=0)
     extra_violations = 0
     for n in range(args.max_n + 1, args.extend_tk_n + 1):
         t1 = time.time()
-        mismatches = 0
         count = 0
+        found = 0
         for t in enumerate_free_trees(n):
             count += 1
-            iota = iota_tree_dp(t, 2).size
-            eq = Fraction(iota) == Fraction(t.n + t.leaf_order, 5)
-            member = is_star(t, 2) or recognize_Tk(t, 2) is not None
-            if eq != member:
-                mismatches += 1
-                print(f"  MISMATCH n={n}: {t.graph.edges()}")
-        extra_violations += mismatches
+            rec = check_tree(t, tk_config)
+            for v in rec.violations:
+                print(f"VIOLATION n={rec.n} code={rec.tree_code}: {v}")
+            found += len(rec.violations)
+        extra_violations += found
         print(f"k=2 characterization at n={n}: {count} trees, "
-              f"{mismatches} mismatches  [{time.time() - t1:.1f}s]")
+              f"{found} violations  [{time.time() - t1:.1f}s]")
 
     total = violations + extra_violations
     print(f"total violations: {total}")

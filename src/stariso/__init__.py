@@ -1,7 +1,7 @@
 """Exact k-star isolation numbers of trees: solvers, bounds, extremal
 families and an exhaustive verification harness."""
 
-from .bounds import BoundReport, evaluate_bounds, gap_order_plus_leaves, regime_classify
+from .bounds import BoundReport, evaluate_bounds, regime_classify
 from .formats import format_edgelist, parse_edgelist, parse_graph6
 from .graphs import (
     Graph,

@@ -1,9 +1,11 @@
 """Closed-form upper bounds on tree isolation numbers, regime
 classification, and per-instance equality reporting.
 
-All values are exact rationals; equality detection is the whole point, so
-floating point never appears.  Bounds whose hypotheses fail are reported
-as explicit not-applicable entries with a reason.
+The isolation number is an input: callers solve it (``iota_tree_dp``) and
+this module evaluates the closed forms in n, l and s against that given
+iota.  All values are exact rationals; equality detection is the whole
+point, so floating point never appears.  Bounds whose hypotheses fail are
+reported as explicit not-applicable entries with a reason.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .graphs import Tree, is_any_star, is_star
-from .solver import iota_tree_dp
 
 ORDER_MINUS_LEAVES = "order_minus_leaves"   # (n - l) / 2
 ORDER_PLUS_LEAVES = "order_plus_leaves"     # (n + l) / 4
@@ -97,8 +98,9 @@ def regime_classify(n: int, l: int, k: int) -> str:
     return "ℓ > kn/(k+2)"
 
 
-def evaluate_bounds(t: Tree, k: int) -> BoundReport:
-    """Evaluate every bound for (t, k) with exact equality flags.
+def evaluate_bounds(t: Tree, k: int, iota: int) -> BoundReport:
+    """Evaluate every bound for (t, k) with exact equality flags against
+    the given isolation number iota = iota_k(t).
 
     Hypotheses are enforced: bounds built on leaf removal are not
     applicable to stars (removing all leaves would leave a single vertex,
@@ -106,7 +108,6 @@ def evaluate_bounds(t: Tree, k: int) -> BoundReport:
     each bound's stated requirements.
     """
     n, l, s = t.n, t.leaf_order, t.support_count
-    iota = iota_tree_dp(t, k).size
     bounds: dict[str, Fraction] = {}
     na: dict[str, str] = {}
     notes: dict[str, str] = {}
@@ -155,11 +156,6 @@ def evaluate_bounds(t: Tree, k: int) -> BoundReport:
         regime=regime_classify(n, l, k),
         bounds=bounds, not_applicable=na, equality=equality, notes=notes,
     )
-
-
-def gap_order_plus_leaves(t: Tree) -> Fraction:
-    """(n + l)/4 minus the isolation number, exactly."""
-    return Fraction(t.n + t.leaf_order, 4) - iota_tree_dp(t, 1).size
 
 
 def regime_table_violations(t: Tree, k: int, iota: int) -> list[str]:

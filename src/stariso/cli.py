@@ -114,7 +114,7 @@ def bounds(path: str, k: int, as_json: bool, graph6: bool) -> None:
         raise click.ClickException(f"bounds need a tree input: {exc}") from exc
     if k < 1:
         raise click.ClickException(f"k must be positive, got {k}")
-    report = evaluate_bounds(tree, k)
+    report = evaluate_bounds(tree, k, iota_tree_dp(tree, k).size)
     if as_json:
         click.echo(json.dumps(report.to_json_dict(), sort_keys=True))
         return

@@ -640,6 +640,10 @@ def gen_family_Tk(
     return tree, cert
 
 
+class _Reject(Exception):
+    """Raised inside recognize_Tk when the forced labeling conflicts."""
+
+
 def recognize_Tk(t: Tree, k: int) -> TkCertificate | None:
     """Recover the forced A/B/C/L labeling of t for the given k, or None.
 
@@ -658,9 +662,6 @@ def recognize_Tk(t: Tree, k: int) -> TkCertificate | None:
     leaves = set(t.leaf_set)
     label: dict[int, str] = {}
     queue: deque[int] = deque()
-
-    class _Reject(Exception):
-        pass
 
     def put(v: int, lab: str) -> None:
         if v in leaves:

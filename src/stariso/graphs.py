@@ -3,13 +3,13 @@ distances, enumeration and canonical forms that the rest of the package
 consumes.
 
 Vertices are 0-based contiguous integers.  Graphs are simple and undirected;
-trees additionally cache leaf/support/degree statistics at construction.
+trees additionally cache leaf/support statistics at construction.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -129,8 +129,7 @@ class Tree:
     A single vertex counts as a tree with no leaves (leaf order 0).
     """
 
-    __slots__ = ("graph", "leaf_set", "support_set", "strong_support_set",
-                 "degree_histogram")
+    __slots__ = ("graph", "leaf_set", "support_set", "strong_support_set")
 
     def __init__(self, graph: Graph):
         self.graph = graph
@@ -147,7 +146,6 @@ class Tree:
                 strong.add(v)
         self.support_set = frozenset(support)
         self.strong_support_set = frozenset(strong)
-        self.degree_histogram = dict(Counter(graph.degree(v) for v in range(graph.n)))
 
     @property
     def n(self) -> int:
@@ -207,49 +205,36 @@ class PathWitness:
     length: int
 
 
-def diameter_path(t: Tree, maximize_u1_degree: bool = False) -> PathWitness:
-    """Return a diametral path of t.
+def diameter_path(t: Tree) -> PathWitness:
+    """Return a diametral path of t in O(n).
 
-    With maximize_u1_degree, among all diametral paths in either orientation
-    the returned path maximizes deg(u_1); ties break toward the smallest
-    (u_0, u_d) endpoint pair.  Requires n >= 2.
+    Among all diametral paths in either orientation the returned path
+    maximizes deg(u_1); ties break toward the smallest (u_0, u_d) endpoint
+    pair.  Requires n >= 2.
     """
     g = t.graph
     if g.n < 2:
         raise GraphError("diameter path needs at least 2 vertices")
-    dist_rows = [g.bfs_distances(v) for v in range(g.n)]
-    diam = max(max(row) for row in dist_rows)
-
-    best: tuple[int, int] | None = None
-    best_key: tuple[int, int, int] | None = None
-    for u in range(g.n):
-        for v in range(g.n):
-            if u == v or dist_rows[u][v] != diam:
-                continue
-            # the path u -> v in a tree is unique, so u_1 is determined
-            u1 = _next_on_path(g, dist_rows, u, v)
-            deg_u1 = g.degree(u1) if maximize_u1_degree else 0
-            key = (-deg_u1, u, v)
-            if best_key is None or key < best_key:
-                best_key = key
-                best = (u, v)
-    assert best is not None
-    path = _tree_path(g, dist_rows, best[0], best[1])
+    from_0 = g.bfs_distances(0)
+    a = from_0.index(max(from_0))
+    from_a = g.bfs_distances(a)
+    b = from_a.index(max(from_a))
+    from_b = g.bfs_distances(b)
+    diam = from_a[b]
+    # in a tree ecc(x) = max(d(a, x), d(b, x)), so the diametral endpoints
+    # are the vertices where that maximum reaches diam; they are leaves
+    # (or n = 2), so u_1 is their only neighbor
+    adjacency = g.adjacency
+    u = min(
+        (x for x in range(g.n) if max(from_a[x], from_b[x]) == diam),
+        key=lambda x: (-len(adjacency[adjacency[x][0]]), x),
+    )
+    from_u = g.bfs_distances(u)
+    path = [from_u.index(diam)]
+    for d in range(diam - 1, -1, -1):
+        path.append(next(w for w in adjacency[path[-1]] if from_u[w] == d))
+    path.reverse()
     return PathWitness(tuple(path), diam)
-
-
-def _next_on_path(g: Graph, dist_rows: list[list[int]], u: int, v: int) -> int:
-    for w in g.adjacency[u]:
-        if dist_rows[w][v] == dist_rows[u][v] - 1:
-            return w
-    raise AssertionError("no path step found")
-
-
-def _tree_path(g: Graph, dist_rows: list[list[int]], u: int, v: int) -> list[int]:
-    path = [u]
-    while path[-1] != v:
-        path.append(_next_on_path(g, dist_rows, path[-1], v))
-    return path
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,7 @@ from .graphs import (
     is_star,
 )
 from .solver import (
+    BRUTE_FORCE_FREE_N,
     gamma_bruteforce,
     iota_bruteforce,
     iota_tree_dp,
@@ -58,7 +59,6 @@ CHECK_SUITES = (
 )
 
 MAX_SWEEP_N = 20
-MAX_BRUTE_FORCE_N = 16
 
 
 @dataclass(frozen=True)
@@ -83,9 +83,9 @@ class SweepConfig:
             raise ValueError(f"k values must be positive: {self.k_list}")
         if not (1 <= self.max_n <= MAX_SWEEP_N):
             raise ValueError(f"max_n must be in 1..{MAX_SWEEP_N}, got {self.max_n}")
-        if self.bf_max > MAX_BRUTE_FORCE_N:
+        if self.bf_max > BRUTE_FORCE_FREE_N:
             raise ValueError(
-                f"brute-force cross-checks capped at n={MAX_BRUTE_FORCE_N}, got {self.bf_max}"
+                f"brute-force cross-checks capped at n={BRUTE_FORCE_FREE_N}, got {self.bf_max}"
             )
         unknown = self.active_checks() - set(CHECK_SUITES)
         if unknown:
@@ -138,36 +138,35 @@ def check_tree(t: Tree, config: SweepConfig, source: str = "enumerated") -> Swee
     checks = config.active_checks()
     g = t.graph
     n, l, s = t.n, t.leaf_order, t.support_count
-    diam = diameter_path(t).length if n >= 2 else 0
+    path = diameter_path(t) if n >= 2 else None
+    diam = path.length if path else 0
     violations: list[str] = []
     per_k: dict[int, dict] = {}
 
-    iota_by_k: dict[int, int] = {}
-    witness_by_k: dict[int, frozenset[int]] = {}
-    ks = sorted(set(config.k_list) | {1})
-    for k in ks:
-        sol = iota_tree_dp(t, k)
-        iota_by_k[k] = sol.size
-        witness_by_k[k] = sol.set
-    iota1 = iota_by_k[1]
+    # one DP solution per k, shared by the bound report, the oracle's
+    # witness check and the normalizers
+    solutions = {k: iota_tree_dp(t, k) for k in sorted(set(config.k_list) | {1})}
+    iota1 = solutions[1].size
 
     f_cert = recognize_F(t)
 
     for k in sorted(set(config.k_list)):
-        iota = iota_by_k[k]
-        report = evaluate_bounds(t, k)
+        sol = solutions[k]
+        iota = sol.size
+        report = evaluate_bounds(t, k, iota)
+        rendered = report.to_json_dict()
         entry: dict = {
             "iota": iota,
             "regime": report.regime,
-            "bounds": report.to_json_dict()["bounds"],
-            "equality": report.to_json_dict()["equality"],
+            "bounds": rendered["bounds"],
+            "equality": rendered["equality"],
         }
 
         if "oracle" in checks and n <= config.bf_max:
             bf = iota_bruteforce(g, k)
             if bf.size != iota:
                 violations.append(f"k={k}: dp={iota} != brute_force={bf.size}")
-            if not is_isolating(g, witness_by_k[k], k):
+            if not is_isolating(g, sol.set, k):
                 violations.append(f"k={k}: dp witness fails verification")
             for root in range(n):
                 if iota_tree_dp(t, k, root=root).size != iota:
@@ -245,12 +244,10 @@ def check_tree(t: Tree, config: SweepConfig, source: str = "enumerated") -> Swee
                 violations.append(f"k={k}: equality instance in the forbidden small-order band")
             if eq and not is_star(t, k) and diam < 5:
                 violations.append(f"k={k}: non-star equality instance with diameter {diam}")
-            if eq and n >= 2:
-                path = diameter_path(t, maximize_u1_degree=True)
-                if g.degree(path.vertices[1]) != k:
-                    violations.append(
-                        f"k={k}: equality instance with deg(u1)={g.degree(path.vertices[1])} != k"
-                    )
+            if eq and path is not None and g.degree(path.vertices[1]) != k:
+                violations.append(
+                    f"k={k}: equality instance with deg(u1)={g.degree(path.vertices[1])} != k"
+                )
             if n >= 3 and k <= t.max_degree and n <= 2 * k + 1 and iota != 1:
                 violations.append(f"k={k}: small-order tree with iota={iota} != 1")
 
@@ -273,7 +270,6 @@ def check_tree(t: Tree, config: SweepConfig, source: str = "enumerated") -> Swee
                 )
 
         if "normalizers" in checks and n >= 3:
-            sol = iota_tree_dp(t, k)
             norm = normalize_no_leaves(g, sol)
             if norm.size != sol.size or not is_isolating(g, norm.set, k):
                 violations.append(f"k={k}: leaf normalization broke the witness")

@@ -12,7 +12,7 @@ it is asked for; see the notes shipped alongside the repository.
 import random
 from fractions import Fraction
 
-from stariso.bounds import evaluate_bounds, gap_order_plus_leaves, regime_table_violations
+from stariso.bounds import evaluate_bounds, regime_table_violations
 from stariso.families import (
     add_twin_leaves,
     gen_corona_extremal,
@@ -79,7 +79,7 @@ def test_acceptance_2_bound_suite():
     for n in range(1, 13):
         for t in enumerate_free_trees(n):
             for k in (1, 2, 3):
-                report = evaluate_bounds(t, k)
+                report = evaluate_bounds(t, k, iota_tree_dp(t, k).size)
                 for name, value in report.bounds.items():
                     if Fraction(report.iota) > value:
                         failures.append(
@@ -189,7 +189,8 @@ def test_acceptance_6_extremal_generators():
                         f"(n-l)/2={Fraction(n - l, 2)}"
                     )
     for k in range(1, 6):
-        if gap_order_plus_leaves(gen_spider_gap(k)) != k:
+        t = gen_spider_gap(k)
+        if Fraction(t.n + t.leaf_order, 4) - iota_tree_dp(t, 1).size != k:
             failures.append(f"spider k={k}: gap != {k}")
     rng = random.Random(777)
     for i in range(20):

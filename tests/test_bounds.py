@@ -14,12 +14,12 @@ from stariso.bounds import (
     STAR_BOUND,
     SUPPORT_BOUND,
     evaluate_bounds,
-    gap_order_plus_leaves,
     regime_classify,
     regime_table_violations,
 )
 from stariso.families import gen_corona_extremal, gen_spider_gap
 from stariso.graphs import as_tree, build_graph, enumerate_free_trees
+from stariso.solver import iota_tree_dp
 
 
 def path_tree(n):
@@ -52,7 +52,8 @@ class TestRegimeClassify:
 
 class TestEvaluateBounds:
     def test_six_path_sits_on_the_triple_point(self):
-        report = evaluate_bounds(path_tree(6), 1)
+        t = path_tree(6)
+        report = evaluate_bounds(t, 1, iota_tree_dp(t, 1).size)
         assert report.iota == 2
         assert report.regime == "ℓ = n/3"
         assert report.bounds[ORDER_PLUS_LEAVES] == 2
@@ -63,7 +64,8 @@ class TestEvaluateBounds:
 
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_star_attains_its_bound(self, k):
-        report = evaluate_bounds(star_tree(k), k)
+        t = star_tree(k)
+        report = evaluate_bounds(t, k, iota_tree_dp(t, k).size)
         assert report.bounds[STAR_BOUND] == 1
         assert report.iota == 1
         assert report.equality[STAR_BOUND]
@@ -71,18 +73,20 @@ class TestEvaluateBounds:
 
     def test_corona_extremal_attains_order_minus_leaves(self):
         t = as_tree(gen_corona_extremal(2, 2, 8))
-        report = evaluate_bounds(t, 2)
+        report = evaluate_bounds(t, 2, iota_tree_dp(t, 2).size)
         assert report.bounds[ORDER_MINUS_LEAVES] == 2
         assert report.iota == 2
         assert report.equality[ORDER_MINUS_LEAVES]
 
     def test_five_path_all_strict(self):
-        report = evaluate_bounds(path_tree(5), 1)
+        t = path_tree(5)
+        report = evaluate_bounds(t, 1, iota_tree_dp(t, 1).size)
         assert report.iota == 1
         assert not any(report.equality.values())
 
     def test_two_vertex_not_applicable_entries(self):
-        report = evaluate_bounds(path_tree(2), 1)
+        t = path_tree(2)
+        report = evaluate_bounds(t, 1, iota_tree_dp(t, 1).size)
         assert ORDER_MINUS_LEAVES in report.not_applicable
         assert CARO_THIRD in report.not_applicable
         assert SUPPORT_BOUND in report.not_applicable
@@ -90,35 +94,43 @@ class TestEvaluateBounds:
         assert report.equality[ORDER_PLUS_LEAVES]
 
     def test_stars_excluded_from_leaf_removal_bounds(self):
-        report = evaluate_bounds(star_tree(3), 1)
+        t = star_tree(3)
+        report = evaluate_bounds(t, 1, iota_tree_dp(t, 1).size)
         assert "star" in report.not_applicable[ORDER_MINUS_LEAVES]
         assert "star" in report.not_applicable[BOUTRIG]
         assert CARO_TREES in report.bounds  # K_{1,3} is not the 1-star
         assert report.bounds[CARO_TREES] == Fraction(4, 3)
 
     def test_star_bound_informational_at_k1(self):
-        report = evaluate_bounds(path_tree(6), 1)
+        t = path_tree(6)
+        report = evaluate_bounds(t, 1, iota_tree_dp(t, 1).size)
         assert STAR_BOUND in report.notes
         assert report.bounds[STAR_BOUND] == Fraction(8, 3)
 
     def test_json_rendering(self):
-        report = evaluate_bounds(path_tree(5), 1)
+        t = path_tree(5)
+        report = evaluate_bounds(t, 1, iota_tree_dp(t, 1).size)
         payload = json.loads(json.dumps(report.to_json_dict()))
         assert payload["bounds"][ORDER_PLUS_LEAVES] == "7/4"
         assert payload["bounds"][ORDER_MINUS_LEAVES] == "3/2"
         assert payload["regime"] == "ℓ > n/3"
         assert payload["iota"] == 1
-        report2 = evaluate_bounds(path_tree(2), 1)
+        t = path_tree(2)
+        report2 = evaluate_bounds(t, 1, iota_tree_dp(t, 1).size)
         assert report2.to_json_dict()["bounds"][CARO_THIRD].startswith("N/A:")
 
 
 class TestGap:
+    """(n + l)/4 minus iota_1, exactly."""
+
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_spider_gap_is_k(self, k):
-        assert gap_order_plus_leaves(gen_spider_gap(k)) == k
+        t = gen_spider_gap(k)
+        assert Fraction(t.n + t.leaf_order, 4) - iota_tree_dp(t, 1).size == k
 
     def test_six_path_gap_zero(self):
-        assert gap_order_plus_leaves(path_tree(6)) == 0
+        t = path_tree(6)
+        assert Fraction(t.n + t.leaf_order, 4) - iota_tree_dp(t, 1).size == 0
 
 
 class TestSweptInvariants:
@@ -126,7 +138,7 @@ class TestSweptInvariants:
         for n in range(1, 11):
             for t in enumerate_free_trees(n):
                 for k in (1, 2, 3):
-                    report = evaluate_bounds(t, k)
+                    report = evaluate_bounds(t, k, iota_tree_dp(t, k).size)
                     for name, value in report.bounds.items():
                         assert Fraction(report.iota) <= value, (n, k, name)
                     assert not regime_table_violations(t, k, report.iota)
@@ -134,7 +146,7 @@ class TestSweptInvariants:
     def test_support_bound_below_leaf_bound(self):
         for n in range(3, 11):
             for t in enumerate_free_trees(n):
-                report = evaluate_bounds(t, 1)
+                report = evaluate_bounds(t, 1, iota_tree_dp(t, 1).size)
                 if SUPPORT_BOUND not in report.bounds:
                     continue
                 sb = report.bounds[SUPPORT_BOUND]

@@ -521,7 +521,7 @@ class TestSpider:
 
     def test_heavy_vertex_leads_longest_paths(self):
         t = gen_spider_gap(2)
-        w = diameter_path(t, maximize_u1_degree=True)
+        w = diameter_path(t)
         assert w.length == 3
         assert t.graph.degree(w.vertices[1]) == t.max_degree
 

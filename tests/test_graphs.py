@@ -104,7 +104,6 @@ class TestAsTree:
     def test_single_vertex_has_no_leaves(self):
         t = as_tree(build_graph(1, []))
         assert t.leaf_order == 0
-        assert t.degree_histogram == {0: 1}
 
     def test_star_predicates(self):
         assert is_star(as_tree(star_graph(3)), 3)
@@ -118,7 +117,7 @@ class TestAsTree:
     def test_leaf_count_identity(self, t):
         # l = 2 + sum over degrees i >= 3 of n_i (i - 2), for any tree n >= 2
         expected = 2 + sum(
-            cnt * (deg - 2) for deg, cnt in t.degree_histogram.items() if deg >= 3
+            t.graph.degree(v) - 2 for v in range(t.n) if t.graph.degree(v) >= 3
         )
         assert t.leaf_order == expected
         assert t.leaf_order >= 2
@@ -155,7 +154,7 @@ class TestDiameterPath:
         # start either side, and the heavy vertex must win as u_1
         edges = [(0, 1), (1, 2), (2, 3), (1, 4), (1, 5), (1, 6)]
         t = as_tree(build_graph(7, edges))
-        w = diameter_path(t, maximize_u1_degree=True)
+        w = diameter_path(t)
         assert w.length == 3
         assert w.vertices[1] == 1
         assert t.graph.degree(w.vertices[1]) == 5
@@ -172,6 +171,33 @@ class TestDiameterPath:
         for u, v in zip(w.vertices, w.vertices[1:]):
             assert t.graph.has_edge(u, v)
         assert len(set(w.vertices)) == len(w.vertices)
+
+    def test_matches_all_pairs_rule(self):
+        # reference: over every ordered diametral pair (u, v), the path
+        # minimizing (-deg(u_1), u, v), found from all-pairs BFS rows
+        def reference(t):
+            g = t.graph
+            rows = [g.bfs_distances(v) for v in range(t.n)]
+            diam = max(map(max, rows))
+
+            def path(u, v):
+                p = [u]
+                while p[-1] != v:
+                    p.append(next(w for w in g.adjacency[p[-1]]
+                                  if rows[w][v] == rows[p[-1]][v] - 1))
+                return tuple(p)
+
+            _, u, v = min(
+                (-g.degree(path(u, v)[1]), u, v)
+                for u in range(t.n) for v in range(t.n) if rows[u][v] == diam
+            )
+            return path(u, v), diam
+
+        for n in range(2, 11):
+            for t in enumerate_free_trees(n):
+                for tree in (t, relabel(t, list(range(n))[::-1])):
+                    w = diameter_path(tree)
+                    assert (w.vertices, w.length) == reference(tree)
 
 
 def relabel(t, perm):

@@ -76,6 +76,40 @@ class TestCheckTree:
         }
 
 
+class TestDpCalls:
+    """check_tree solves each k once; only the every-root oracle adds calls."""
+
+    @staticmethod
+    def count_calls(monkeypatch, t, cfg):
+        import stariso.sweep
+
+        calls = []
+        real = stariso.sweep.iota_tree_dp
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(stariso.sweep, "iota_tree_dp", counting)
+        rec = check_tree(t, cfg)
+        assert rec.violations == []
+        return len(calls)
+
+    @pytest.mark.parametrize("k_list", [(1,), (2,), (3, 2), (1, 2, 3)])
+    def test_once_per_k_without_oracle(self, monkeypatch, k_list):
+        checks = tuple(c for c in CHECK_SUITES if c != "oracle")
+        cfg = SweepConfig(max_n=8, k_list=k_list, checks=checks)
+        calls = self.count_calls(monkeypatch, path_tree(8), cfg)
+        assert calls == len(set(k_list) | {1})
+
+    @pytest.mark.parametrize("k_list", [(1,), (2, 3)])
+    def test_oracle_adds_every_root(self, monkeypatch, k_list):
+        t = path_tree(8)
+        cfg = SweepConfig(max_n=8, k_list=k_list, bf_max=8)
+        calls = self.count_calls(monkeypatch, t, cfg)
+        assert calls == len(set(k_list) | {1}) + t.n * len(k_list)
+
+
 class TestRunSweep:
     def test_clean_up_to_nine(self):
         records, violations = run_sweep(
