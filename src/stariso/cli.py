@@ -13,18 +13,6 @@ import sys
 
 import click
 
-from .bounds import BOUND_NAMES, evaluate_bounds
-from .families import (
-    FamilyError,
-    gen_char_orderminusleaves,
-    gen_corona_extremal,
-    gen_family_F,
-    gen_spider_gap,
-    recognize_char_orderminusleaves,
-    recognize_F,
-    recognize_Tk,
-    sample_family_Tk,
-)
 from .formats import format_edgelist, load_graph
 from .graphs import Graph, GraphError, as_tree
 from .solver import (
@@ -32,11 +20,11 @@ from .solver import (
     iota_bruteforce,
     iota_tree_dp,
     is_isolating,
-    residual,
+    residual_degrees,
 )
-from .sweep import CHECK_SUITES, SweepConfig, run_sweep
 
-import random
+# bounds, families, sweep and random are imported inside the commands that
+# use them, so that solve and verify-set start without loading them
 
 
 @click.group()
@@ -114,6 +102,8 @@ def bounds(path: str, k: int, as_json: bool, graph6: bool) -> None:
         raise click.ClickException(f"bounds need a tree input: {exc}") from exc
     if k < 1:
         raise click.ClickException(f"k must be positive, got {k}")
+    from .bounds import BOUND_NAMES, evaluate_bounds
+
     report = evaluate_bounds(tree, k, iota_tree_dp(tree, k).size)
     if as_json:
         click.echo(json.dumps(report.to_json_dict(), sort_keys=True))
@@ -144,16 +134,13 @@ def verify_set(ctx: click.Context, path: str, k: int, set_text: str, graph6: boo
     if k < 1:
         raise click.ClickException(f"k must be positive, got {k}")
     dominators = _parse_vertex_list(set_text, g)
-    res = residual(g, dominators)
-    degrees = [res.graph.degree(i) for i in range(res.graph.n)]
-    max_deg = max(degrees, default=0)
+    degrees = residual_degrees(g, dominators)
+    max_deg = max(degrees.values(), default=0)
     if max_deg < k:
         click.echo("true")
         click.echo(f"residual-max-degree: {max_deg}")
         return
-    offender = min(
-        res.vertices[i] for i in range(res.graph.n) if degrees[i] >= k
-    )
+    offender = min(v for v, d in degrees.items() if d >= k)
     click.echo("false")
     click.echo(f"residual-max-degree: {max_deg}")
     click.echo(f"witness: {offender}")
@@ -169,6 +156,13 @@ def verify_set(ctx: click.Context, path: str, k: int, set_text: str, graph6: boo
 def recognize(family: str, path: str, k: int, graph6: bool) -> None:
     """Test family membership; print the certificate JSON or "none"."""
     g = _load(path, graph6)
+    from .families import (
+        FamilyError,
+        recognize_char_orderminusleaves,
+        recognize_F,
+        recognize_Tk,
+    )
+
     try:
         if family == "F":
             cert = recognize_F(as_tree(g))
@@ -203,6 +197,17 @@ def generate(family: str, r: int, s: int, k: int, n: int | None, n0: int,
              h: int, seed: int, leaf_counts: str | None) -> None:
     """Emit a family member as an edge list, certificate attached as a
     trailing comment line."""
+    import random
+
+    from .families import (
+        FamilyError,
+        gen_char_orderminusleaves,
+        gen_corona_extremal,
+        gen_family_F,
+        gen_spider_gap,
+        sample_family_Tk,
+    )
+
     cert = None
     try:
         if family == "F":
@@ -237,7 +242,9 @@ def generate(family: str, r: int, s: int, k: int, n: int | None, n0: int,
 @click.option("--max-n", required=True, type=int)
 @click.option("--k-list", default="1,2,3", show_default=True)
 @click.option("--checks", default="all", show_default=True,
-              help=f"Comma list from {', '.join(CHECK_SUITES)} or 'all'.")
+              # stariso.sweep.CHECK_SUITES, spelled out to keep the sweep unloaded
+              help="Comma list from oracle, bounds, f-equality, tk-equality, "
+                   "corona-char, normalizers, constructive or 'all'.")
 @click.option("--out", "output_path", type=click.Path(), default=None)
 @click.option("--jobs", type=int, default=1, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
@@ -247,6 +254,8 @@ def generate(family: str, r: int, s: int, k: int, n: int | None, n0: int,
 def sweep(ctx: click.Context, max_n: int, k_list: str, checks: str,
           output_path: str | None, jobs: int, seed: int, bf_max: int) -> None:
     """Machine-check every statement over all free trees up to --max-n."""
+    from .sweep import SweepConfig, run_sweep
+
     try:
         ks = tuple(int(f) for f in k_list.split(","))
     except ValueError:

@@ -11,31 +11,39 @@ from .graphs import Graph, GraphError, build_graph
 
 
 def parse_edgelist(text: str) -> Graph:
-    """Parse the edge-list text format into a Graph."""
-    n: int | None = None
-    edges: list[tuple[int, int]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    """Parse the edge-list text format into a Graph.
+
+    A vertex count above 2m + 1, for m edge lines, is rejected before any
+    adjacency is allocated, so memory stays linear in the input size.
+    """
+    raw_lines = text.splitlines()
+    lines = [line.split("#", 1)[0] for line in raw_lines] if "#" in text else raw_lines
+    for header, line in enumerate(lines):
         fields = line.split()
-        if n is None:
-            if len(fields) != 1:
-                raise GraphError(f"line {lineno}: expected vertex count, got {raw!r}")
-            try:
-                n = int(fields[0])
-            except ValueError:
-                raise GraphError(f"line {lineno}: bad vertex count {fields[0]!r}") from None
-            continue
-        if len(fields) != 2:
-            raise GraphError(f"line {lineno}: expected 'u v', got {raw!r}")
-        try:
-            u, v = int(fields[0]), int(fields[1])
-        except ValueError:
-            raise GraphError(f"line {lineno}: bad edge {raw!r}") from None
-        edges.append((u, v))
-    if n is None:
+        if fields:
+            break
+    else:
         raise GraphError("empty edge-list input")
+    if len(fields) != 1:
+        raise GraphError(f"line {header + 1}: expected vertex count, got {raw_lines[header]!r}")
+    try:
+        n = int(fields[0])
+    except ValueError:
+        raise GraphError(f"line {header + 1}: bad vertex count {fields[0]!r}") from None
+    edges: list[tuple[int, int]] = []
+    append = edges.append
+    for lineno, line in enumerate(lines[header + 1:], start=header + 2):
+        fields = line.split()
+        if len(fields) == 2:
+            try:
+                append((int(fields[0]), int(fields[1])))
+            except ValueError:
+                raise GraphError(f"line {lineno}: bad edge {raw_lines[lineno - 1]!r}") from None
+        elif fields:
+            raise GraphError(f"line {lineno}: expected 'u v', got {raw_lines[lineno - 1]!r}")
+    m = len(edges)
+    if n > 2 * m + 1:
+        raise GraphError(f"vertex count {n} exceeds 2m + 1 = {2 * m + 1} for m = {m} edge lines")
     return build_graph(n, edges)
 
 

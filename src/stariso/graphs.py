@@ -36,7 +36,7 @@ class Graph:
     def __init__(self, n: int, adjacency: tuple[tuple[int, ...], ...]):
         self.n = n
         self.adjacency = adjacency
-        self.edge_count = sum(len(a) for a in adjacency) // 2
+        self.edge_count = sum(map(len, adjacency)) // 2
 
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
@@ -103,24 +103,43 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a simple graph from an edge list.
 
     Rejects out-of-range endpoints, self-loops and duplicate edges, naming
-    the offending edge.
+    the first offending edge in input order.
     """
     if n < 0:
         raise GraphError(f"vertex count must be nonnegative, got {n}")
+    edges = list(edges)  # a fault is named by a second, sequential pass
+    neighbors: list[list[int]] = [[] for _ in range(n)]
+    for u, v in edges:
+        if u != v and 0 <= u < n and 0 <= v < n:
+            neighbors[u].append(v)
+            neighbors[v].append(u)
+        else:
+            raise GraphError(_first_edge_fault(n, edges))
+    for a in neighbors:
+        if len(a) > 1:
+            a.sort()
+            # a repeated edge shows up as two equal neighbors side by side
+            previous = -1
+            for w in a:
+                if w == previous:
+                    raise GraphError(_first_edge_fault(n, edges))
+                previous = w
+    return Graph(n, tuple(map(tuple, neighbors)))
+
+
+def _first_edge_fault(n: int, edges: list[tuple[int, int]]) -> str:
+    """Describe the first edge, in input order, that breaks simplicity."""
     seen: set[tuple[int, int]] = set()
-    neighbor_sets: list[set[int]] = [set() for _ in range(n)]
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
-            raise GraphError(f"edge ({u}, {v}) out of range for n={n}")
+            return f"edge ({u}, {v}) out of range for n={n}"
         if u == v:
-            raise GraphError(f"self-loop ({u}, {v})")
+            return f"self-loop ({u}, {v})"
         key = (min(u, v), max(u, v))
         if key in seen:
-            raise GraphError(f"duplicate edge ({u}, {v})")
+            return f"duplicate edge ({u}, {v})"
         seen.add(key)
-        neighbor_sets[u].add(v)
-        neighbor_sets[v].add(u)
-    return Graph(n, tuple(tuple(sorted(s)) for s in neighbor_sets))
+    raise RuntimeError(f"edge list on n={n} has no fault to report")
 
 
 class Tree:
@@ -129,23 +148,25 @@ class Tree:
     A single vertex counts as a tree with no leaves (leaf order 0).
     """
 
-    __slots__ = ("graph", "leaf_set", "support_set", "strong_support_set")
+    __slots__ = ("graph", "leaf_set", "support_set", "strong_support_set", "max_degree")
 
     def __init__(self, graph: Graph):
         self.graph = graph
-        self.leaf_set = frozenset(
-            v for v in range(graph.n) if graph.degree(v) == 1
-        )
+        adjacency = graph.adjacency
+        leaves = [v for v, a in enumerate(adjacency) if len(a) == 1]
+        # a support is a leaf's only neighbor; a strong one is reached twice
         support = set()
         strong = set()
-        for v in range(graph.n):
-            leaf_neighbors = sum(1 for w in graph.adjacency[v] if w in self.leaf_set)
-            if leaf_neighbors >= 1:
-                support.add(v)
-            if leaf_neighbors >= 2:
-                strong.add(v)
+        for v in leaves:
+            s = adjacency[v][0]
+            if s in support:
+                strong.add(s)
+            else:
+                support.add(s)
+        self.leaf_set = frozenset(leaves)
         self.support_set = frozenset(support)
         self.strong_support_set = frozenset(strong)
+        self.max_degree = max(map(len, adjacency), default=0)
 
     @property
     def n(self) -> int:
@@ -158,10 +179,6 @@ class Tree:
     @property
     def support_count(self) -> int:
         return len(self.support_set)
-
-    @property
-    def max_degree(self) -> int:
-        return self.graph.max_degree()
 
     def __repr__(self) -> str:
         return f"Tree(n={self.n}, edges={self.graph.edges()})"

@@ -74,9 +74,27 @@ def contains_k_star(g: Graph, k: int) -> bool:
     return g.max_degree() >= k
 
 
+def residual_degrees(g: Graph, dominators: frozenset[int] | set[int]) -> dict[int, int]:
+    """Degree in G - N[D] of every vertex outside N[D], keyed by its label.
+
+    Counts in place, without building the residual subgraph.
+    """
+    _check_vertex_set(g, dominators)
+    removed = closed_neighborhood(g, dominators)
+    adjacency = g.adjacency
+    return {
+        v: len(adjacency[v]) - len(removed.intersection(adjacency[v]))
+        for v in range(g.n)
+        if v not in removed
+    }
+
+
 def is_isolating(g: Graph, dominators: frozenset[int] | set[int], k: int) -> bool:
     """True iff G - N[D] contains no k-star."""
-    return not contains_k_star(residual(g, dominators).graph, k)
+    degrees = residual_degrees(g, dominators)
+    if k < 1:
+        raise ValueError(f"k must be positive, got {k}")
+    return max(degrees.values(), default=0) < k
 
 
 def _check_vertex_set(g: Graph, vertices) -> None:
@@ -368,7 +386,10 @@ def normalize_no_deg2_support(t: Tree, sol: IsolationSolution) -> IsolationSolut
     for v in sol.set:
         if v in t.support_set and g.degree(v) == 2:
             others = [w for w in g.adjacency[v] if w not in t.leaf_set]
-            assert len(others) == 1
+            if len(others) != 1:
+                raise GraphError(
+                    f"degree-2 support {v} has {len(others)} non-leaf neighbors, expected 1"
+                )
             replaced.add(others[0])
         else:
             replaced.add(v)

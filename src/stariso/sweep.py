@@ -168,7 +168,8 @@ def check_tree(t: Tree, config: SweepConfig, source: str = "enumerated") -> Swee
                 violations.append(f"k={k}: dp={iota} != brute_force={bf.size}")
             if not is_isolating(g, sol.set, k):
                 violations.append(f"k={k}: dp witness fails verification")
-            for root in range(n):
+            # root 0 is the default root, already solved above
+            for root in range(1, n):
                 if iota_tree_dp(t, k, root=root).size != iota:
                     violations.append(f"k={k}: dp optimum differs at root {root}")
                     break

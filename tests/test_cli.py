@@ -88,6 +88,18 @@ class TestSolve:
     def test_missing_file(self):
         assert main(["solve", "--input", "does-not-exist.txt", "--k", "1"]) == 1
 
+    def test_absurd_vertex_count_rejected_before_allocation(self, tmp_path, monkeypatch,
+                                                             capsys):
+        import stariso.formats
+
+        def no_build(n, edges):
+            raise AssertionError(f"build_graph called with n={n}")
+
+        monkeypatch.setattr(stariso.formats, "build_graph", no_build)
+        f = write(tmp_path, "huge.txt", "1000000000000\n0 1\n")
+        assert main(["solve", "--input", f, "--k", "1"]) == 1
+        assert "vertex count 1000000000000 exceeds 2m + 1 = 3" in capsys.readouterr().err
+
     def test_graph6_input(self, tmp_path, capsys):
         g6 = nx.to_graph6_bytes(nx.path_graph(6), header=False).decode().strip()
         f = write(tmp_path, "p6.g6", g6 + "\n")
@@ -143,6 +155,13 @@ class TestVerifySet:
         set_text = ",".join(str(v) for v in sorted(sol.set))
         assert main(["verify-set", "--input", p6_file, "--k", "1", "--set", set_text]) == 0
         assert capsys.readouterr().out.splitlines()[0] == "true"
+
+    def test_residual_report_names_smallest_offender(self, p6_file, capsys):
+        # N[{1}] = {0, 1, 2} leaves the path 3-4-5
+        assert main(["verify-set", "--input", p6_file, "--k", "1", "--set", "1"]) == 2
+        assert capsys.readouterr().out == "false\nresidual-max-degree: 2\nwitness: 3\n"
+        assert main(["verify-set", "--input", p6_file, "--k", "3", "--set", "1"]) == 0
+        assert capsys.readouterr().out == "true\nresidual-max-degree: 2\n"
 
     def test_out_of_range_vertex(self, p6_file):
         assert main(["verify-set", "--input", p6_file, "--k", "1", "--set", "9"]) == 1
@@ -247,28 +266,50 @@ class TestSweepCommand:
         assert main(["sweep", "--max-n", "25"]) == 1
 
     def test_violations_exit_code(self, monkeypatch, capsys):
+        import stariso.sweep
         from stariso.sweep import SweepRecord
-        import stariso.cli as cli_mod
 
         broken = SweepRecord(
             tree_code="10", source="enumerated", n=2, l=2, s=2, diam=1,
             family_F=False, per_k={1: {"iota": 1}},
             violations=["synthetic violation for the exit-code path"],
         )
-        monkeypatch.setattr(cli_mod, "run_sweep", lambda config: ([broken], 1))
+        monkeypatch.setattr(stariso.sweep, "run_sweep", lambda config: ([broken], 1))
         assert main(["sweep", "--max-n", "2"]) == 2
         captured = capsys.readouterr()
         assert "VIOLATION" in captured.err
 
+    def test_checks_help_lists_every_suite(self):
+        from stariso.cli import sweep
+        from stariso.sweep import CHECK_SUITES
 
-def test_cli_import_leaves_networkx_unloaded():
+        (checks,) = [p for p in sweep.params if p.name == "checks"]
+        assert checks.help == f"Comma list from {', '.join(CHECK_SUITES)} or 'all'."
+
+
+def test_cli_import_loads_only_what_solve_needs():
     src = str(Path(stariso.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = "import sys, stariso.cli; print('networkx' in sys.modules)"
+    unused = ["stariso.families", "stariso.bounds", "stariso.sweep",
+              "multiprocessing", "networkx"]
+    code = f"import sys, stariso.cli; print([m for m in {unused!r} if m in sys.modules])"
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+    assert out.strip() == "[]"
+
+
+@pytest.mark.parametrize("name", stariso.__all__)
+def test_package_exports_resolve(name):
+    namespace = {}
+    exec(f"from stariso import {name}", namespace)
+    value = namespace[name]
+    assert getattr(sys.modules[value.__module__], name) is value
+
+
+def test_package_rejects_unknown_names():
+    with pytest.raises(ImportError):
+        exec("from stariso import no_such_name", {})
 
 
 class TestUsageErrors:

@@ -42,7 +42,65 @@ def random_trees(draw, min_n=2, max_n=10):
     return prufer_decode(seq)
 
 
+def first_fault(n, edges):
+    """Reference validator: the message for the first bad edge, in input
+    order, or None for a simple graph."""
+    seen = set()
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            return f"edge ({u}, {v}) out of range for n={n}"
+        if u == v:
+            return f"self-loop ({u}, {v})"
+        if frozenset((u, v)) in seen:
+            return f"duplicate edge ({u}, {v})"
+        seen.add(frozenset((u, v)))
+    return None
+
+
+@st.composite
+def edge_lists_with_faults(draw):
+    """A simple edge list on n vertices with out-of-range, self-loop and
+    duplicate edges inserted at random positions."""
+    n = draw(st.integers(1, 8))
+    vertex = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(vertex, vertex).filter(lambda e: e[0] != e[1]),
+                          max_size=10, unique_by=frozenset))
+    for kind in draw(st.lists(st.sampled_from(["range", "loop", "dup"]), max_size=3)):
+        if kind == "range":
+            bad = (draw(st.sampled_from([-1, n, n + 3])), draw(vertex))
+            edge = bad if draw(st.booleans()) else bad[::-1]
+            pos = draw(st.integers(0, len(edges)))
+        elif kind == "loop":
+            v = draw(vertex)
+            edge = (v, v)
+            pos = draw(st.integers(0, len(edges)))
+        else:
+            if not edges:
+                continue
+            i = draw(st.integers(0, len(edges) - 1))
+            edge = edges[i] if draw(st.booleans()) else edges[i][::-1]
+            pos = draw(st.integers(i + 1, len(edges)))
+        edges.insert(pos, edge)
+    return n, edges
+
+
 class TestBuildGraph:
+    @given(edge_lists_with_faults())
+    @settings(max_examples=300, deadline=None)
+    def test_names_the_same_fault_as_a_sequential_check(self, case):
+        n, edges = case
+        expected = first_fault(n, edges)
+        if expected is None:
+            g = build_graph(n, edges)
+            assert g.adjacency == tuple(
+                tuple(sorted({v for e in edges for v in e if u in e and v != u}))
+                for u in range(n)
+            )
+        else:
+            with pytest.raises(GraphError) as excinfo:
+                build_graph(n, iter(edges))
+            assert str(excinfo.value) == expected
+
     def test_single_edge(self):
         g = build_graph(2, [(0, 1)])
         assert g.edge_count == 1
@@ -111,6 +169,17 @@ class TestAsTree:
         assert is_star(as_tree(path_graph(2)), 1)
         assert is_any_star(as_tree(star_graph(2)))
         assert not is_any_star(as_tree(path_graph(4)))
+
+    @given(random_trees(max_n=12))
+    @settings(max_examples=80, deadline=None)
+    def test_statistics_match_definitions(self, t):
+        g = t.graph
+        leaves = {v for v in range(t.n) if g.degree(v) == 1}
+        leaf_neighbors = [sum(1 for w in g.neighbors(v) if w in leaves) for v in range(t.n)]
+        assert t.leaf_set == leaves
+        assert t.support_set == {v for v in range(t.n) if leaf_neighbors[v] >= 1}
+        assert t.strong_support_set == {v for v in range(t.n) if leaf_neighbors[v] >= 2}
+        assert t.max_degree == g.max_degree()
 
     @given(random_trees(max_n=12))
     @settings(max_examples=80, deadline=None)
@@ -333,6 +402,29 @@ class TestEdgeListFormat:
     def test_empty_input(self):
         with pytest.raises(GraphError, match="empty"):
             parse_edgelist("# nothing\n")
+
+    @pytest.mark.parametrize("text,message", [
+        ("a b\n", "line 1: expected vertex count, got 'a b'"),
+        ("x\n", "line 1: bad vertex count 'x'"),
+        ("# c\n\n3  # n\n0 1 2\n", "line 4: expected 'u v', got '0 1 2'"),
+        ("3\r\n0 1\r\n1 2 3\r\n", "line 3: expected 'u v', got '1 2 3'"),
+        ("  \n\t2\n0\n", "line 3: expected 'u v', got '0'"),
+        ("3\n0 x  # c\n", "line 2: bad edge '0 x  # c'"),
+        ("2 # x\n1.0 0\n", "line 2: bad edge '1.0 0'"),
+        ("", "empty edge-list input"),
+        ("-2\n", "vertex count must be nonnegative, got -2"),
+        ("3\n0 1\n1 2\n0 1\n9 9\n", "duplicate edge (0, 1)"),
+        ("4\n0 1\n", "vertex count 4 exceeds 2m + 1 = 3 for m = 1 edge lines"),
+    ])
+    def test_error_messages(self, text, message):
+        with pytest.raises(GraphError) as excinfo:
+            parse_edgelist(text)
+        assert str(excinfo.value) == message
+
+    def test_isolated_vertices_up_to_two_m_plus_one(self):
+        g = parse_edgelist("3\n0 1\n")
+        assert g.n == 3 and g.adjacency == ((1,), (0,), ())
+        assert parse_edgelist("1\n").n == 1
 
 
 class TestGraph6:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from stariso.graphs import (
     GraphError,
+    Tree,
     as_tree,
     build_graph,
     enumerate_free_trees,
@@ -28,6 +29,7 @@ from stariso.solver import (
     normalize_no_deg2_support,
     normalize_no_leaves,
     residual,
+    residual_degrees,
 )
 
 
@@ -68,6 +70,28 @@ class TestResidual:
     def test_out_of_range_vertex(self):
         with pytest.raises(GraphError):
             residual(path_graph(3), {7})
+
+
+class TestResidualDegrees:
+    @given(st.integers(1, 9).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                 .filter(lambda e: e[0] != e[1]), unique_by=frozenset),
+        st.sets(st.integers(0, n - 1)),
+        st.integers(1, 4),
+    )))
+    @settings(max_examples=200, deadline=None)
+    def test_match_the_residual_subgraph(self, case):
+        n, edges, dominators, k = case
+        g = build_graph(n, edges)
+        res = residual(g, dominators)
+        expected = {res.vertices[i]: res.graph.degree(i) for i in range(res.graph.n)}
+        assert residual_degrees(g, dominators) == expected
+        assert is_isolating(g, dominators, k) == (not contains_k_star(res.graph, k))
+
+    def test_out_of_range_vertex(self):
+        with pytest.raises(GraphError):
+            residual_degrees(path_graph(3), {7})
 
 
 class TestContainsKStar:
@@ -291,6 +315,14 @@ class TestNormalizeNoDeg2Support:
         t = as_tree(path_graph(5))
         with pytest.raises(ValueError, match="k=1"):
             normalize_no_deg2_support(t, IsolationSolution(2, frozenset({1}), 1, "brute_force"))
+
+    def test_support_without_a_non_leaf_neighbor_raises(self):
+        # Tree() skips as_tree's checks: on P3 + P2, the middle of the P3 is
+        # a degree-2 support whose neighbors are both leaves
+        t = Tree(build_graph(5, [(0, 1), (1, 2), (3, 4)]))
+        sol = IsolationSolution(1, frozenset({1}), 1, "brute_force")
+        with pytest.raises(GraphError, match="degree-2 support 1 has 0 non-leaf neighbors"):
+            normalize_no_deg2_support(t, sol)
 
     def test_rejects_small_order(self):
         t = as_tree(path_graph(4))

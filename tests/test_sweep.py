@@ -107,7 +107,7 @@ class TestDpCalls:
         t = path_tree(8)
         cfg = SweepConfig(max_n=8, k_list=k_list, bf_max=8)
         calls = self.count_calls(monkeypatch, t, cfg)
-        assert calls == len(set(k_list) | {1}) + t.n * len(k_list)
+        assert calls == len(set(k_list) | {1}) + (t.n - 1) * len(k_list)
 
 
 class TestRunSweep:
