@@ -49,6 +49,7 @@ _EXPORTS = {
         "Residual",
         "contains_k_star",
         "gamma_bruteforce",
+        "iota_all_roots",
         "iota_bruteforce",
         "iota_tree_dp",
         "is_isolating",

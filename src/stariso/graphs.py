@@ -8,6 +8,7 @@ trees additionally cache leaf/support statistics at construction.
 
 from __future__ import annotations
 
+import gc
 import heapq
 from collections import deque
 from dataclasses import dataclass
@@ -103,28 +104,37 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a simple graph from an edge list.
 
     Rejects out-of-range endpoints, self-loops and duplicate edges, naming
-    the first offending edge in input order.
+    the first offending edge in input order.  Cyclic garbage collection is
+    paused meanwhile: the n per-vertex lists are all tracked, and the
+    collections they trigger cost a large share of a 10^6-vertex build.
+    The caller's GC state is restored on return and on error.
     """
     if n < 0:
         raise GraphError(f"vertex count must be nonnegative, got {n}")
-    edges = list(edges)  # a fault is named by a second, sequential pass
-    neighbors: list[list[int]] = [[] for _ in range(n)]
-    for u, v in edges:
-        if u != v and 0 <= u < n and 0 <= v < n:
-            neighbors[u].append(v)
-            neighbors[v].append(u)
-        else:
-            raise GraphError(_first_edge_fault(n, edges))
-    for a in neighbors:
-        if len(a) > 1:
-            a.sort()
-            # a repeated edge shows up as two equal neighbors side by side
-            previous = -1
-            for w in a:
-                if w == previous:
-                    raise GraphError(_first_edge_fault(n, edges))
-                previous = w
-    return Graph(n, tuple(map(tuple, neighbors)))
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        edges = list(edges)  # a fault is named by a second, sequential pass
+        neighbors: list[list[int]] = [[] for _ in range(n)]
+        for u, v in edges:
+            if u != v and 0 <= u < n and 0 <= v < n:
+                neighbors[u].append(v)
+                neighbors[v].append(u)
+            else:
+                raise GraphError(_first_edge_fault(n, edges))
+        for a in neighbors:
+            if len(a) > 1:
+                a.sort()
+                # a repeated edge shows up as two equal neighbors side by side
+                previous = -1
+                for w in a:
+                    if w == previous:
+                        raise GraphError(_first_edge_fault(n, edges))
+                    previous = w
+        return Graph(n, tuple(map(tuple, neighbors)))
+    finally:
+        if gc_was_enabled:
+            gc.enable()
 
 
 def _first_edge_fault(n: int, edges: list[tuple[int, int]]) -> str:

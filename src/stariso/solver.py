@@ -4,7 +4,9 @@
 ``gamma_bruteforce`` build per-vertex bitmasks locally for the search.
 ``iota_tree_dp`` is the flat rooted dynamic program used everywhere at
 scale, linear in time and memory.  Both return a witness set that
-re-verifies through ``is_isolating``.
+re-verifies through ``is_isolating``.  ``iota_all_roots`` reroots the same
+DP to give its optimum at every root in two passes, which the sweep's
+root-invariance check compares.
 """
 
 from __future__ import annotations
@@ -183,24 +185,10 @@ def gamma_bruteforce(g: Graph) -> DominationSolution:
 _IN, _SAT, _NEED, _FREE_HI, _FREE_LO = range(5)
 
 
-def iota_tree_dp(t: Tree, k: int, root: int = 0) -> IsolationSolution:
-    """Exact minimum k-isolating set of a tree via a rooted 5-state DP.
-
-    One bottom-up pass fills five int cost arrays (``n + 1`` marks an
-    infeasible state); one top-down pass re-derives each vertex's child
-    states with the same comparisons and collects the IN vertices.  Ties
-    go to the earliest state in the order IN, SAT, NEED, FREE_HI and then
-    to the earliest child in adjacency order.  The root choice cannot
-    change the optimum; it only steers tie-breaks in the witness.
-    """
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
-    g = t.graph
-    n = g.n
-    if n == 1:
-        return IsolationSolution(k, frozenset(), 0, "tree_dp")
-    adj = g.adjacency
-
+def _bottom_up(adj, k: int, root: int):
+    """BFS order, parent array and the five cost arrays of the tree DP
+    rooted at ``root`` (``n + 1`` marks an infeasible state)."""
+    n = len(adj)
     parent = [-1] * n
     parent[root] = root
     order = [root]
@@ -271,6 +259,29 @@ def iota_tree_dp(t: Tree, k: int, root: int = 0) -> IsolationSolution:
             gains.sort()
             c_hi[v] = free + sum(gains[: hi_budget - must]) if must <= hi_budget else inf
             c_lo[v] = free + sum(gains[: lo_budget - must]) if must <= lo_budget else inf
+    return order, parent, c_in, c_sat, c_need, c_hi, c_lo
+
+
+def iota_tree_dp(t: Tree, k: int, root: int = 0) -> IsolationSolution:
+    """Exact minimum k-isolating set of a tree via a rooted 5-state DP.
+
+    One bottom-up pass (``_bottom_up``) fills five int cost arrays; one
+    top-down pass re-derives each vertex's child states with the same
+    comparisons and collects the IN vertices.  Ties go to the earliest
+    state in the order IN, SAT, NEED, FREE_HI and then to the earliest
+    child in adjacency order.  The root choice cannot change the optimum;
+    it only steers tie-breaks in the witness.
+    """
+    if k < 1:
+        raise ValueError(f"k must be positive, got {k}")
+    g = t.graph
+    n = g.n
+    if n == 1:
+        return IsolationSolution(k, frozenset(), 0, "tree_dp")
+    adj = g.adjacency
+    order, parent, c_in, c_sat, c_need, c_hi, c_lo = _bottom_up(adj, k, root)
+    inf = n + 1
+    hi_budget, lo_budget = k - 1, k - 2
 
     best_state, best = _IN, c_in[root]
     if c_sat[root] < best:
@@ -339,6 +350,132 @@ def iota_tree_dp(t: Tree, k: int, root: int = 0) -> IsolationSolution:
             f"tree DP witness has {len(witness)} vertices, optimum is {best} (k={k}, n={n})"
         )
     return IsolationSolution(k, frozenset(witness), best, "tree_dp")
+
+
+def iota_all_roots(t: Tree, k: int) -> list[int]:
+    """Optimum of the tree DP at every root, by two-pass rerooting.
+
+    Entry r equals ``iota_tree_dp(t, k, root=r).size``.  After the
+    bottom-up pass from root 0, a top-down pass hands each child c the
+    five costs of its parent v with c removed from v's children, so that
+    every vertex sees all its neighbors as children.  Removing one child
+    is O(1) against v's totals: IN and NEED subtract c's term, SAT keeps
+    the count of IN-preferring children and the two smallest uplifts, and
+    the FREE states keep v's gains sorted with prefix sums.  Linear apart
+    from one sort of the gains at each vertex.
+    """
+    if k < 1:
+        raise ValueError(f"k must be positive, got {k}")
+    n = t.n
+    if n == 1:
+        return [0]
+    adj = t.graph.adjacency
+    order, parent, c_in, c_sat, c_need, c_hi, c_lo = _bottom_up(adj, k, 0)
+    inf = n + 1
+    hi_budget, lo_budget = k - 1, k - 2
+    # x_*[c]: costs of parent[c] in the tree rooted at c
+    x_in = [0] * n
+    x_sat = [0] * n
+    x_need = [0] * n
+    x_hi = [0] * n
+    x_lo = [0] * n
+    best = [0] * n
+    for v in order:
+        p = parent[v]
+        neighbors = adj[v]
+        if len(neighbors) == 1 and v != 0:
+            # a leaf: its parent is its only child, so SAT costs the
+            # parent's IN and FREE_HI the cheaper of its SAT and FREE_LO
+            a, b, d, lo = x_in[v], x_sat[v], x_need[v], x_lo[v]
+            term = a if a <= b and a <= d else (b if b <= d else d)
+            best[v] = min(1 + term, a, b if b <= lo else lo)
+            continue
+        total_in = 1
+        total_sat = 0
+        prefer_in = 0  # neighbors whose SAT term is IN
+        up1 = up2 = inf  # the two smallest uplifts, the first at up1_at
+        up1_at = -1
+        total_need = 0
+        free = 0
+        must = 0
+        bad = 0  # neighbors that can be neither SAT nor FREE_LO
+        gains = []
+        for i, u in enumerate(neighbors):
+            if u == p:
+                a, b, d, f, lo = x_in[v], x_sat[v], x_need[v], x_hi[v], x_lo[v]
+            else:
+                a, b, d, f, lo = c_in[u], c_sat[u], c_need[u], c_hi[u], c_lo[u]
+            total_in += a if a <= b and a <= d else (b if b <= d else d)
+            # m is finite: SAT is infeasible only at a leaf, whose FREE_HI is 0
+            m = b if b <= f else f
+            total_need += m
+            if a <= m:
+                total_sat += a
+                prefer_in += 1
+            else:
+                total_sat += m
+                if a - m < up2:
+                    if a - m < up1:
+                        up1, up2, up1_at = a - m, up1, i
+                    else:
+                        up2 = a - m
+            if b < inf:
+                free += b
+                if lo < b:
+                    gains.append((lo - b, i))
+            elif lo < inf:
+                must += 1
+                free += lo
+            else:
+                bad += 1
+        gains.sort()
+        rank = [-1] * len(neighbors)
+        prefix = [0]
+        for j, (gain, i) in enumerate(gains):
+            rank[i] = j
+            prefix.append(prefix[-1] + gain)
+        top = len(gains)
+
+        sat = total_sat if prefer_in else total_sat + up1
+        hi = free + prefix[min(hi_budget - must, top)] if not bad and must <= hi_budget else inf
+        best[v] = min(total_in, sat, hi)
+
+        # v's costs without child c, handed to c
+        for i, c in enumerate(neighbors):
+            if c == p:
+                continue
+            a, b, d, f, lo = c_in[c], c_sat[c], c_need[c], c_hi[c], c_lo[c]
+            x_in[c] = total_in - (a if a <= b and a <= d else (b if b <= d else d))
+            m = b if b <= f else f
+            x_need[c] = total_need - m
+            if a <= m:
+                rest = total_sat - a
+                if prefer_in == 1:
+                    rest += up1
+            else:
+                rest = total_sat - m
+                if not prefer_in:
+                    rest += up2 if up1_at == i else up1
+            x_sat[c] = rest if rest < inf else inf
+            if b < inf:
+                base, others, own_bad = free - b, must, 0
+            elif lo < inf:
+                base, others, own_bad = free - lo, must - 1, 0
+            else:
+                base, others, own_bad = free, must, 1
+            if bad > own_bad:
+                x_hi[c] = x_lo[c] = inf
+            else:
+                r = rank[i]
+                for budget, out in ((hi_budget, x_hi), (lo_budget, x_lo)):
+                    j = budget - others
+                    if j < 0:
+                        out[c] = inf
+                    elif 0 <= r < j:
+                        out[c] = base + prefix[min(j + 1, top)] - gains[r][0]
+                    else:
+                        out[c] = base + prefix[min(j, top)]
+    return best
 
 
 # ---------------------------------------------------------------------------

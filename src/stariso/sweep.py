@@ -9,6 +9,7 @@ statement failed on a concrete instance.
 from __future__ import annotations
 
 import json
+import os
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -41,6 +42,7 @@ from .graphs import (
 from .solver import (
     BRUTE_FORCE_FREE_N,
     gamma_bruteforce,
+    iota_all_roots,
     iota_bruteforce,
     iota_tree_dp,
     is_isolating,
@@ -92,6 +94,9 @@ class SweepConfig:
             raise ValueError(f"unknown check suites: {sorted(unknown)}")
         if self.jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {self.jobs}")
+        cpus = os.cpu_count() or 1
+        if self.jobs > cpus:
+            raise ValueError(f"jobs must be <= {cpus} (the CPU count), got {self.jobs}")
 
 
 @dataclass
@@ -168,9 +173,8 @@ def check_tree(t: Tree, config: SweepConfig, source: str = "enumerated") -> Swee
                 violations.append(f"k={k}: dp={iota} != brute_force={bf.size}")
             if not is_isolating(g, sol.set, k):
                 violations.append(f"k={k}: dp witness fails verification")
-            # root 0 is the default root, already solved above
-            for root in range(1, n):
-                if iota_tree_dp(t, k, root=root).size != iota:
+            for root, value in enumerate(iota_all_roots(t, k)):
+                if value != iota:
                     violations.append(f"k={k}: dp optimum differs at root {root}")
                     break
 

@@ -252,7 +252,10 @@ class TestSweepCommand:
         assert main(["sweep", "--max-n", "6", "--out", str(b), "--seed", "9"]) == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_parallel_matches_serial(self, tmp_path, capsys):
+    def test_parallel_matches_serial(self, tmp_path, capsys, monkeypatch):
+        # two jobs must be allowed even on a single-CPU host
+        cpus = max(2, os.cpu_count() or 1)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         assert main(["sweep", "--max-n", "6", "--out", str(a), "--seed", "9"]) == 0
         assert main(["sweep", "--max-n", "6", "--out", str(b), "--seed", "9",
@@ -264,6 +267,17 @@ class TestSweepCommand:
         assert main(["sweep", "--max-n", "7", "--checks", "nonsense"]) == 1
         assert main(["sweep", "--max-n", "7", "--bf-max", "17"]) == 1
         assert main(["sweep", "--max-n", "25"]) == 1
+
+    def test_jobs_above_the_cpu_count_start_no_process(self, monkeypatch, capsys):
+        import stariso.sweep
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("Pool must not be started")
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(stariso.sweep, "Pool", no_pool)
+        assert main(["sweep", "--max-n", "7", "--jobs", "100000"]) == 1
+        assert "jobs must be <= 4 (the CPU count), got 100000" in capsys.readouterr().err
 
     def test_violations_exit_code(self, monkeypatch, capsys):
         import stariso.sweep

@@ -1,6 +1,7 @@
 """Graph construction, tree statistics, canonical forms, enumeration and
 file formats."""
 
+import gc
 import itertools
 
 import networkx as nx
@@ -132,6 +133,19 @@ class TestBuildGraph:
     def test_adjacency_sorted(self):
         g = build_graph(4, [(2, 0), (3, 0), (1, 0)])
         assert g.adjacency[0] == (1, 2, 3)
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_restores_the_callers_gc_state(self, enabled):
+        was_enabled = gc.isenabled()
+        try:
+            gc.enable() if enabled else gc.disable()
+            assert build_graph(3, [(0, 1), (1, 2)]).edge_count == 2
+            assert gc.isenabled() is enabled
+            with pytest.raises(GraphError, match="duplicate"):
+                build_graph(3, [(0, 1), (1, 0)])
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable() if was_enabled else gc.disable()
 
 
 class TestAsTree:

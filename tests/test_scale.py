@@ -1,12 +1,13 @@
 """Exact ground truth at scale: family members of 10^4 to 10^5 vertices
 whose isolation number is known in closed form, checked against the tree
-DP and re-verified through ``is_isolating``."""
+DP, re-verified through ``is_isolating`` and checked at every root
+through the rerooting DP."""
 
 import random
 from fractions import Fraction
 
 from stariso.families import gen_family_F, gen_family_Tk, recognize_Tk
-from stariso.solver import iota_tree_dp, is_isolating
+from stariso.solver import iota_all_roots, iota_tree_dp, is_isolating
 
 
 def constructive_tk_wiring(rng, k, sizes):
@@ -48,9 +49,11 @@ def constructive_tk_wiring(rng, k, sizes):
 def test_family_F_at_eighty_thousand_vertices():
     t, _ = gen_family_F(20000, 5000)
     assert t.n == 80000
+    expected = Fraction(t.n + t.leaf_order, 4)
     sol = iota_tree_dp(t, 1)
-    assert sol.size == Fraction(t.n + t.leaf_order, 4)
+    assert sol.size == expected
     assert is_isolating(t.graph, sol.set, 1)
+    assert all(value == expected for value in iota_all_roots(t, 1))
 
 
 def test_family_Tk_at_ten_thousand_vertices():
@@ -60,9 +63,11 @@ def test_family_Tk_at_ten_thousand_vertices():
     forest, hub_of = constructive_tk_wiring(rng, k, sizes)
     t, cert = gen_family_Tk(k, sum(sizes), forest, hub_of)
     assert t.n == (k + 2) * 2100 - (k + 1) * 99
+    expected = Fraction(t.n + t.leaf_order, 2 * k + 1)
     sol = iota_tree_dp(t, k)
-    assert sol.size == Fraction(t.n + t.leaf_order, 2 * k + 1)
+    assert sol.size == expected
     assert is_isolating(t.graph, sol.set, k)
+    assert all(value == expected for value in iota_all_roots(t, k))
     got = recognize_Tk(t, k)
     assert got is not None
     assert (got.a_set, got.c_set, got.h) == (cert.a_set, cert.c_set, cert.h)

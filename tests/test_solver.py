@@ -23,6 +23,7 @@ from stariso.solver import (
     SizeCapExceeded,
     contains_k_star,
     gamma_bruteforce,
+    iota_all_roots,
     iota_bruteforce,
     iota_tree_dp,
     is_isolating,
@@ -221,6 +222,27 @@ class TestTreeDp:
                 assert values == sorted(values, reverse=True)
                 for k in (1, 2, 3, 4):
                     assert (iota_tree_dp(t, k).size == 0) == (t.max_degree < k)
+
+
+class TestAllRoots:
+    @staticmethod
+    def per_root(t, k):
+        return [iota_tree_dp(t, k, root=r).size for r in range(t.n)]
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_matches_the_dp_at_every_root_exhaustively(self, n):
+        for t in enumerate_free_trees(n):
+            for k in (1, 2, 3, 4):
+                assert iota_all_roots(t, k) == self.per_root(t, k)
+
+    @given(random_trees(min_n=2, max_n=60), st.integers(1, 5))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_dp_at_every_root_random(self, t, k):
+        assert iota_all_roots(t, k) == self.per_root(t, k)
+
+    def test_k_must_be_positive(self):
+        with pytest.raises(ValueError, match="k must be positive"):
+            iota_all_roots(as_tree(path_graph(3)), 0)
 
 
 def min_k1_isolating_size(g):

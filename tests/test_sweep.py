@@ -35,6 +35,17 @@ class TestConfig:
         with pytest.raises(ValueError, match="jobs"):
             SweepConfig(max_n=5, k_list=(1,), jobs=0).validate()
 
+    def test_jobs_capped_at_the_cpu_count(self, monkeypatch):
+        import stariso.sweep
+
+        monkeypatch.setattr(stariso.sweep.os, "cpu_count", lambda: 3)
+        SweepConfig(max_n=5, k_list=(1,), jobs=3).validate()
+        with pytest.raises(ValueError, match=r"jobs must be <= 3 \(the CPU count\), got 4"):
+            SweepConfig(max_n=5, k_list=(1,), jobs=4).validate()
+        monkeypatch.setattr(stariso.sweep.os, "cpu_count", lambda: None)
+        with pytest.raises(ValueError, match="jobs must be <= 1"):
+            SweepConfig(max_n=5, k_list=(1,), jobs=2).validate()
+
 
 class TestStripToSingleLeaves:
     def test_twin_leaf_removed(self):
@@ -77,37 +88,56 @@ class TestCheckTree:
 
 
 class TestDpCalls:
-    """check_tree solves each k once; only the every-root oracle adds calls."""
+    """check_tree solves each k once; the every-root oracle adds one
+    rerooting pass per k and no DP call."""
 
     @staticmethod
     def count_calls(monkeypatch, t, cfg):
         import stariso.sweep
 
-        calls = []
-        real = stariso.sweep.iota_tree_dp
+        calls = {"iota_tree_dp": [], "iota_all_roots": []}
+        for name, log in calls.items():
+            real = getattr(stariso.sweep, name)
 
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return real(*args, **kwargs)
+            def counting(*args, _real=real, _log=log, **kwargs):
+                _log.append(args)
+                return _real(*args, **kwargs)
 
-        monkeypatch.setattr(stariso.sweep, "iota_tree_dp", counting)
+            monkeypatch.setattr(stariso.sweep, name, counting)
         rec = check_tree(t, cfg)
         assert rec.violations == []
-        return len(calls)
+        return len(calls["iota_tree_dp"]), len(calls["iota_all_roots"])
 
     @pytest.mark.parametrize("k_list", [(1,), (2,), (3, 2), (1, 2, 3)])
     def test_once_per_k_without_oracle(self, monkeypatch, k_list):
         checks = tuple(c for c in CHECK_SUITES if c != "oracle")
         cfg = SweepConfig(max_n=8, k_list=k_list, checks=checks)
         calls = self.count_calls(monkeypatch, path_tree(8), cfg)
-        assert calls == len(set(k_list) | {1})
+        assert calls == (len(set(k_list) | {1}), 0)
 
     @pytest.mark.parametrize("k_list", [(1,), (2, 3)])
     def test_oracle_adds_every_root(self, monkeypatch, k_list):
-        t = path_tree(8)
         cfg = SweepConfig(max_n=8, k_list=k_list, bf_max=8)
-        calls = self.count_calls(monkeypatch, t, cfg)
-        assert calls == len(set(k_list) | {1}) + (t.n - 1) * len(k_list)
+        calls = self.count_calls(monkeypatch, path_tree(8), cfg)
+        assert calls == (len(set(k_list) | {1}), len(k_list))
+
+    def test_every_root_check_names_the_first_bad_root(self, monkeypatch):
+        import stariso.sweep
+
+        real = stariso.sweep.iota_all_roots
+
+        def off_at_three_and_five(t, k):
+            values = real(t, k)
+            values[3] += 1
+            values[5] += 1
+            return values
+
+        monkeypatch.setattr(stariso.sweep, "iota_all_roots", off_at_three_and_five)
+        cfg = SweepConfig(max_n=8, k_list=(1, 2, 3), bf_max=8)
+        rec = check_tree(path_tree(8), cfg)
+        assert rec.violations == [
+            f"k={k}: dp optimum differs at root 3" for k in (1, 2, 3)
+        ]
 
 
 class TestRunSweep:
