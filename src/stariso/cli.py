@@ -74,7 +74,9 @@ def solve(ctx: click.Context, path: str, k: int, witness: bool, graph6: bool) ->
         sol = iota_tree_dp(tree, k)
     else:
         if not g.is_connected():
-            raise click.ClickException("input graph is disconnected")
+            raise click.ClickException(
+                "input is the empty graph (n=0)" if g.n == 0 else "input graph is disconnected"
+            )
         try:
             sol = iota_bruteforce(g, k, size_cap=g.n if g.n > 16 else None)
         except InstanceTooLarge as exc:

@@ -23,6 +23,7 @@ from .graphs import (
     Graph,
     Tree,
     as_tree,
+    bfs_distances,
     build_graph,
     prufer_decode,
 )
@@ -396,7 +397,7 @@ def min_iso_set_F(t: Tree, cert: FCertificate, root: int) -> IsolationSolution:
     vertex closer to the chosen root from each 4-path copy."""
     if root not in cert.a_set | cert.x_set:
         raise FamilyError(f"root {root} is not in A u X")
-    dist = t.graph.bfs_distances(root)
+    dist = bfs_distances(t.graph, [root])
     chosen = set(cert.a_set)
     for x1, _, _, x2 in cert.p4_copies:
         chosen.add(x1 if dist[x1] < dist[x2] else x2)
@@ -549,6 +550,8 @@ def _close_hub_pairs(g: Graph, hubs: frozenset[int]) -> dict[tuple[int, int], in
     closes a walk of that length between its two owners.  So two hubs are
     closer than 5 exactly when some edge joins their owner cells with
     dist[u] + dist[w] + 1 < 5, and in a tree that sum is their distance.
+    The radius cut and the owner labels keep this BFS apart from
+    ``graphs.bfs_distances``, which would otherwise branch on its caller.
     """
     adjacency = g.adjacency
     owner = [-1] * g.n
@@ -758,7 +761,7 @@ def min_iso_set_Tk(t: Tree, cert: TkCertificate) -> IsolationSolution:
     chosen = set(comps[0])
     absorbed = set(comps[0])
     while absorbed != a_all:
-        dist = _multi_source_distances(g, absorbed)
+        dist = bfs_distances(g, absorbed)
         contact = {u for u in a_all - absorbed if dist[u] == 4}
         if not contact:
             raise FamilyError("absorption procedure stalled: malformed certificate")
@@ -768,21 +771,6 @@ def min_iso_set_Tk(t: Tree, cert: TkCertificate) -> IsolationSolution:
         chosen |= fresh - contact
         absorbed |= fresh
     return IsolationSolution(cert.k, frozenset(chosen), len(chosen), "family_construction")
-
-
-def _multi_source_distances(g: Graph, sources: set[int]) -> list[int]:
-    dist = [-1] * g.n
-    queue = deque()
-    for s in sources:
-        dist[s] = 0
-        queue.append(s)
-    while queue:
-        u = queue.popleft()
-        for w in g.adjacency[u]:
-            if dist[w] < 0:
-                dist[w] = dist[u] + 1
-                queue.append(w)
-    return dist
 
 
 def sample_family_Tk(

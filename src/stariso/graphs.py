@@ -3,14 +3,16 @@ distances, enumeration and canonical forms that the rest of the package
 consumes.
 
 Vertices are 0-based contiguous integers.  Graphs are simple and undirected;
-trees additionally cache leaf/support statistics at construction.
+trees additionally cache leaf/support statistics and their rooted view at
+vertex 0 (BFS order and parent array) at construction.  Traversals live in
+two functions: ``bfs_order`` (single-source order and parents) and
+``bfs_distances`` (multi-source distances).
 """
 
 from __future__ import annotations
 
 import gc
 import heapq
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -55,33 +57,7 @@ class Graph:
         return v in self.adjacency[u]
 
     def is_connected(self) -> bool:
-        if self.n == 0:
-            return False
-        adjacency = self.adjacency
-        seen = bytearray(self.n)
-        seen[0] = 1
-        stack = [0]
-        reached = 1
-        while stack:
-            for v in adjacency[stack.pop()]:
-                if not seen[v]:
-                    seen[v] = 1
-                    reached += 1
-                    stack.append(v)
-        return reached == self.n
-
-    def bfs_distances(self, start: int) -> list[int]:
-        """Distances from start; -1 for unreachable vertices."""
-        dist = [-1] * self.n
-        dist[start] = 0
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for v in self.adjacency[u]:
-                if dist[v] < 0:
-                    dist[v] = dist[u] + 1
-                    queue.append(v)
-        return dist
+        return self.n > 0 and len(bfs_order(self, 0)[0]) == self.n
 
     def induced_subgraph(self, vertices: Iterable[int]) -> tuple["Graph", tuple[int, ...]]:
         """Induced subgraph on the given vertices.
@@ -137,6 +113,39 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
             gc.enable()
 
 
+def bfs_order(g: Graph, root: int) -> tuple[list[int], list[int]]:
+    """Breadth-first order from root, neighbors taken in adjacency order,
+    and the parent of every vertex: ``parent[root] == root``, and vertices
+    off root's component keep -1 (and are absent from the order)."""
+    adjacency = g.adjacency
+    parent = [-1] * g.n
+    parent[root] = root
+    order = [root]
+    for u in order:
+        for v in adjacency[u]:
+            if parent[v] < 0:
+                parent[v] = u
+                order.append(v)
+    return order, parent
+
+
+def bfs_distances(g: Graph, sources: Iterable[int]) -> list[int]:
+    """Distance from every vertex to its nearest source; -1 where no source
+    reaches."""
+    adjacency = g.adjacency
+    dist = [-1] * g.n
+    queue = list(sources)
+    for s in queue:
+        dist[s] = 0
+    for u in queue:
+        d = dist[u] + 1
+        for v in adjacency[u]:
+            if dist[v] < 0:
+                dist[v] = d
+                queue.append(v)
+    return dist
+
+
 def _first_edge_fault(n: int, edges: list[tuple[int, int]]) -> str:
     """Describe the first edge, in input order, that breaks simplicity."""
     seen: set[tuple[int, int]] = set()
@@ -156,9 +165,12 @@ class Tree:
     """A validated tree: a connected acyclic Graph plus cached statistics.
 
     A single vertex counts as a tree with no leaves (leaf order 0).
+    ``order`` and ``parent`` are ``bfs_order(graph, 0)``, the rooted view
+    that ``as_tree`` checks connectivity with and the DP walks.
     """
 
-    __slots__ = ("graph", "leaf_set", "support_set", "strong_support_set", "max_degree")
+    __slots__ = ("graph", "leaf_set", "support_set", "strong_support_set", "max_degree",
+                 "order", "parent")
 
     def __init__(self, graph: Graph):
         self.graph = graph
@@ -177,6 +189,16 @@ class Tree:
         self.support_set = frozenset(support)
         self.strong_support_set = frozenset(strong)
         self.max_degree = max(map(len, adjacency), default=0)
+        self.order, self.parent = bfs_order(graph, 0) if graph.n else ([], [])
+
+    def rooted(self, root: int) -> tuple[list[int], list[int]]:
+        """``bfs_order(graph, root)``: the stored view for root 0, computed
+        afresh (not cached) for any other root."""
+        if not 0 <= root < self.graph.n:
+            raise GraphError(f"root {root} out of range for n={self.graph.n}")
+        if root == 0:
+            return self.order, self.parent
+        return bfs_order(self.graph, root)
 
     @property
     def n(self) -> int:
@@ -200,9 +222,10 @@ def as_tree(g: Graph) -> Tree:
         raise GraphError("the empty graph is not a tree")
     if g.edge_count != g.n - 1:
         raise GraphError(f"cyclic: {g.edge_count} edges on {g.n} vertices")
-    if not g.is_connected():
+    t = Tree(g)
+    if len(t.order) != g.n:
         raise GraphError("disconnected")
-    return Tree(g)
+    return t
 
 
 def is_star(t: Tree, k: int) -> bool:
@@ -242,11 +265,12 @@ def diameter_path(t: Tree) -> PathWitness:
     g = t.graph
     if g.n < 2:
         raise GraphError("diameter path needs at least 2 vertices")
-    from_0 = g.bfs_distances(0)
-    a = from_0.index(max(from_0))
-    from_a = g.bfs_distances(a)
+    # the last vertex of a BFS order is farthest from its root, hence an
+    # endpoint of some diametral path
+    a = t.order[-1]
+    from_a = bfs_distances(g, [a])
     b = from_a.index(max(from_a))
-    from_b = g.bfs_distances(b)
+    from_b = bfs_distances(g, [b])
     diam = from_a[b]
     # in a tree ecc(x) = max(d(a, x), d(b, x)), so the diametral endpoints
     # are the vertices where that maximum reaches diam; they are leaves
@@ -256,7 +280,7 @@ def diameter_path(t: Tree) -> PathWitness:
         (x for x in range(g.n) if max(from_a[x], from_b[x]) == diam),
         key=lambda x: (-len(adjacency[adjacency[x][0]]), x),
     )
-    from_u = g.bfs_distances(u)
+    from_u = bfs_distances(g, [u])
     path = [from_u.index(diam)]
     for d in range(diam - 1, -1, -1):
         path.append(next(w for w in adjacency[path[-1]] if from_u[w] == d))
@@ -268,42 +292,26 @@ def diameter_path(t: Tree) -> PathWitness:
 # Canonical form (center-rooted AHU level encoding)
 # ---------------------------------------------------------------------------
 
-def tree_centers(g: Graph) -> list[int]:
-    """The 1 or 2 centers of a tree, found by iterative leaf stripping."""
-    n = g.n
-    if n <= 2:
-        return list(range(n))
-    deg = [g.degree(v) for v in range(n)]
-    layer = [v for v in range(n) if deg[v] <= 1]
-    removed = len(layer)
-    while removed < n:
-        nxt = []
-        for u in layer:
-            deg[u] = 0
-            for v in g.adjacency[u]:
-                if deg[v] > 0:
-                    deg[v] -= 1
-                    if deg[v] == 1:
-                        nxt.append(v)
-        removed += len(nxt)
-        layer = nxt
-    return sorted(layer)
+def tree_centers(t: Tree) -> list[int]:
+    """The 1 or 2 centers of a tree: the middle of a diametral path, which
+    runs from ``t.order[-1]`` to the last vertex of a BFS from there."""
+    a = t.order[-1]
+    order, parent = bfs_order(t.graph, a)
+    path = [order[-1]]
+    while path[-1] != a:
+        path.append(parent[path[-1]])
+    d = len(path) - 1
+    return sorted(path[d // 2:(d + 1) // 2 + 1])
 
 
-def _rooted_code(g: Graph, root: int) -> bytes:
+def _rooted_code(t: Tree, root: int) -> bytes:
     """AHU parenthesis code of the tree rooted at root (iterative)."""
-    order = [root]
-    parent = {root: -1}
-    for u in order:
-        for v in g.adjacency[u]:
-            if v != parent[u]:
-                parent[v] = u
-                order.append(v)
-    code: dict[int, bytes] = {}
+    order, parent = t.rooted(root)
+    adjacency = t.graph.adjacency
+    code = [b""] * t.n
     for u in reversed(order):
-        children = sorted(
-            (code[v] for v in g.adjacency[u] if v != parent[u])
-        )
+        p = parent[u]
+        children = sorted(code[v] for v in adjacency[u] if v != p)
         code[u] = b"1" + b"".join(children) + b"0"
     return code[root]
 
@@ -314,8 +322,7 @@ def canonical_code(t: Tree) -> bytes:
     Roots at the tree center; for bicentral trees takes the lexicographic
     minimum over the two center rootings.
     """
-    centers = tree_centers(t.graph)
-    return min(_rooted_code(t.graph, c) for c in centers)
+    return min(_rooted_code(t, c) for c in tree_centers(t))
 
 
 # ---------------------------------------------------------------------------

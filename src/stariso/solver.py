@@ -3,10 +3,11 @@
 ``iota_bruteforce`` is the increasing-size subset oracle (n <= 24); it and
 ``gamma_bruteforce`` build per-vertex bitmasks locally for the search.
 ``iota_tree_dp`` is the flat rooted dynamic program used everywhere at
-scale, linear in time and memory.  Both return a witness set that
-re-verifies through ``is_isolating``.  ``iota_all_roots`` reroots the same
-DP to give its optimum at every root in two passes, which the sweep's
-root-invariance check compares.
+scale, linear in time and memory; it walks the Tree's stored BFS order and
+parent array (``Tree.rooted``) instead of traversing the tree itself.  Both
+return a witness set that re-verifies through ``is_isolating``.
+``iota_all_roots`` reroots the same DP to give its optimum at every root in
+two passes, which the sweep's root-invariance check compares.
 """
 
 from __future__ import annotations
@@ -185,19 +186,11 @@ def gamma_bruteforce(g: Graph) -> DominationSolution:
 _IN, _SAT, _NEED, _FREE_HI, _FREE_LO = range(5)
 
 
-def _bottom_up(adj, k: int, root: int):
-    """BFS order, parent array and the five cost arrays of the tree DP
-    rooted at ``root`` (``n + 1`` marks an infeasible state)."""
+def _bottom_up(adj, k: int, order: list[int], parent: list[int]):
+    """The five cost arrays of the tree DP over the rooted view ``order``,
+    ``parent`` (``n + 1`` marks an infeasible state)."""
     n = len(adj)
-    parent = [-1] * n
-    parent[root] = root
-    order = [root]
-    for u in order:
-        for v in adj[u]:
-            if parent[v] < 0:
-                parent[v] = u
-                order.append(v)
-
+    root = order[0]
     inf = n + 1  # above every feasible cost
     hi_budget, lo_budget = k - 1, k - 2
     # initialised to the costs of a leaf, which the loop then skips
@@ -259,13 +252,14 @@ def _bottom_up(adj, k: int, root: int):
             gains.sort()
             c_hi[v] = free + sum(gains[: hi_budget - must]) if must <= hi_budget else inf
             c_lo[v] = free + sum(gains[: lo_budget - must]) if must <= lo_budget else inf
-    return order, parent, c_in, c_sat, c_need, c_hi, c_lo
+    return c_in, c_sat, c_need, c_hi, c_lo
 
 
 def iota_tree_dp(t: Tree, k: int, root: int = 0) -> IsolationSolution:
     """Exact minimum k-isolating set of a tree via a rooted 5-state DP.
 
-    One bottom-up pass (``_bottom_up``) fills five int cost arrays; one
+    One bottom-up pass (``_bottom_up``) over the Tree's rooted view
+    (``t.rooted(root)``, stored for root 0) fills five int cost arrays; one
     top-down pass re-derives each vertex's child states with the same
     comparisons and collects the IN vertices.  Ties go to the earliest
     state in the order IN, SAT, NEED, FREE_HI and then to the earliest
@@ -274,12 +268,12 @@ def iota_tree_dp(t: Tree, k: int, root: int = 0) -> IsolationSolution:
     """
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
-    g = t.graph
-    n = g.n
+    order, parent = t.rooted(root)
+    n = t.n
     if n == 1:
         return IsolationSolution(k, frozenset(), 0, "tree_dp")
-    adj = g.adjacency
-    order, parent, c_in, c_sat, c_need, c_hi, c_lo = _bottom_up(adj, k, root)
+    adj = t.graph.adjacency
+    c_in, c_sat, c_need, c_hi, c_lo = _bottom_up(adj, k, order, parent)
     inf = n + 1
     hi_budget, lo_budget = k - 1, k - 2
 
@@ -370,7 +364,8 @@ def iota_all_roots(t: Tree, k: int) -> list[int]:
     if n == 1:
         return [0]
     adj = t.graph.adjacency
-    order, parent, c_in, c_sat, c_need, c_hi, c_lo = _bottom_up(adj, k, 0)
+    order, parent = t.order, t.parent
+    c_in, c_sat, c_need, c_hi, c_lo = _bottom_up(adj, k, order, parent)
     inf = n + 1
     hi_budget, lo_budget = k - 1, k - 2
     # x_*[c]: costs of parent[c] in the tree rooted at c

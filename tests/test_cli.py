@@ -106,6 +106,11 @@ class TestSolve:
         assert main(["solve", "--input", f, "--k", "1", "--graph6"]) == 0
         assert capsys.readouterr().out.strip() == "2"
 
+    def test_graph6_empty_graph_named(self, tmp_path, capsys):
+        f = write(tmp_path, "empty.g6", "?\n")
+        assert main(["solve", "--input", f, "--k", "1", "--graph6"]) == 1
+        assert "Error: input is the empty graph (n=0)" in capsys.readouterr().err
+
 
 class TestBounds:
     def test_human_table(self, p6_file, capsys):

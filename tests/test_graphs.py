@@ -2,7 +2,10 @@
 file formats."""
 
 import gc
+import hashlib
 import itertools
+import random
+from collections import deque
 
 import networkx as nx
 import pytest
@@ -13,7 +16,10 @@ from stariso.formats import format_edgelist, parse_edgelist, parse_graph6
 from stariso.graphs import (
     FREE_TREE_COUNTS,
     GraphError,
+    Tree,
     as_tree,
+    bfs_distances,
+    bfs_order,
     build_graph,
     canonical_code,
     closed_neighborhood,
@@ -246,7 +252,7 @@ class TestDiameterPath:
     @settings(max_examples=60, deadline=None)
     def test_length_is_max_eccentricity(self, t):
         ecc = max(
-            max(t.graph.bfs_distances(v)) for v in range(t.n)
+            max(bfs_distances(t.graph, [v])) for v in range(t.n)
         )
         w = diameter_path(t)
         assert w.length == ecc
@@ -260,7 +266,7 @@ class TestDiameterPath:
         # minimizing (-deg(u_1), u, v), found from all-pairs BFS rows
         def reference(t):
             g = t.graph
-            rows = [g.bfs_distances(v) for v in range(t.n)]
+            rows = [bfs_distances(g, [v]) for v in range(t.n)]
             diam = max(map(max, rows))
 
             def path(u, v):
@@ -288,6 +294,66 @@ def relabel(t, perm):
     return as_tree(build_graph(t.n, edges))
 
 
+class TestRootedView:
+    def test_matches_a_reference_bfs_at_every_root(self):
+        def reference(g, root):
+            parent = {root: root}
+            order = []
+            queue = deque([root])
+            while queue:
+                u = queue.popleft()
+                order.append(u)
+                for v in g.adjacency[u]:
+                    if v not in parent:
+                        parent[v] = u
+                        queue.append(v)
+            return order, [parent.get(v, -1) for v in range(g.n)]
+
+        for n in range(1, 10):
+            for t in enumerate_free_trees(n):
+                assert (t.order, t.parent) == reference(t.graph, 0)
+                for r in range(n):
+                    assert t.rooted(r) == reference(t.graph, r)
+
+    @given(random_trees(max_n=12), st.integers(0, 11))
+    @settings(max_examples=80, deadline=None)
+    def test_order_is_a_permutation_with_parents_first(self, t, r):
+        order, parent = t.rooted(r % t.n)
+        assert sorted(order) == list(range(t.n))
+        position = {v: i for i, v in enumerate(order)}
+        assert parent[order[0]] == order[0]
+        for v in order[1:]:
+            assert position[parent[v]] < position[v]
+            assert t.graph.has_edge(parent[v], v)
+
+    def test_disconnected_tree_object_keeps_minus_one_off_component(self):
+        t = Tree(build_graph(5, [(0, 1), (1, 2), (3, 4)]))
+        assert (t.order, t.parent) == ([0, 1, 2], [0, 0, 1, -1, -1])
+        assert bfs_order(t.graph, 3) == ([3, 4], [-1, -1, -1, 3, 3])
+
+    def test_empty_tree_object_has_an_empty_view(self):
+        empty = Tree(build_graph(0, []))
+        assert (empty.order, empty.parent) == ([], [])
+
+    def test_tree_edge_count_with_a_cycle_is_disconnected(self):
+        g = build_graph(5, [(0, 1), (1, 2), (2, 0), (3, 4)])
+        with pytest.raises(GraphError) as excinfo:
+            as_tree(g)
+        assert str(excinfo.value) == "disconnected"
+
+    @given(random_trees(max_n=12), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_multi_source_distances_are_the_pointwise_minimum(self, t, data):
+        sources = data.draw(st.sets(st.integers(0, t.n - 1), min_size=1))
+        rows = [bfs_distances(t.graph, [s]) for s in sources]
+        assert bfs_distances(t.graph, sources) == [min(col) for col in zip(*rows)]
+
+    def test_distances_unreached_stay_minus_one(self):
+        g = build_graph(5, [(0, 1), (1, 2), (3, 4)])
+        assert bfs_distances(g, [2]) == [2, 1, 0, -1, -1]
+        assert bfs_distances(g, []) == [-1] * 5
+
+
 class TestCanonicalCode:
     def test_relabeled_path_equal(self):
         p4 = as_tree(path_graph(4))
@@ -303,9 +369,55 @@ class TestCanonicalCode:
         assert len(codes) == 6
 
     def test_centers(self):
-        assert tree_centers(path_graph(5)) == [2]
-        assert tree_centers(path_graph(6)) == [2, 3]
-        assert tree_centers(star_graph(4)) == [0]
+        assert tree_centers(as_tree(path_graph(5))) == [2]
+        assert tree_centers(as_tree(path_graph(6))) == [2, 3]
+        assert tree_centers(as_tree(star_graph(4))) == [0]
+
+    def test_centers_match_leaf_peeling(self):
+        def peel(t):
+            g = t.graph
+            n = g.n
+            if n <= 2:
+                return list(range(n))
+            deg = [g.degree(v) for v in range(n)]
+            layer = [v for v in range(n) if deg[v] == 1]
+            removed = len(layer)
+            while removed < n:
+                nxt = []
+                for u in layer:
+                    deg[u] = 0
+                    for v in g.adjacency[u]:
+                        if deg[v] > 0:
+                            deg[v] -= 1
+                            if deg[v] == 1:
+                                nxt.append(v)
+                removed += len(nxt)
+                layer = nxt
+            return sorted(layer)
+
+        for n in range(1, 13):
+            for t in enumerate_free_trees(n):
+                for tree in (t, relabel(t, list(range(n))[::-1])):
+                    assert tree_centers(tree) == peel(tree)
+
+    def test_codes_match_recorded_digest(self):
+        # sha256 of the codes, one per line, recorded before canonical_code
+        # and tree_centers moved onto the rooted view
+        free = hashlib.sha256()
+        for n in range(1, 13):
+            for t in enumerate_free_trees(n):
+                free.update(canonical_code(t) + b"\n")
+        assert free.hexdigest() == (
+            "a788f01502960cc773748980ef5c5cbec1cbec112cd4637727069f56513913e5"
+        )
+        rng = random.Random(2024)
+        prufer = hashlib.sha256()
+        for _ in range(20):
+            t = prufer_decode([rng.randrange(200) for _ in range(198)])
+            prufer.update(canonical_code(t) + b"\n")
+        assert prufer.hexdigest() == (
+            "8b148968de60bdcfeb78176381ca8cafbf5cfcbe2181a623cbe436dfe381f2b3"
+        )
 
     @given(random_trees(max_n=10), st.randoms(use_true_random=False))
     @settings(max_examples=60, deadline=None)
@@ -462,6 +574,31 @@ class TestGraph6:
         gnx = nx.path_graph(100)
         g = parse_graph6(nx.to_graph6_bytes(gnx, header=False).decode("ascii"))
         assert g.n == 100 and g.edge_count == 99
+
+    @pytest.mark.parametrize("n", [62, 63])
+    def test_short_and_long_form_boundary(self, n):
+        # 62 is the last order with a one-byte header, 63 the first with ~
+        gnx = nx.gnp_random_graph(n, 0.1, seed=n)
+        text = nx.to_graph6_bytes(gnx, header=False).decode("ascii")
+        assert text.startswith("~") == (n == 63)
+        g = parse_graph6(text)
+        assert g.n == n
+        assert {frozenset(e) for e in g.edges()} == {frozenset(e) for e in gnx.edges()}
+
+    @pytest.mark.parametrize("text,message", [
+        ("~~" + "?" * 6, "graph6: unsupported long-form order encoding"),
+        ("D>?", "graph6: byte out of printable range"),
+        ("D?\x7f", "graph6: byte out of printable range"),
+        ("D?", "graph6: expected 2 data bytes for n=5, got 1"),
+        ("D???", "graph6: expected 2 data bytes for n=5, got 3"),
+    ])
+    def test_error_messages(self, text, message):
+        with pytest.raises(GraphError) as excinfo:
+            parse_graph6(text)
+        assert str(excinfo.value) == message
+
+    def test_empty_graph_has_order_zero(self):
+        assert parse_graph6("?\n").n == 0
 
     def test_truncated_rejected(self):
         good = nx.to_graph6_bytes(nx.path_graph(8), header=False).decode("ascii").strip()

@@ -172,6 +172,12 @@ class TestTreeDp:
         assert iota_tree_dp(t, 2).size == 0
         assert iota_tree_dp(t, 1).size == 1
 
+    @pytest.mark.parametrize("root", [-1, -6, 6])
+    def test_root_out_of_range(self, root):
+        with pytest.raises(GraphError) as excinfo:
+            iota_tree_dp(as_tree(path_graph(6)), 1, root=root)
+        assert str(excinfo.value) == f"root {root} out of range for n=6"
+
     @pytest.mark.parametrize("n", range(1, 10))
     def test_matches_brute_force_exhaustively(self, n):
         for t in enumerate_free_trees(n):
