@@ -12,7 +12,7 @@ Usage:
         [--extend-tk-n 13] [--out results.jsonl] [--jobs J] [--seed S]
 
 Exit status 0 only if every machine-checked statement holds on every
-instance.
+instance; 1, before any work, if either order is out of range.
 """
 
 import argparse
@@ -42,6 +42,15 @@ def main() -> int:
         jobs=args.jobs,
         seed=args.seed,
     )
+    tk_config = SweepConfig(max_n=args.extend_tk_n, k_list=(2,),
+                            checks=("tk-equality",), bf_max=0)
+    try:
+        config.validate()
+        if args.extend_tk_n > args.max_n:
+            tk_config.validate()
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
     t0 = time.time()
     records, violations = run_sweep(config)
@@ -49,8 +58,6 @@ def main() -> int:
     print(f"sweep: {enumerated} trees (n <= {args.max_n}), k in {ks}, "
           f"{violations} violations  [{time.time() - t0:.1f}s]")
 
-    tk_config = SweepConfig(max_n=args.extend_tk_n, k_list=(2,),
-                            checks=("tk-equality",), bf_max=0)
     extra_violations = 0
     for n in range(args.max_n + 1, args.extend_tk_n + 1):
         t1 = time.time()

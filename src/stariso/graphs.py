@@ -7,6 +7,11 @@ trees additionally cache leaf/support statistics and their rooted view at
 vertex 0 (BFS order and parent array) at construction.  Traversals live in
 two functions: ``bfs_order`` (single-source order and parents) and
 ``bfs_distances`` (multi-source distances).
+
+Free trees are enumerated here, without third-party code:
+``free_tree_levels`` yields one compact level sequence per isomorphism
+class (what the sweep ships to its workers), ``level_edges`` turns one into
+an edge list, and ``enumerate_free_trees`` builds the validated Trees.
 """
 
 from __future__ import annotations
@@ -16,8 +21,9 @@ import heapq
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-#: Number of free (unlabeled) trees on n vertices, n = 1..12.
-FREE_TREE_COUNTS = (1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551)
+#: Number of free (unlabeled) trees on n vertices, n = 1..20 (OEIS A000055).
+FREE_TREE_COUNTS = (1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551,
+                    1301, 3159, 7741, 19320, 48629, 123867, 317955, 823065)
 
 MAX_ENUMERATION_ORDER = 20
 
@@ -358,19 +364,92 @@ def prufer_decode(seq: Iterable[int]) -> Tree:
     return as_tree(build_graph(n, edges))
 
 
-def enumerate_free_trees(n: int) -> Iterator[Tree]:
-    """Yield one representative per isomorphism class of trees on n vertices.
+def free_tree_levels(n: int) -> Iterator[tuple[int, ...]]:
+    """Yield one level sequence per isomorphism class of trees on n vertices.
 
-    Backed by the constant-amortized-time free-tree generator; the test
-    suite cross-checks the stream against a Prufer-decode-and-deduplicate
-    oracle and the known class counts.
+    A level sequence lists each vertex's distance from the root; vertex i's
+    parent is the last earlier vertex one level up (``level_edges``).  This
+    is the Wright-Richmond-Odlyzko-McKay generator (SIAM J. Comput. 15,
+    1986): the Beyer-Hedetniemi successor walks rooted trees in decreasing
+    lexicographic order of their level sequences, and a jump skips every
+    rooting that is not the canonical one of its free tree.  It starts from the path rooted at its center, and the
+    stream matches networkx's ``nonisomorphic_trees`` tree for tree and
+    label for label.
     """
     if not (1 <= n <= MAX_ENUMERATION_ORDER):
         raise GraphError(f"enumeration supports 1 <= n <= {MAX_ENUMERATION_ORDER}, got {n}")
-    if n == 1:
-        yield as_tree(build_graph(1, []))
+    if n <= 2:
+        yield tuple(range(n))
         return
-    import networkx as nx  # deferred: importing it dominates CLI start-up
+    levels = list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2))
+    while True:
+        # split the root's first subtree (vertices 1..m-1) from the rest
+        m = _second_child(levels)
+        left_height = max(levels[1:m]) - 1
+        rest_height = max(levels[m:], default=0)
+        # a rooting is canonical if the first subtree is no higher than the
+        # rest, on a tie no larger, and on equal size not later in
+        # lexicographic order
+        canonical = rest_height > left_height or (
+            rest_height == left_height
+            and (2 * m < n + 2
+                 or (2 * m == n + 2
+                     and [x - 1 for x in levels[1:m]] <= [0, *levels[m:]])))
+        if not canonical:
+            # jump: advance the first subtree; if it was deeper than 2, the
+            # tail becomes the path 1, 2, ..., h hanging from the root, h
+            # being the deepest level of the new first subtree
+            p = m - 1
+            deep = levels[p] > 2
+            _next_rooted(levels, p)
+            if deep:
+                height = max(levels[1:_second_child(levels)])
+                levels[n - height:] = range(1, height + 1)
+        yield tuple(levels)
+        p = n - 1
+        while levels[p] == 1:
+            p -= 1
+        if p == 0:
+            return
+        _next_rooted(levels, p)
 
-    for g in nx.nonisomorphic_trees(n):
-        yield as_tree(build_graph(n, list(g.edges())))
+
+def _second_child(levels: list[int]) -> int:
+    """Index of the root's second child, or len(levels) if it has one."""
+    m = 2
+    while m < len(levels) and levels[m] != 1:
+        m += 1
+    return m
+
+
+def _next_rooted(levels: list[int], p: int) -> None:
+    """Beyer-Hedetniemi successor in place: from position p on, repeat the
+    levels that start at p's parent q."""
+    q = p - 1
+    while levels[q] != levels[p] - 1:
+        q -= 1
+    for i in range(p, len(levels)):
+        levels[i] = levels[i - p + q]
+
+
+def level_edges(levels: tuple[int, ...]) -> list[tuple[int, int]]:
+    """The edges (vertex, parent) of the rooted tree with these levels."""
+    last = [0] * len(levels)  # last[d]: the latest vertex seen at level d
+    edges = []
+    for v in range(1, len(levels)):
+        d = levels[v]
+        edges.append((v, last[d - 1]))
+        last[d] = v
+    return edges
+
+
+def enumerate_free_trees(n: int) -> Iterator[Tree]:
+    """Yield one representative per isomorphism class of trees on n vertices,
+    in ``free_tree_levels`` order; vertex labels are level-sequence indices.
+
+    The test suite pins the stream to networkx's ``nonisomorphic_trees``
+    and cross-checks it against a Prufer-decode-and-deduplicate oracle and
+    the known class counts.
+    """
+    for levels in free_tree_levels(n):
+        yield as_tree(build_graph(n, level_edges(levels)))

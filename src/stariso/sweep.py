@@ -13,6 +13,7 @@ import os
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from multiprocessing import Pool
 
 from .bounds import (
@@ -36,8 +37,9 @@ from .graphs import (
     build_graph,
     canonical_code,
     diameter_path,
-    enumerate_free_trees,
+    free_tree_levels,
     is_star,
+    level_edges,
 )
 from .solver import (
     BRUTE_FORCE_FREE_N,
@@ -61,6 +63,10 @@ CHECK_SUITES = (
 )
 
 MAX_SWEEP_N = 20
+
+#: Trees per task batch sent to a worker: large enough to amortize the
+#: pickling round trip, small enough to keep every worker busy at the end.
+CHUNKSIZE = 32
 
 
 @dataclass(frozen=True)
@@ -337,25 +343,25 @@ def _constructive_records(config: SweepConfig) -> list[SweepRecord]:
     return records
 
 
-def _worker(args: tuple[int, list[tuple[int, int]], SweepConfig]) -> SweepRecord:
-    n, edges, config = args
-    return check_tree(as_tree(build_graph(n, edges)), config)
+def _worker(config: SweepConfig, levels: tuple[int, ...]) -> SweepRecord:
+    return check_tree(as_tree(build_graph(len(levels), level_edges(levels))), config)
 
 
 def run_sweep(config: SweepConfig) -> tuple[list[SweepRecord], int]:
     """Execute the sweep; returns (records sorted by tree code, violation
-    count) and writes JSON lines when an output path is configured."""
+    count) and writes JSON lines when an output path is configured.
+
+    The enumeration streams level sequences, order by order, to the
+    workers, which build and check each tree.
+    """
     config.validate()
-    tasks = [
-        (n, t.graph.edges(), config)
-        for n in range(1, config.max_n + 1)
-        for t in enumerate_free_trees(n)
-    ]
+    tasks = (levels for n in range(1, config.max_n + 1) for levels in free_tree_levels(n))
+    worker = partial(_worker, config)
     if config.jobs > 1:
         with Pool(config.jobs) as pool:
-            records = pool.map(_worker, tasks)
+            records = list(pool.imap(worker, tasks, chunksize=CHUNKSIZE))
     else:
-        records = [_worker(task) for task in tasks]
+        records = list(map(worker, tasks))
     if "constructive" in config.active_checks():
         records.extend(_constructive_records(config))
     records.sort(key=lambda r: (r.n, r.tree_code, r.source))

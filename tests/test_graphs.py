@@ -25,8 +25,10 @@ from stariso.graphs import (
     closed_neighborhood,
     diameter_path,
     enumerate_free_trees,
+    free_tree_levels,
     is_any_star,
     is_star,
+    level_edges,
     prufer_decode,
     tree_centers,
 )
@@ -459,11 +461,34 @@ class TestEnumeration:
         }
         assert codes == expected
 
+    @pytest.mark.parametrize("n", range(1, 19))
+    def test_level_sequence_counts_match_a000055(self, n):
+        assert sum(1 for _ in free_tree_levels(n)) == FREE_TREE_COUNTS[n - 1]
+
+    def test_level_sequences_of_order_five(self):
+        # the path rooted at its center, the spider, the star
+        assert list(free_tree_levels(5)) == [(0, 1, 2, 1, 2), (0, 1, 2, 1, 1), (0, 1, 1, 1, 1)]
+
+    def test_level_edges_join_each_vertex_to_the_last_one_a_level_up(self):
+        assert level_edges((0,)) == []
+        assert level_edges((0, 1, 2, 1, 2, 2)) == [(1, 0), (2, 1), (3, 0), (4, 3), (5, 3)]
+
+    @pytest.mark.parametrize("n", range(2, 15))
+    def test_matches_networkx_stream(self, n):
+        # same trees, same order, same labels: witnesses keyed by
+        # enumeration index and sweep output depend on all three
+        expected = [build_graph(n, list(g.edges())).adjacency for g in nx.nonisomorphic_trees(n)]
+        assert [t.graph.adjacency for t in enumerate_free_trees(n)] == expected
+
     def test_order_out_of_range(self):
         with pytest.raises(GraphError):
             list(enumerate_free_trees(0))
         with pytest.raises(GraphError):
             list(enumerate_free_trees(21))
+        with pytest.raises(GraphError):
+            list(free_tree_levels(0))
+        with pytest.raises(GraphError):
+            list(free_tree_levels(21))
 
     @pytest.mark.parametrize("n", range(2, 8))
     def test_matches_prufer_dedup_oracle(self, n):

@@ -1,12 +1,19 @@
 """Sweep machinery: record content, determinism, and the check suites."""
 
 import json
+import os
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+import stariso
 from stariso.graphs import as_tree, build_graph, canonical_code
 from stariso.sweep import (
     CHECK_SUITES,
+    CHUNKSIZE,
     SweepConfig,
     _strip_to_single_leaves,
     check_tree,
@@ -172,3 +179,28 @@ class TestRunSweep:
         )
         assert violations == 0
         assert all(r.source == "enumerated" for r in records)
+
+    def test_parallel_matches_serial_across_chunks(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        config = SweepConfig(max_n=9, k_list=(1, 2), seed=3)
+        assert 95 > 2 * CHUNKSIZE  # the 95 trees span several task batches
+        serial, _ = run_sweep(config)
+        parallel, _ = run_sweep(replace(config, jobs=2))
+        assert [r.to_json_line() for r in parallel] == [r.to_json_line() for r in serial]
+
+
+def test_sweep_and_enumeration_never_import_networkx():
+    src = str(Path(stariso.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = (
+        "import sys\n"
+        "from stariso.graphs import enumerate_free_trees\n"
+        "from stariso.sweep import SweepConfig, run_sweep\n"
+        "run_sweep(SweepConfig(max_n=8, k_list=(1, 2), jobs=1))\n"
+        "list(enumerate_free_trees(12))\n"
+        "print('networkx' in sys.modules)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
