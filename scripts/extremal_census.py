@@ -11,6 +11,7 @@ Usage:
 """
 
 import argparse
+import json
 from collections import defaultdict
 
 from stariso.sweep import SweepConfig, run_sweep
@@ -24,7 +25,8 @@ def main() -> None:
     parser.add_argument("--k-list", default="1,2,3")
     args = parser.parse_args()
     ks = [int(f) for f in args.k_list.split(",")]
-    records, _ = run_sweep(SweepConfig(args.max_n, tuple(ks), checks=(), bf_max=0))
+    lines, _ = run_sweep(SweepConfig(args.max_n, tuple(ks), checks=(), bf_max=0))
+    records = [json.loads(rec.line) for rec in lines]
 
     for k in ks:
         print(f"\n== k = {k} ==")
@@ -33,15 +35,16 @@ def main() -> None:
         members: dict[int, int] = defaultdict(int)
         eq_counts: dict[tuple[int, str], int] = defaultdict(int)
         for rec in records:
-            entry = rec.per_k[k]
-            classes[rec.n] += 1
-            zero[rec.n] += entry["iota"] == 0
+            n = rec["n"]
+            entry = rec["k"][str(k)]
+            classes[n] += 1
+            zero[n] += entry["iota"] == 0
             for name, flag in entry["equality"].items():
-                eq_counts[rec.n, name] += flag
+                eq_counts[n, name] += flag
             if k == 1:
-                members[rec.n] += rec.family_F
+                members[n] += rec["family_F"]
             else:
-                members[rec.n] += (rec.n == k + 1 and rec.l == k) or entry["tk_member"]
+                members[n] += (n == k + 1 and rec["l"] == k) or entry["tk_member"]
         family = "family" if k == 1 else "star+hub"
         print(f"{'n':>3} {'classes':>8} {'iota=0':>7} "
               + " ".join(f"{name[:7]:>7}" for name in NAMES) + f" {family:>8}")

@@ -3,8 +3,9 @@ classification, and per-instance equality reporting.
 
 The isolation number is an input: callers solve it (``iota_tree_dp``) and
 this module evaluates the closed forms in n, l and s against that given
-iota.  All values are exact rationals; equality detection is the whole
-point, so floating point never appears.  Bounds whose hypotheses fail are
+iota.  Equality detection is the whole point, so floating point never
+appears: every comparison is integer cross-multiplication, and reported
+bound values are reduced ``Fraction``s.  Bounds whose hypotheses fail are
 reported as explicit not-applicable entries with a reason.
 """
 
@@ -79,21 +80,19 @@ def regime_classify(n: int, l: int, k: int) -> str:
     if not (0 <= l <= n):
         raise ValueError(f"leaf order {l} out of range for n={n}")
     if k == 1:
-        third = Fraction(n, 3)
-        if l < third:
+        if 3 * l < n:
             return "ℓ < n/3"
-        if l == third:
+        if 3 * l == n:
             return "ℓ = n/3"
         return "ℓ > n/3"
-    low = Fraction((k - 1) * n, k + 2)
-    high = Fraction(k * n, k + 2)
-    if l < low:
+    scaled = (k + 2) * l  # compared with (k-1)n and kn
+    if scaled < (k - 1) * n:
         return "ℓ < (k-1)n/(k+2)"
-    if l == low:
+    if scaled == (k - 1) * n:
         return "ℓ = (k-1)n/(k+2)"
-    if l < high:
+    if scaled < k * n:
         return "(k-1)n/(k+2) < ℓ < kn/(k+2)"
-    if l == high:
+    if scaled == k * n:
         return "ℓ = kn/(k+2)"
     return "ℓ > kn/(k+2)"
 
@@ -150,7 +149,7 @@ def evaluate_bounds(t: Tree, k: int, iota: int) -> BoundReport:
     else:
         bounds[CARO_THIRD] = Fraction(n, 3)
 
-    equality = {name: Fraction(iota) == value for name, value in bounds.items()}
+    equality = {name: value == iota for name, value in bounds.items()}
     return BoundReport(
         n=n, l=l, s=s, k=k, iota=iota,
         regime=regime_classify(n, l, k),
@@ -169,42 +168,49 @@ def regime_table_violations(t: Tree, k: int, iota: int) -> list[str]:
     if n < 3 or is_any_star(t):
         return []
     regime = regime_classify(n, l, k)
-    io = Fraction(iota)
-    plus4 = Fraction(n + l, 4)
-    minus2 = Fraction(n - l, 2)
     violations: list[str] = []
 
-    def check(cond: bool, text: str) -> None:
+    def check(cond: bool, template: str) -> None:
+        # the Fractions are built only to render a failure
         if not cond:
+            text = template.format(
+                iota=iota,
+                plus4=Fraction(n + l, 4),
+                minus2=Fraction(n - l, 2),
+                third=Fraction(n, 3),
+                star=Fraction(n + l, 2 * k + 1),
+                caro=Fraction(n, k + 2),
+            )
             violations.append(f"[{regime}] {text}")
 
     if k == 1:
-        third = Fraction(n, 3)
         if regime == "ℓ < n/3":
-            check(io <= plus4, f"iota={iota} > (n+l)/4={plus4}")
-            check(plus4 < third, f"(n+l)/4={plus4} not < n/3={third}")
+            check(4 * iota <= n + l, "iota={iota} > (n+l)/4={plus4}")
+            check(3 * (n + l) < 4 * n, "(n+l)/4={plus4} not < n/3={third}")
         elif regime == "ℓ = n/3":
-            check(plus4 == minus2 == third, f"(n+l)/4={plus4}, (n-l)/2={minus2}, n/3={third} differ")
-            check(io <= third, f"iota={iota} > n/3={third}")
+            check(n + l == 2 * (n - l) and 3 * (n - l) == 2 * n,
+                  "(n+l)/4={plus4}, (n-l)/2={minus2}, n/3={third} differ")
+            check(3 * iota <= n, "iota={iota} > n/3={third}")
         else:
-            check(io <= minus2, f"iota={iota} > (n-l)/2={minus2}")
-            check(minus2 < third, f"(n-l)/2={minus2} not < n/3={third}")
+            check(2 * iota <= n - l, "iota={iota} > (n-l)/2={minus2}")
+            check(3 * (n - l) < 2 * n, "(n-l)/2={minus2} not < n/3={third}")
         return violations
 
-    star = Fraction(n + l, 2 * k + 1)
-    caro = Fraction(n, k + 2)
+    # star = (n+l)/(2k+1), caro = n/(k+2), minus2 = (n-l)/2
+    star_vs_caro = (k + 2) * (n + l) - (2 * k + 1) * n  # sign of star - caro
+    minus2_vs_caro = (k + 2) * (n - l) - 2 * n          # sign of minus2 - caro
     if regime == "ℓ < (k-1)n/(k+2)":
-        check(io <= star, f"iota={iota} > (n+l)/(2k+1)={star}")
-        check(star < caro, f"(n+l)/(2k+1)={star} not < n/(k+2)={caro}")
+        check((2 * k + 1) * iota <= n + l, "iota={iota} > (n+l)/(2k+1)={star}")
+        check(star_vs_caro < 0, "(n+l)/(2k+1)={star} not < n/(k+2)={caro}")
     elif regime == "ℓ = (k-1)n/(k+2)":
-        check(star == caro, f"(n+l)/(2k+1)={star} != n/(k+2)={caro}")
-        check(io <= star, f"iota={iota} > (n+l)/(2k+1)={star}")
+        check(star_vs_caro == 0, "(n+l)/(2k+1)={star} != n/(k+2)={caro}")
+        check((2 * k + 1) * iota <= n + l, "iota={iota} > (n+l)/(2k+1)={star}")
     elif regime == "(k-1)n/(k+2) < ℓ < kn/(k+2)":
-        check(io <= caro, f"iota={iota} > n/(k+2)={caro}")
+        check((k + 2) * iota <= n, "iota={iota} > n/(k+2)={caro}")
     elif regime == "ℓ = kn/(k+2)":
-        check(minus2 == caro, f"(n-l)/2={minus2} != n/(k+2)={caro}")
-        check(io <= minus2, f"iota={iota} > (n-l)/2={minus2}")
+        check(minus2_vs_caro == 0, "(n-l)/2={minus2} != n/(k+2)={caro}")
+        check(2 * iota <= n - l, "iota={iota} > (n-l)/2={minus2}")
     else:
-        check(io <= minus2, f"iota={iota} > (n-l)/2={minus2}")
-        check(minus2 < caro, f"(n-l)/2={minus2} not < n/(k+2)={caro}")
+        check(2 * iota <= n - l, "iota={iota} > (n-l)/2={minus2}")
+        check(minus2_vs_caro < 0, "(n-l)/2={minus2} not < n/(k+2)={caro}")
     return violations

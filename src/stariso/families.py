@@ -1004,15 +1004,15 @@ def gen_char_orderminusleaves(
     return g, cert
 
 
-def recognize_char_orderminusleaves(g: Graph, k: int) -> CoronaCertificate | None:
-    """Match g against the (n - l)/2 equality shapes.
+def corona_shape(g: Graph) -> tuple[CoronaCertificate, int] | None:
+    """The k-free pass of (n - l)/2 recognition on a connected graph with
+    n >= 3: the candidate certificate and the largest k it can serve.
 
-    Strips the leaves and tests the core: a chordless 4-cycle needs >= k
-    leaves on every core vertex; a corona core needs one pendant partner
-    per inner vertex and >= k leaves on every core leaf.
+    Strips the leaves and tests the core: a chordless 4-cycle, every core
+    vertex of which needs >= k leaves, or a corona core, one pendant
+    partner per inner vertex, every core leaf of which needs >= k leaves.
+    The largest k is the fewest leaves on a vertex that needs them.
     """
-    if g.n < 3 or not g.is_connected():
-        raise FamilyError("recognition needs a connected graph with n >= 3")
     leaves = {u for u in range(g.n) if g.degree(u) == 1}
     core_vertices = [u for u in range(g.n) if u not in leaves]
     if not core_vertices:
@@ -1023,17 +1023,15 @@ def recognize_char_orderminusleaves(g: Graph, k: int) -> CoronaCertificate | Non
     }
 
     if core.n == 4 and core.edge_count == 4 and all(core.degree(i) == 2 for i in range(4)):
-        if all(attached[u] >= k for u in core_vertices):
-            cycle = [core_map[0]]
-            prev = 0
-            cur = core.adjacency[0][0]
-            while cur != 0:
-                cycle.append(core_map[cur])
-                prev, cur = cur, next(w for w in core.adjacency[cur] if w != prev)
-            assignment = {u: attached[u] for u in core_vertices}
-            cert = CoronaCertificate("c4_leaves", tuple(cycle), assignment)
-            return cert if not cert.validate(g, k) else None
-        return None
+        cycle = [core_map[0]]
+        prev = 0
+        cur = core.adjacency[0][0]
+        while cur != 0:
+            cycle.append(core_map[cur])
+            prev, cur = cur, next(w for w in core.adjacency[cur] if w != prev)
+        assignment = {u: attached[u] for u in core_vertices}
+        cert = CoronaCertificate("c4_leaves", tuple(cycle), assignment)
+        return cert, min(attached.values())
 
     core_leaves = [i for i in range(core.n) if core.degree(i) == 1]
     if core.n == 2 and core.edge_count == 1:
@@ -1057,11 +1055,28 @@ def recognize_char_orderminusleaves(g: Graph, k: int) -> CoronaCertificate | Non
             return None
         pairs = [(core_map[i], core_map[w]) for i, w in sorted(partner.items())]
         need_k = [core_map[w] for w in core_leaves]
-    if any(attached[u] < k for u in need_k):
-        return None
     assignment = {u: attached[u] for u in core_vertices if attached[u] > 0}
     cert = CoronaCertificate("corona_with_leaves", tuple(pairs), assignment)
+    return cert, min(attached[u] for u in need_k)
+
+
+def corona_certificate(
+    g: Graph, shape: tuple[CoronaCertificate, int] | None, k: int
+) -> CoronaCertificate | None:
+    """The per-k step: the certificate of ``corona_shape(g)`` if it serves
+    k and ``CoronaCertificate.validate`` accepts it, else None."""
+    if shape is None or shape[1] < k:
+        return None
+    cert = shape[0]
     return cert if not cert.validate(g, k) else None
+
+
+def recognize_char_orderminusleaves(g: Graph, k: int) -> CoronaCertificate | None:
+    """Match g against the (n - l)/2 equality shapes (``corona_shape``),
+    then check the shape for k (``corona_certificate``)."""
+    if g.n < 3 or not g.is_connected():
+        raise FamilyError("recognition needs a connected graph with n >= 3")
+    return corona_certificate(g, corona_shape(g), k)
 
 
 # ---------------------------------------------------------------------------

@@ -7,14 +7,15 @@ after a ``#`` is a comment; blank lines are skipped.
 
 from __future__ import annotations
 
-from .graphs import Graph, GraphError, build_graph
+from .graphs import Graph, GraphError, build_graph, gc_paused
 
 
 def parse_edgelist(text: str) -> Graph:
     """Parse the edge-list text format into a Graph.
 
     A vertex count above 2m + 1, for m edge lines, is rejected before any
-    adjacency is allocated, so memory stays linear in the input size.
+    adjacency is allocated, so memory stays linear in the input size.  The
+    edge tuples and the graph are built under ``gc_paused``.
     """
     raw_lines = text.splitlines()
     lines = [line.split("#", 1)[0] for line in raw_lines] if "#" in text else raw_lines
@@ -32,19 +33,22 @@ def parse_edgelist(text: str) -> Graph:
         raise GraphError(f"line {header + 1}: bad vertex count {fields[0]!r}") from None
     edges: list[tuple[int, int]] = []
     append = edges.append
-    for lineno, line in enumerate(lines[header + 1:], start=header + 2):
-        fields = line.split()
-        if len(fields) == 2:
-            try:
-                append((int(fields[0]), int(fields[1])))
-            except ValueError:
-                raise GraphError(f"line {lineno}: bad edge {raw_lines[lineno - 1]!r}") from None
-        elif fields:
-            raise GraphError(f"line {lineno}: expected 'u v', got {raw_lines[lineno - 1]!r}")
-    m = len(edges)
-    if n > 2 * m + 1:
-        raise GraphError(f"vertex count {n} exceeds 2m + 1 = {2 * m + 1} for m = {m} edge lines")
-    return build_graph(n, edges)
+    with gc_paused():
+        for lineno, line in enumerate(lines[header + 1:], start=header + 2):
+            fields = line.split()
+            if len(fields) == 2:
+                try:
+                    append((int(fields[0]), int(fields[1])))
+                except ValueError:
+                    raise GraphError(f"line {lineno}: bad edge {raw_lines[lineno - 1]!r}") from None
+            elif fields:
+                raise GraphError(f"line {lineno}: expected 'u v', got {raw_lines[lineno - 1]!r}")
+        m = len(edges)
+        if n > 2 * m + 1:
+            raise GraphError(
+                f"vertex count {n} exceeds 2m + 1 = {2 * m + 1} for m = {m} edge lines"
+            )
+        return build_graph(n, edges)
 
 
 def format_edgelist(g: Graph) -> str:

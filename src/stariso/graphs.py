@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import gc
 import heapq
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -82,20 +83,30 @@ class Graph:
         return f"Graph(n={self.n}, edges={self.edges()})"
 
 
+@contextmanager
+def gc_paused() -> Iterator[None]:
+    """Pause cyclic garbage collection for a bulk build of tracked objects
+    (edge tuples, per-vertex lists), whose collections cost a large share
+    of a 10^6-vertex parse or build.  The caller's GC state is restored on
+    exit, also on error."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
 def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a simple graph from an edge list.
 
     Rejects out-of-range endpoints, self-loops and duplicate edges, naming
-    the first offending edge in input order.  Cyclic garbage collection is
-    paused meanwhile: the n per-vertex lists are all tracked, and the
-    collections they trigger cost a large share of a 10^6-vertex build.
-    The caller's GC state is restored on return and on error.
+    the first offending edge in input order.  Runs under ``gc_paused``.
     """
     if n < 0:
         raise GraphError(f"vertex count must be nonnegative, got {n}")
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
+    with gc_paused():
         edges = list(edges)  # a fault is named by a second, sequential pass
         neighbors: list[list[int]] = [[] for _ in range(n)]
         for u, v in edges:
@@ -114,9 +125,6 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
                         raise GraphError(_first_edge_fault(n, edges))
                     previous = w
         return Graph(n, tuple(map(tuple, neighbors)))
-    finally:
-        if gc_was_enabled:
-            gc.enable()
 
 
 def bfs_order(g: Graph, root: int) -> tuple[list[int], list[int]]:

@@ -94,10 +94,9 @@ def residual_degrees(g: Graph, dominators: frozenset[int] | set[int]) -> dict[in
 
 def is_isolating(g: Graph, dominators: frozenset[int] | set[int], k: int) -> bool:
     """True iff G - N[D] contains no k-star."""
-    degrees = residual_degrees(g, dominators)
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
-    return max(degrees.values(), default=0) < k
+    return max(residual_degrees(g, dominators).values(), default=0) < k
 
 
 def _check_vertex_set(g: Graph, vertices) -> None:

@@ -12,9 +12,9 @@ import json
 import os
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import partial
 from multiprocessing import Pool
+from typing import NamedTuple
 
 from .bounds import (
     ORDER_PLUS_LEAVES,
@@ -23,9 +23,10 @@ from .bounds import (
     regime_table_violations,
 )
 from .families import (
+    corona_certificate,
+    corona_shape,
     min_iso_set_F,
     min_iso_set_Tk,
-    recognize_char_orderminusleaves,
     recognize_F,
     recognize_Tk,
     sample_family_F,
@@ -132,6 +133,21 @@ class SweepRecord:
         return json.dumps(payload, sort_keys=True)
 
 
+class SweepLine(NamedTuple):
+    """What the sweep keeps of a record: its sort key, its violations and
+    its ``to_json_line()``, built where the record was checked."""
+
+    n: int
+    tree_code: str
+    source: str
+    violations: list[str]
+    line: str
+
+
+def _to_line(rec: SweepRecord) -> SweepLine:
+    return SweepLine(rec.n, rec.tree_code, rec.source, rec.violations, rec.to_json_line())
+
+
 def _strip_to_single_leaves(t: Tree) -> Tree:
     """Delete all but one leaf at every support vertex (the twin-leaf
     inverse)."""
@@ -160,6 +176,7 @@ def check_tree(t: Tree, config: SweepConfig, source: str = "enumerated") -> Swee
     iota1 = solutions[1].size
 
     f_cert = recognize_F(t)
+    corona = corona_shape(g) if "corona-char" in checks and n >= 3 else None
 
     for k in sorted(set(config.k_list)):
         sol = solutions[k]
@@ -186,7 +203,7 @@ def check_tree(t: Tree, config: SweepConfig, source: str = "enumerated") -> Swee
 
         if "bounds" in checks:
             for name, value in report.bounds.items():
-                if Fraction(iota) > value:
+                if iota * value.denominator > value.numerator:
                     violations.append(f"k={k}: iota={iota} exceeds {name}={value}")
             violations.extend(f"k={k}: {v}" for v in regime_table_violations(t, k, iota))
             if SUPPORT_BOUND in report.bounds:
@@ -209,7 +226,7 @@ def check_tree(t: Tree, config: SweepConfig, source: str = "enumerated") -> Swee
                 violations.append(f"k={k}: iota_k={iota} above iota_1={iota1}")
 
         if "f-equality" in checks and k == 1:
-            eq = Fraction(iota1) == Fraction(n + l, 4)
+            eq = 4 * iota1 == n + l
             member = f_cert is not None
             if eq != (member or n == 2):
                 violations.append(
@@ -220,14 +237,14 @@ def check_tree(t: Tree, config: SweepConfig, source: str = "enumerated") -> Swee
                 built = min_iso_set_F(t, f_cert, root)
                 if built.size != iota1 or not is_isolating(g, built.set, 1):
                     violations.append("constructive family set is not a minimum witness")
-            if iota1 == 1 and (n >= 3) != (Fraction(1) < Fraction(n + l, 4)):
+            if iota1 == 1 and (n >= 3) != (4 < n + l):
                 violations.append("iota=1 strictness iff n >= 3 failed")
             if 2 <= diam <= 3 and iota1 != 1:
                 violations.append(f"diameter {diam} tree needs iota=1, got {iota1}")
-            if t.strong_support_set and n >= 3 and Fraction(iota1) == Fraction(n + l, 4):
+            if t.strong_support_set and n >= 3 and eq:
                 violations.append("strong support vertex on an (n+l)/4 equality tree")
             if s >= 2 and n >= 3:
-                eq2 = Fraction(iota1) == Fraction(n - l + 2 * s, 4)
+                eq2 = 4 * iota1 == n - l + 2 * s
                 member2 = recognize_F(_strip_to_single_leaves(t)) is not None
                 if eq2 != member2:
                     violations.append(
@@ -239,7 +256,7 @@ def check_tree(t: Tree, config: SweepConfig, source: str = "enumerated") -> Swee
             tk_cert = recognize_Tk(t, k)
             entry["tk_member"] = tk_cert is not None
         if "tk-equality" in checks and k >= 2:
-            eq = Fraction(iota) == Fraction(n + l, 2 * k + 1)
+            eq = (2 * k + 1) * iota == n + l
             member = is_star(t, k) or tk_cert is not None
             if eq != member:
                 violations.append(
@@ -263,9 +280,9 @@ def check_tree(t: Tree, config: SweepConfig, source: str = "enumerated") -> Swee
                 violations.append(f"k={k}: small-order tree with iota={iota} != 1")
 
         if "corona-char" in checks and n >= 3:
-            corona_cert = recognize_char_orderminusleaves(g, k)
+            corona_cert = corona_certificate(g, corona, k)
             entry["corona_char_member"] = corona_cert is not None
-            eq = Fraction(iota) == Fraction(n - l, 2)
+            eq = 2 * iota == n - l
             if k >= 2 and n - l == 2:
                 # double-star core: equality holds exactly when a k-star
                 # exists at all, regardless of the per-support leaf counts
@@ -343,31 +360,33 @@ def _constructive_records(config: SweepConfig) -> list[SweepRecord]:
     return records
 
 
-def _worker(config: SweepConfig, levels: tuple[int, ...]) -> SweepRecord:
-    return check_tree(as_tree(build_graph(len(levels), level_edges(levels))), config)
+def _worker(config: SweepConfig, levels: tuple[int, ...]) -> SweepLine:
+    return _to_line(check_tree(as_tree(build_graph(len(levels), level_edges(levels))), config))
 
 
-def run_sweep(config: SweepConfig) -> tuple[list[SweepRecord], int]:
-    """Execute the sweep; returns (records sorted by tree code, violation
-    count) and writes JSON lines when an output path is configured.
+def run_sweep(config: SweepConfig) -> tuple[list[SweepLine], int]:
+    """Execute the sweep; returns (one ``SweepLine`` per record, sorted by
+    order, tree code and source; the violation count) and writes the JSON
+    lines when an output path is configured.
 
     The enumeration streams level sequences, order by order, to the
-    workers, which build and check each tree.
+    workers, which build and check each tree and return its JSON line, so
+    the parent only sorts and writes.
     """
     config.validate()
     tasks = (levels for n in range(1, config.max_n + 1) for levels in free_tree_levels(n))
     worker = partial(_worker, config)
     if config.jobs > 1:
         with Pool(config.jobs) as pool:
-            records = list(pool.imap(worker, tasks, chunksize=CHUNKSIZE))
+            lines = list(pool.imap(worker, tasks, chunksize=CHUNKSIZE))
     else:
-        records = list(map(worker, tasks))
+        lines = list(map(worker, tasks))
     if "constructive" in config.active_checks():
-        records.extend(_constructive_records(config))
-    records.sort(key=lambda r: (r.n, r.tree_code, r.source))
-    total_violations = sum(len(r.violations) for r in records)
+        lines.extend(map(_to_line, _constructive_records(config)))
+    lines.sort(key=lambda r: (r.n, r.tree_code, r.source))
+    total_violations = sum(len(r.violations) for r in lines)
     if config.output_path:
         with open(config.output_path, "w", encoding="utf-8") as fh:
-            for rec in records:
-                fh.write(rec.to_json_line() + "\n")
-    return records, total_violations
+            for rec in lines:
+                fh.write(rec.line + "\n")
+    return lines, total_violations

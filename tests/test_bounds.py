@@ -1,6 +1,7 @@
 """Bound evaluation, regime classification and equality reporting."""
 
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -165,3 +166,116 @@ class TestSweptInvariants:
                     assert total >= 2 * k + 1
                     is_k_star = t.n == k + 1 and t.max_degree == k
                     assert (total == 2 * k + 1) == is_k_star
+
+
+class FakeTree:
+    """Just the statistics the bound code reads, for (n, l, s) no tree has;
+    max degree 0 keeps every star clause off."""
+
+    def __init__(self, n, l, s=0):
+        self.n, self.leaf_order, self.support_count, self.max_degree = n, l, s, 0
+
+
+def fraction_regime(n, l, k):
+    """regime_classify as it was written with Fractions: the reference."""
+    if k == 1:
+        third = Fraction(n, 3)
+        if l < third:
+            return "ℓ < n/3"
+        if l == third:
+            return "ℓ = n/3"
+        return "ℓ > n/3"
+    low = Fraction((k - 1) * n, k + 2)
+    high = Fraction(k * n, k + 2)
+    if l < low:
+        return "ℓ < (k-1)n/(k+2)"
+    if l == low:
+        return "ℓ = (k-1)n/(k+2)"
+    if l < high:
+        return "(k-1)n/(k+2) < ℓ < kn/(k+2)"
+    if l == high:
+        return "ℓ = kn/(k+2)"
+    return "ℓ > kn/(k+2)"
+
+
+def fraction_table_violations(n, l, k, iota, regime):
+    """regime_table_violations as it was written with Fractions, given the
+    regime: the reference for the message texts."""
+    io = Fraction(iota)
+    plus4 = Fraction(n + l, 4)
+    minus2 = Fraction(n - l, 2)
+    violations = []
+
+    def check(cond, text):
+        if not cond:
+            violations.append(f"[{regime}] {text}")
+
+    if k == 1:
+        third = Fraction(n, 3)
+        if regime == "ℓ < n/3":
+            check(io <= plus4, f"iota={iota} > (n+l)/4={plus4}")
+            check(plus4 < third, f"(n+l)/4={plus4} not < n/3={third}")
+        elif regime == "ℓ = n/3":
+            check(plus4 == minus2 == third, f"(n+l)/4={plus4}, (n-l)/2={minus2}, n/3={third} differ")
+            check(io <= third, f"iota={iota} > n/3={third}")
+        else:
+            check(io <= minus2, f"iota={iota} > (n-l)/2={minus2}")
+            check(minus2 < third, f"(n-l)/2={minus2} not < n/3={third}")
+        return violations
+
+    star = Fraction(n + l, 2 * k + 1)
+    caro = Fraction(n, k + 2)
+    if regime == "ℓ < (k-1)n/(k+2)":
+        check(io <= star, f"iota={iota} > (n+l)/(2k+1)={star}")
+        check(star < caro, f"(n+l)/(2k+1)={star} not < n/(k+2)={caro}")
+    elif regime == "ℓ = (k-1)n/(k+2)":
+        check(star == caro, f"(n+l)/(2k+1)={star} != n/(k+2)={caro}")
+        check(io <= star, f"iota={iota} > (n+l)/(2k+1)={star}")
+    elif regime == "(k-1)n/(k+2) < ℓ < kn/(k+2)":
+        check(io <= caro, f"iota={iota} > n/(k+2)={caro}")
+    elif regime == "ℓ = kn/(k+2)":
+        check(minus2 == caro, f"(n-l)/2={minus2} != n/(k+2)={caro}")
+        check(io <= minus2, f"iota={iota} > (n-l)/2={minus2}")
+    else:
+        check(io <= minus2, f"iota={iota} > (n-l)/2={minus2}")
+        check(minus2 < caro, f"(n-l)/2={minus2} not < n/(k+2)={caro}")
+    return violations
+
+
+REGIMES_K1 = ("ℓ < n/3", "ℓ = n/3", "ℓ > n/3")
+REGIMES_K2 = ("ℓ < (k-1)n/(k+2)", "ℓ = (k-1)n/(k+2)", "(k-1)n/(k+2) < ℓ < kn/(k+2)",
+              "ℓ = kn/(k+2)", "ℓ > kn/(k+2)")
+
+
+class TestIntegerComparisons:
+    """The integer cross-multiplications agree with the Fraction reference."""
+
+    def test_regime_and_equality_flags_match_fractions(self):
+        for n in range(1, 41):
+            for l in range(n + 1):
+                s = (l + 1) // 2
+                for k in range(1, 6):
+                    regime = regime_classify(n, l, k)
+                    assert regime == fraction_regime(n, l, k), (n, l, k)
+                    for iota in range(n + 1):
+                        report = evaluate_bounds(FakeTree(n, l, s), k, iota)
+                        assert report.regime == regime
+                        assert report.equality == {
+                            name: Fraction(iota) == value for name, value in report.bounds.items()
+                        }, (n, l, k, iota)
+
+    def test_table_messages_match_fractions(self, monkeypatch):
+        # every regime label forced onto every (n, l) fires every failure branch
+        import stariso.bounds
+
+        templates = set()
+        for k in (1, 2, 3):
+            for regime in REGIMES_K1 if k == 1 else REGIMES_K2:
+                monkeypatch.setattr(stariso.bounds, "regime_classify", lambda n, l, k, r=regime: r)
+                for n in range(3, 13):
+                    for l in range(n + 1):
+                        for iota in range(n + 1):
+                            got = regime_table_violations(FakeTree(n, l), k, iota)
+                            assert got == fraction_table_violations(n, l, k, iota, regime)
+                            templates.update(re.sub(r"=[\d/]+", "=#", v) for v in got)
+        assert len(templates) == 15  # 2 + 2 + 2 checks at k = 1, 2 + 2 + 1 + 2 + 2 above

@@ -1,6 +1,7 @@
 """Family generators, recognizers and constructive sets, cross-checked
 against exhaustive-labeling oracles and brute-force optima."""
 
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -510,6 +511,39 @@ class TestCharOrderMinusLeaves:
         assert Fraction(iota_bruteforce(g, 2).size) == Fraction(g.n - leaf_order(g), 2)
         assert recognize_char_orderminusleaves(g, 2) is None
 
+
+    def test_disconnected_graph_raises(self):
+        g = build_graph(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
+        with pytest.raises(FamilyError, match="connected"):
+            recognize_char_orderminusleaves(g, 1)
+
+    def test_certificates_match_recorded_digest(self):
+        # every free tree with n <= 12, every connected graph with n <= 6
+        # and 4-cycles with 0..3 leaves per vertex, k = 1..4; the digest was
+        # recorded before the recognizer was split into a k-free pass and a
+        # per-k step
+        import networkx as nx
+
+        graphs = [t.graph for n in range(3, 13) for t in enumerate_free_trees(n)]
+        graphs += [build_graph(h.number_of_nodes(), list(h.edges()))
+                   for h in nx.graph_atlas_g()
+                   if 3 <= h.number_of_nodes() <= 6 and nx.is_connected(h)]
+        graphs += [gen_char_orderminusleaves("c4", 0, leaf_counts=list(counts))[0]
+                   for counts in itertools.product(range(4), repeat=4)]
+        digest = hashlib.sha256()
+        accepted = 0
+        for g in graphs:
+            for k in range(1, 5):
+                cert = recognize_char_orderminusleaves(g, k)
+                item = None
+                if cert is not None:
+                    accepted += 1
+                    item = (cert.kind, cert.core_vertices, tuple(cert.leaf_assignment.items()))
+                digest.update(repr(item).encode() + b"\n")
+        assert (len(graphs), accepted) == (1382, 369)  # 98 of them 4-cycles
+        assert digest.hexdigest() == (
+            "672fb441cfbeafadf0ed7e81ecafa2ea44b03f6536274064808c5926476b657a"
+        )
 
 class TestSpider:
     @pytest.mark.parametrize("k", [1, 2, 3])

@@ -144,6 +144,7 @@ class TestBuildGraph:
 
     @pytest.mark.parametrize("enabled", [True, False])
     def test_restores_the_callers_gc_state(self, enabled):
+        # build_graph and parse_edgelist pause GC through graphs.gc_paused
         was_enabled = gc.isenabled()
         try:
             gc.enable() if enabled else gc.disable()
@@ -152,6 +153,31 @@ class TestBuildGraph:
             with pytest.raises(GraphError, match="duplicate"):
                 build_graph(3, [(0, 1), (1, 0)])
             assert gc.isenabled() is enabled
+            assert parse_edgelist("3\n0 1\n1 2\n").edge_count == 2
+            assert gc.isenabled() is enabled
+            for bad, message in [("3\n0 1\n1 0\n", "duplicate"), ("3\n0 1\n1 x\n", "bad edge"),
+                                 ("3\n0 1\n1\n", "expected 'u v'"), ("9\n0 1\n", "exceeds")]:
+                with pytest.raises(GraphError, match=message):
+                    parse_edgelist(bad)
+                assert gc.isenabled() is enabled
+        finally:
+            gc.enable() if was_enabled else gc.disable()
+
+    def test_parse_builds_edges_with_gc_paused(self, monkeypatch):
+        import stariso.formats
+
+        states = []
+
+        def recording_build(n, edges):
+            states.append(gc.isenabled())
+            return build_graph(n, edges)
+
+        monkeypatch.setattr(stariso.formats, "build_graph", recording_build)
+        was_enabled = gc.isenabled()
+        gc.enable()
+        try:
+            assert parse_edgelist("3\n0 1\n1 2\n").edge_count == 2
+            assert states == [False] and gc.isenabled()
         finally:
             gc.enable() if was_enabled else gc.disable()
 

@@ -120,6 +120,17 @@ class TestIsIsolating:
         assert is_isolating(g, {1}, 1)  # residual is three isolated leaves
         assert not is_isolating(path_graph(6), {1}, 1)
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_checked_before_any_residual_pass(self, monkeypatch, k):
+        import stariso.solver
+
+        def no_pass(*args):
+            raise AssertionError("residual_degrees called")
+
+        monkeypatch.setattr(stariso.solver, "residual_degrees", no_pass)
+        with pytest.raises(ValueError, match=f"k must be positive, got {k}"):
+            is_isolating(path_graph(6), {1}, k)
+
 
 class TestBruteForce:
     def test_six_path(self):

@@ -1,5 +1,6 @@
 """Sweep machinery: record content, determinism, and the check suites."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import stariso
-from stariso.graphs import as_tree, build_graph, canonical_code
+from stariso.graphs import as_tree, build_graph, canonical_code, enumerate_free_trees
 from stariso.sweep import (
     CHECK_SUITES,
     CHUNKSIZE,
@@ -147,6 +148,25 @@ class TestDpCalls:
         ]
 
 
+class TestCoronaPass:
+    def test_k_free_pass_once_per_tree(self, monkeypatch):
+        import stariso.sweep
+
+        calls = []
+        real = stariso.sweep.corona_shape
+
+        def counting(g):
+            calls.append(g.n)
+            return real(g)
+
+        monkeypatch.setattr(stariso.sweep, "corona_shape", counting)
+        cfg = SweepConfig(max_n=8, k_list=(1, 2, 3, 4), bf_max=0)
+        trees = [t for n in range(1, 9) for t in enumerate_free_trees(n)]
+        for t in trees:
+            assert check_tree(t, cfg).violations == []
+        assert sorted(calls) == sorted(t.n for t in trees if t.n >= 3)
+
+
 class TestRunSweep:
     def test_clean_up_to_nine(self):
         records, violations = run_sweep(
@@ -186,7 +206,22 @@ class TestRunSweep:
         assert 95 > 2 * CHUNKSIZE  # the 95 trees span several task batches
         serial, _ = run_sweep(config)
         parallel, _ = run_sweep(replace(config, jobs=2))
-        assert [r.to_json_line() for r in parallel] == [r.to_json_line() for r in serial]
+        assert [r.line for r in parallel] == [r.line for r in serial]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_output_matches_recorded_digest(self, monkeypatch, tmp_path, jobs):
+        # recorded before the bound checks went integer, the corona
+        # recognizer was split and the JSON lines moved into the workers
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        out = tmp_path / "r.jsonl"
+        lines, violations = run_sweep(
+            SweepConfig(max_n=10, k_list=(1, 2, 3), seed=0, jobs=jobs, output_path=str(out))
+        )
+        assert (len(lines), violations) == (213, 0)
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "ce0f15adb290a2fcb11ce933a9e241776ddda1961e57c5113a42b4e30ca7e6d2"
+        )
+        assert out.read_text() == "".join(r.line + "\n" for r in lines)
 
 
 def test_sweep_and_enumeration_never_import_networkx():
