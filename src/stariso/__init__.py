@@ -47,12 +47,13 @@ _EXPORTS = {
         "DominationSolution",
         "IsolationSolution",
         "Residual",
+        "certificate_failures",
         "contains_k_star",
         "gamma_bruteforce",
-        "iota_all_roots",
         "iota_bruteforce",
         "iota_tree_dp",
         "is_isolating",
+        "isolation_certificate",
         "normalize_no_deg2_support",
         "normalize_no_leaves",
         "residual",

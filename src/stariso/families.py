@@ -1074,6 +1074,8 @@ def corona_certificate(
 def recognize_char_orderminusleaves(g: Graph, k: int) -> CoronaCertificate | None:
     """Match g against the (n - l)/2 equality shapes (``corona_shape``),
     then check the shape for k (``corona_certificate``)."""
+    if k < 1:
+        raise FamilyError(f"need k >= 1, got {k}")
     if g.n < 3 or not g.is_connected():
         raise FamilyError("recognition needs a connected graph with n >= 3")
     return corona_certificate(g, corona_shape(g), k)

@@ -6,8 +6,10 @@
 scale, linear in time and memory; it walks the Tree's stored BFS order and
 parent array (``Tree.rooted``) instead of traversing the tree itself.  Both
 return a witness set that re-verifies through ``is_isolating``.
-``iota_all_roots`` reroots the same DP to give its optimum at every root in
-two passes, which the sweep's root-invariance check compares.
+``isolation_certificate`` is an oracle independent of the DP: a linear
+greedy that returns a k-isolating set (k = 0: a dominating set) together
+with a packing of k-stars, and ``certificate_failures`` proves the set
+minimum from the packing by explicit checks.
 """
 
 from __future__ import annotations
@@ -185,11 +187,24 @@ def gamma_bruteforce(g: Graph) -> DominationSolution:
 _IN, _SAT, _NEED, _FREE_HI, _FREE_LO = range(5)
 
 
-def _bottom_up(adj, k: int, order: list[int], parent: list[int]):
-    """The five cost arrays of the tree DP over the rooted view ``order``,
-    ``parent`` (``n + 1`` marks an infeasible state)."""
-    n = len(adj)
-    root = order[0]
+def iota_tree_dp(t: Tree, k: int, root: int = 0) -> IsolationSolution:
+    """Exact minimum k-isolating set of a tree via a rooted 5-state DP.
+
+    One bottom-up pass over the Tree's rooted view (``t.rooted(root)``,
+    stored for root 0) fills five int cost arrays, with ``n + 1`` marking
+    an infeasible state; one top-down pass re-derives each vertex's child
+    states with the same comparisons and collects the IN vertices.  Ties go
+    to the earliest state in the order IN, SAT, NEED, FREE_HI and then to
+    the earliest child in adjacency order.  The root choice cannot change
+    the optimum; it only steers tie-breaks in the witness.
+    """
+    if k < 1:
+        raise ValueError(f"k must be positive, got {k}")
+    order, parent = t.rooted(root)
+    n = t.n
+    if n == 1:
+        return IsolationSolution(k, frozenset(), 0, "tree_dp")
+    adj = t.graph.adjacency
     inf = n + 1  # above every feasible cost
     hi_budget, lo_budget = k - 1, k - 2
     # initialised to the costs of a leaf, which the loop then skips
@@ -251,30 +266,6 @@ def _bottom_up(adj, k: int, order: list[int], parent: list[int]):
             gains.sort()
             c_hi[v] = free + sum(gains[: hi_budget - must]) if must <= hi_budget else inf
             c_lo[v] = free + sum(gains[: lo_budget - must]) if must <= lo_budget else inf
-    return c_in, c_sat, c_need, c_hi, c_lo
-
-
-def iota_tree_dp(t: Tree, k: int, root: int = 0) -> IsolationSolution:
-    """Exact minimum k-isolating set of a tree via a rooted 5-state DP.
-
-    One bottom-up pass (``_bottom_up``) over the Tree's rooted view
-    (``t.rooted(root)``, stored for root 0) fills five int cost arrays; one
-    top-down pass re-derives each vertex's child states with the same
-    comparisons and collects the IN vertices.  Ties go to the earliest
-    state in the order IN, SAT, NEED, FREE_HI and then to the earliest
-    child in adjacency order.  The root choice cannot change the optimum;
-    it only steers tie-breaks in the witness.
-    """
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
-    order, parent = t.rooted(root)
-    n = t.n
-    if n == 1:
-        return IsolationSolution(k, frozenset(), 0, "tree_dp")
-    adj = t.graph.adjacency
-    c_in, c_sat, c_need, c_hi, c_lo = _bottom_up(adj, k, order, parent)
-    inf = n + 1
-    hi_budget, lo_budget = k - 1, k - 2
 
     best_state, best = _IN, c_in[root]
     if c_sat[root] < best:
@@ -345,148 +336,125 @@ def iota_tree_dp(t: Tree, k: int, root: int = 0) -> IsolationSolution:
     return IsolationSolution(k, frozenset(witness), best, "tree_dp")
 
 
-def iota_all_roots(t: Tree, k: int) -> list[int]:
-    """Optimum of the tree DP at every root, by two-pass rerooting.
+def isolation_certificate(t: Tree, k: int) -> tuple[frozenset[int], list[tuple[int, ...]]]:
+    """A minimum k-isolating set of a tree with a star packing that proves
+    it, in one deepest-top greedy; k = 0 gives the domination number.
 
-    Entry r equals ``iota_tree_dp(t, k, root=r).size``.  After the
-    bottom-up pass from root 0, a top-down pass hands each child c the
-    five costs of its parent v with c removed from v's children, so that
-    every vertex sees all its neighbors as children.  Removing one child
-    is O(1) against v's totals: IN and NEED subtract c's term, SAT keeps
-    the count of IN-preferring children and the two smallest uplifts, and
-    the FREE states keep v's gains sorted with prefix sums.  Linear apart
-    from one sort of the gains at each vertex.
+    D isolates T iff D meets N[S] for every k-star S (``(center, *leaves)``),
+    and in a tree each N[S] is a subtree with a top vertex in the rooted
+    view.  Walking ``t.order`` in reverse, the greedy looks for a star with
+    no vertex in N[D] whose N[S] has the current vertex v as its top: a
+    child c of v with k of c's undominated children, or a grandchild g
+    through c with c and k - 1 of g's undominated children, and at the root
+    also the root itself, or a child of the root with the root as a leaf.
+    If there is one, v joins D and the star the packing.  Each vertex is
+    examined from its grandparent only, so the pass is linear.  The chosen
+    stars have pairwise disjoint closed neighborhoods (Gyárfás–Lehel), so
+    ``certificate_failures`` can prove the set optimal without trusting
+    this function.
     """
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
-    n = t.n
-    if n == 1:
-        return [0]
+    if k < 0:
+        raise ValueError(f"k must be nonnegative, got {k}")
     adj = t.graph.adjacency
     order, parent = t.order, t.parent
-    c_in, c_sat, c_need, c_hi, c_lo = _bottom_up(adj, k, order, parent)
-    inf = n + 1
-    hi_budget, lo_budget = k - 1, k - 2
-    # x_*[c]: costs of parent[c] in the tree rooted at c
-    x_in = [0] * n
-    x_sat = [0] * n
-    x_need = [0] * n
-    x_hi = [0] * n
-    x_lo = [0] * n
-    best = [0] * n
-    for v in order:
+    root = order[0]
+    dominated = bytearray(t.n)
+    # undominated children of every vertex
+    free = [len(a) - 1 for a in adj]
+    free[root] += 1
+
+    def free_children(v: int, count: int) -> tuple[int, ...]:
         p = parent[v]
-        neighbors = adj[v]
-        if len(neighbors) == 1 and v != 0:
-            # a leaf: its parent is its only child, so SAT costs the
-            # parent's IN and FREE_HI the cheaper of its SAT and FREE_LO
-            a, b, d, lo = x_in[v], x_sat[v], x_need[v], x_lo[v]
-            term = a if a <= b and a <= d else (b if b <= d else d)
-            best[v] = min(1 + term, a, b if b <= lo else lo)
+        return tuple(c for c in adj[v] if c != p and not dominated[c])[:count]
+
+    def star_at(c: int) -> tuple[int, ...] | None:
+        # a free star centered at c, or at a child of c with c as a leaf
+        if dominated[c]:
+            return None
+        if free[c] >= k:
+            return (c, *free_children(c, k))
+        if k:
+            for g in adj[c]:
+                if g != parent[c] and not dominated[g] and free[g] >= k - 1:
+                    return (g, c, *free_children(g, k - 1))
+        return None
+
+    chosen = []
+    packing = []
+    for v in reversed(order):
+        p = parent[v]
+        star = None
+        for c in adj[v]:
+            if c != p:
+                star = star_at(c)
+                if star:
+                    break
+        if star is None and v == root:
+            star = star_at(root)
+        if star is None:
             continue
-        total_in = 1
-        total_sat = 0
-        prefer_in = 0  # neighbors whose SAT term is IN
-        up1 = up2 = inf  # the two smallest uplifts, the first at up1_at
-        up1_at = -1
-        total_need = 0
-        free = 0
-        must = 0
-        bad = 0  # neighbors that can be neither SAT nor FREE_LO
-        gains = []
-        for i, u in enumerate(neighbors):
-            if u == p:
-                a, b, d, f, lo = x_in[v], x_sat[v], x_need[v], x_hi[v], x_lo[v]
-            else:
-                a, b, d, f, lo = c_in[u], c_sat[u], c_need[u], c_hi[u], c_lo[u]
-            total_in += a if a <= b and a <= d else (b if b <= d else d)
-            # m is finite: SAT is infeasible only at a leaf, whose FREE_HI is 0
-            m = b if b <= f else f
-            total_need += m
-            if a <= m:
-                total_sat += a
-                prefer_in += 1
-            else:
-                total_sat += m
-                if a - m < up2:
-                    if a - m < up1:
-                        up1, up2, up1_at = a - m, up1, i
-                    else:
-                        up2 = a - m
-            if b < inf:
-                free += b
-                if lo < b:
-                    gains.append((lo - b, i))
-            elif lo < inf:
-                must += 1
-                free += lo
-            else:
-                bad += 1
-        gains.sort()
-        rank = [-1] * len(neighbors)
-        prefix = [0]
-        for j, (gain, i) in enumerate(gains):
-            rank[i] = j
-            prefix.append(prefix[-1] + gain)
-        top = len(gains)
+        chosen.append(v)
+        packing.append(star)
+        for u in (v, *adj[v]):
+            if not dominated[u]:
+                dominated[u] = 1
+                if u != root:
+                    free[parent[u]] -= 1
+    return frozenset(chosen), packing
 
-        sat = total_sat if prefer_in else total_sat + up1
-        hi = free + prefix[min(hi_budget - must, top)] if not bad and must <= hi_budget else inf
-        best[v] = min(total_in, sat, hi)
 
-        # v's costs without child c, handed to c
-        for i, c in enumerate(neighbors):
-            if c == p:
-                continue
-            a, b, d, f, lo = c_in[c], c_sat[c], c_need[c], c_hi[c], c_lo[c]
-            x_in[c] = total_in - (a if a <= b and a <= d else (b if b <= d else d))
-            m = b if b <= f else f
-            x_need[c] = total_need - m
-            if a <= m:
-                rest = total_sat - a
-                if prefer_in == 1:
-                    rest += up1
-            else:
-                rest = total_sat - m
-                if not prefer_in:
-                    rest += up2 if up1_at == i else up1
-            x_sat[c] = rest if rest < inf else inf
-            if b < inf:
-                base, others, own_bad = free - b, must, 0
-            elif lo < inf:
-                base, others, own_bad = free - lo, must - 1, 0
-            else:
-                base, others, own_bad = free, must, 1
-            if bad > own_bad:
-                x_hi[c] = x_lo[c] = inf
-            else:
-                r = rank[i]
-                for budget, out in ((hi_budget, x_hi), (lo_budget, x_lo)):
-                    j = budget - others
-                    if j < 0:
-                        out[c] = inf
-                    elif 0 <= r < j:
-                        out[c] = base + prefix[min(j + 1, top)] - gains[r][0]
-                    else:
-                        out[c] = base + prefix[min(j, top)]
-    return best
+def certificate_failures(
+    g: Graph, k: int, dominators: frozenset[int] | set[int], packing: list[tuple[int, ...]]
+) -> list[str]:
+    """Why ``(dominators, packing)`` fails to prove that ``dominators`` is a
+    minimum k-isolating set of g; empty when it proves it.
+
+    Every isolating set meets N[S] for each k-star S, so k-stars with
+    pairwise disjoint closed neighborhoods need one vertex each: an
+    isolating set as large as such a packing is minimum.
+    """
+    failures = []
+    for v, degree in residual_degrees(g, dominators).items():
+        if degree >= k:
+            failures.append(f"set is not isolating: vertex {v} keeps residual degree {degree}")
+            break
+    adj = g.adjacency
+    owner = [-1] * g.n
+    for i, star in enumerate(packing):
+        leaves = set(star[1:])
+        if (
+            len(star) != k + 1
+            or not all(0 <= v < g.n for v in star)
+            or len(leaves) != k
+            or not leaves.issubset(adj[star[0]])
+        ):
+            failures.append(f"{star} is not a {k}-star")
+            continue
+        hood = set(star).union(*(adj[v] for v in star))
+        for j in sorted({owner[u] for u in hood if owner[u] >= 0}):
+            failures.append(f"stars {packing[j]} and {star} have overlapping closed neighborhoods")
+        for u in hood:
+            if owner[u] < 0:
+                owner[u] = i
+    if len(dominators) != len(packing):
+        failures.append(f"set has {len(dominators)} vertices, packing has {len(packing)} stars")
+    return failures
 
 
 # ---------------------------------------------------------------------------
 # Normalization (leaf-free / support-free witnesses)
 # ---------------------------------------------------------------------------
 
-def normalize_no_leaves(g: Graph, sol: IsolationSolution) -> IsolationSolution:
+def normalize_no_leaves(t: Tree, sol: IsolationSolution) -> IsolationSolution:
     """Replace every leaf in the solution by its support vertex.
 
-    Requires a connected graph with n >= 3 (so no support is itself a
-    leaf).  For a minimum input the replacement is collision-free, keeps
-    the size, and preserves the isolating property.
+    Requires n >= 3 (so no support is itself a leaf).  For a minimum input
+    the replacement is collision-free, keeps the size, and preserves the
+    isolating property.
     """
-    if g.n < 3:
-        raise GraphError(f"normalization needs n >= 3, got {g.n}")
-    if not g.is_connected():
-        raise GraphError("normalization needs a connected graph")
+    if t.n < 3:
+        raise GraphError(f"normalization needs n >= 3, got {t.n}")
+    g = t.graph
     _check_vertex_set(g, sol.set)
     replaced = set()
     for v in sol.set:

@@ -44,11 +44,11 @@ from .graphs import (
 )
 from .solver import (
     BRUTE_FORCE_FREE_N,
-    gamma_bruteforce,
-    iota_all_roots,
+    certificate_failures,
     iota_bruteforce,
     iota_tree_dp,
     is_isolating,
+    isolation_certificate,
     normalize_no_deg2_support,
     normalize_no_leaves,
 )
@@ -196,10 +196,12 @@ def check_tree(t: Tree, config: SweepConfig, source: str = "enumerated") -> Swee
                 violations.append(f"k={k}: dp={iota} != brute_force={bf.size}")
             if not is_isolating(g, sol.set, k):
                 violations.append(f"k={k}: dp witness fails verification")
-            for root, value in enumerate(iota_all_roots(t, k)):
-                if value != iota:
-                    violations.append(f"k={k}: dp optimum differs at root {root}")
-                    break
+            cert_set, packing = isolation_certificate(t, k)
+            violations.extend(
+                f"k={k}: {f}" for f in certificate_failures(g, k, cert_set, packing)
+            )
+            if len(packing) != iota:
+                violations.append(f"k={k}: dp={iota} != certificate={len(packing)}")
 
         if "bounds" in checks:
             for name, value in report.bounds.items():
@@ -298,7 +300,7 @@ def check_tree(t: Tree, config: SweepConfig, source: str = "enumerated") -> Swee
                 )
 
         if "normalizers" in checks and n >= 3:
-            norm = normalize_no_leaves(g, sol)
+            norm = normalize_no_leaves(t, sol)
             if norm.size != sol.size or not is_isolating(g, norm.set, k):
                 violations.append(f"k={k}: leaf normalization broke the witness")
             if norm.set & t.leaf_set:
@@ -315,9 +317,12 @@ def check_tree(t: Tree, config: SweepConfig, source: str = "enumerated") -> Swee
         per_k[k] = entry
 
     if "bounds" in checks and 2 <= n <= config.bf_max:
-        gamma = gamma_bruteforce(g).size
-        if 2 * gamma > n:
-            violations.append(f"domination number {gamma} above n/2")
+        # k = 0: a minimum dominating set, proved by a 2-packing
+        dominators, packing = isolation_certificate(t, 0)
+        failures = certificate_failures(g, 0, dominators, packing)
+        violations.extend(f"k=0: {f}" for f in failures)
+        if not failures and 2 * len(dominators) > n:
+            violations.append(f"domination number {len(dominators)} above n/2")
 
     return SweepRecord(
         tree_code=canonical_code(t).decode("ascii"),

@@ -233,7 +233,7 @@ def test_acceptance_8_normalizer_contracts():
     for n in range(3, 11):
         for t in enumerate_free_trees(n):
             sol = iota_tree_dp(t, 1)
-            norm = normalize_no_leaves(t.graph, sol)
+            norm = normalize_no_leaves(t, sol)
             if norm.size != sol.size:
                 failures.append(f"n={n}: leaf normalization changed the size")
             if not is_isolating(t.graph, norm.set, 1):

@@ -191,6 +191,13 @@ class TestRecognize:
     def test_tk_needs_k_at_least_two(self, p8_file):
         assert main(["recognize", "--family", "Tk", "--k", "1", "--input", p8_file]) == 1
 
+    @pytest.mark.parametrize("k", ["0", "-3"])
+    def test_corona_char_needs_k_at_least_one(self, p6_file, capsys, k):
+        assert main(["recognize", "--family", "corona-char", "--k", k, "--input", p6_file]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"need k >= 1, got {k}" in captured.err
+
 
 class TestGenerate:
     def test_family_f_round_trips(self, capsys):
@@ -286,12 +293,12 @@ class TestSweepCommand:
 
     def test_violations_exit_code(self, monkeypatch, capsys):
         import stariso.sweep
-        from stariso.sweep import SweepRecord
+        from stariso.sweep import SweepLine
 
-        broken = SweepRecord(
-            tree_code="10", source="enumerated", n=2, l=2, s=2, diam=1,
-            family_F=False, per_k={1: {"iota": 1}},
+        broken = SweepLine(
+            n=2, tree_code="10", source="enumerated",
             violations=["synthetic violation for the exit-code path"],
+            line="{}",
         )
         monkeypatch.setattr(stariso.sweep, "run_sweep", lambda config: ([broken], 1))
         assert main(["sweep", "--max-n", "2"]) == 2

@@ -474,6 +474,11 @@ class TestCharOrderMinusLeaves:
         with pytest.raises(FamilyError, match="< k=2"):
             gen_char_orderminusleaves("c4", 2, leaf_counts=[2, 2, 2, 1])
 
+    @pytest.mark.parametrize("k", [0, -3])
+    def test_k_below_one_rejected(self, k):
+        with pytest.raises(FamilyError, match=f"need k >= 1, got {k}"):
+            recognize_char_orderminusleaves(path_tree(6).graph, k)
+
     def test_five_path_not_recognized(self):
         assert recognize_char_orderminusleaves(path_tree(5).graph, 1) is None
 

@@ -1,13 +1,18 @@
 """Exact ground truth at scale: family members of 10^4 to 10^5 vertices
 whose isolation number is known in closed form, checked against the tree
-DP, re-verified through ``is_isolating`` and checked at every root
-through the rerooting DP."""
+DP, re-verified through ``is_isolating`` and proved optimal by the packing
+certificate."""
 
 import random
 from fractions import Fraction
 
 from stariso.families import gen_family_F, gen_family_Tk, recognize_Tk
-from stariso.solver import iota_all_roots, iota_tree_dp, is_isolating
+from stariso.solver import (
+    certificate_failures,
+    iota_tree_dp,
+    is_isolating,
+    isolation_certificate,
+)
 
 
 def constructive_tk_wiring(rng, k, sizes):
@@ -53,7 +58,9 @@ def test_family_F_at_eighty_thousand_vertices():
     sol = iota_tree_dp(t, 1)
     assert sol.size == expected
     assert is_isolating(t.graph, sol.set, 1)
-    assert all(value == expected for value in iota_all_roots(t, 1))
+    dominators, packing = isolation_certificate(t, 1)
+    assert certificate_failures(t.graph, 1, dominators, packing) == []
+    assert len(packing) == expected
 
 
 def test_family_Tk_at_ten_thousand_vertices():
@@ -67,7 +74,9 @@ def test_family_Tk_at_ten_thousand_vertices():
     sol = iota_tree_dp(t, k)
     assert sol.size == expected
     assert is_isolating(t.graph, sol.set, k)
-    assert all(value == expected for value in iota_all_roots(t, k))
+    dominators, packing = isolation_certificate(t, k)
+    assert certificate_failures(t.graph, k, dominators, packing) == []
+    assert len(packing) == expected
     got = recognize_Tk(t, k)
     assert got is not None
     assert (got.a_set, got.c_set, got.h) == (cert.a_set, cert.c_set, cert.h)

@@ -1,5 +1,5 @@
-"""Solver tests: residual graphs, brute force, the tree DP, domination
-and the witness normalizers."""
+"""Solver tests: residual graphs, brute force, the tree DP, the packing
+certificate, domination and the witness normalizers."""
 
 import hashlib
 import itertools
@@ -21,12 +21,13 @@ from stariso.solver import (
     InstanceTooLarge,
     IsolationSolution,
     SizeCapExceeded,
+    certificate_failures,
     contains_k_star,
     gamma_bruteforce,
-    iota_all_roots,
     iota_bruteforce,
     iota_tree_dp,
     is_isolating,
+    isolation_certificate,
     normalize_no_deg2_support,
     normalize_no_leaves,
     residual,
@@ -241,7 +242,17 @@ class TestTreeDp:
                     assert (iota_tree_dp(t, k).size == 0) == (t.max_degree < k)
 
 
+def certified_size(t, k):
+    """Size of the packing certificate, which must prove itself."""
+    dominators, packing = isolation_certificate(t, k)
+    assert certificate_failures(t.graph, k, dominators, packing) == []
+    return len(packing)
+
+
 class TestAllRoots:
+    """Root invariance: the DP's optimum at every root is the size of the
+    verified certificate."""
+
     @staticmethod
     def per_root(t, k):
         return [iota_tree_dp(t, k, root=r).size for r in range(t.n)]
@@ -250,16 +261,66 @@ class TestAllRoots:
     def test_matches_the_dp_at_every_root_exhaustively(self, n):
         for t in enumerate_free_trees(n):
             for k in (1, 2, 3, 4):
-                assert iota_all_roots(t, k) == self.per_root(t, k)
+                assert self.per_root(t, k) == [certified_size(t, k)] * n
 
     @given(random_trees(min_n=2, max_n=60), st.integers(1, 5))
     @settings(max_examples=150, deadline=None)
     def test_matches_the_dp_at_every_root_random(self, t, k):
-        assert iota_all_roots(t, k) == self.per_root(t, k)
+        assert self.per_root(t, k) == [certified_size(t, k)] * t.n
 
-    def test_k_must_be_positive(self):
-        with pytest.raises(ValueError, match="k must be positive"):
-            iota_all_roots(as_tree(path_graph(3)), 0)
+
+class TestIsolationCertificate:
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_k0_is_the_domination_number(self, n):
+        for t in enumerate_free_trees(n):
+            assert certified_size(t, 0) == gamma_bruteforce(t.graph).size
+
+    @given(random_trees(min_n=2, max_n=200), st.integers(0, 5))
+    @settings(max_examples=200, deadline=None)
+    def test_random_trees(self, t, k):
+        size = certified_size(t, k)
+        if k:
+            assert size == iota_tree_dp(t, k).size
+
+    def test_deepest_top_first(self):
+        # 7-path rooted at 0, k = 1: the edge 5-6 is the free star with the
+        # deepest top (4), then 1-2 is free with top 0
+        t = as_tree(path_graph(7))
+        assert isolation_certificate(t, 1) == (frozenset({0, 4}), [(5, 6), (1, 2)])
+
+    def test_negative_k_rejected(self):
+        with pytest.raises(ValueError, match="k must be nonnegative"):
+            isolation_certificate(as_tree(path_graph(3)), -1)
+
+    def test_non_isolating_set(self):
+        assert certificate_failures(path_graph(3), 1, frozenset(), []) == [
+            "set is not isolating: vertex 0 keeps residual degree 1"
+        ]
+
+    def test_overlapping_stars(self):
+        g = path_graph(7)
+        assert certificate_failures(g, 1, {1, 4}, [(0, 1), (2, 3)]) == [
+            "stars (0, 1) and (2, 3) have overlapping closed neighborhoods"
+        ]
+
+    def test_non_stars(self):
+        g = path_graph(7)
+        packing = [(0, 1), (5, 3), (4, 3, 5), (6, 9), ()]
+        assert certificate_failures(g, 1, {1, 4, 5, 6, 3}, packing) == [
+            "(5, 3) is not a 1-star",
+            "(4, 3, 5) is not a 1-star",
+            "(6, 9) is not a 1-star",
+            "() is not a 1-star",
+        ]
+        # a repeated leaf: three entries, but two distinct vertices
+        assert certificate_failures(star_graph(3), 2, {0}, [(0, 1, 1)]) == [
+            "(0, 1, 1) is not a 2-star"
+        ]
+
+    def test_size_mismatch(self):
+        assert certificate_failures(path_graph(7), 1, {1, 4}, [(0, 1)]) == [
+            "set has 2 vertices, packing has 1 stars"
+        ]
 
 
 def min_k1_isolating_size(g):
@@ -299,29 +360,25 @@ class TestDomination:
 
 class TestNormalizeNoLeaves:
     def test_five_path_leaf_moves_to_support(self):
-        g = path_graph(5)
-        out = normalize_no_leaves(g, IsolationSolution(1, frozenset({0}), 1, "brute_force"))
+        t = as_tree(path_graph(5))
+        out = normalize_no_leaves(t, IsolationSolution(1, frozenset({0}), 1, "brute_force"))
         assert out.set == frozenset({1})
 
     def test_interior_vertex_unchanged(self):
-        g = path_graph(5)
-        sol = iota_bruteforce(g, 1)
+        t = as_tree(path_graph(5))
+        sol = iota_bruteforce(t.graph, 1)
         assert sol.set == frozenset({2})
-        assert normalize_no_leaves(g, sol).set == frozenset({2})
+        assert normalize_no_leaves(t, sol).set == frozenset({2})
 
     def test_star_leaf_moves_to_center(self):
-        g = star_graph(3)
-        out = normalize_no_leaves(g, IsolationSolution(1, frozenset({1}), 1, "brute_force"))
+        t = as_tree(star_graph(3))
+        out = normalize_no_leaves(t, IsolationSolution(1, frozenset({1}), 1, "brute_force"))
         assert out.set == frozenset({0})
 
     def test_needs_three_vertices(self):
+        t = as_tree(path_graph(2))
         with pytest.raises(GraphError):
-            normalize_no_leaves(path_graph(2), IsolationSolution(1, frozenset({0}), 1, "brute_force"))
-
-    def test_needs_connected(self):
-        g = build_graph(4, [(0, 1), (2, 3)])
-        with pytest.raises(GraphError):
-            normalize_no_leaves(g, IsolationSolution(1, frozenset({0}), 1, "brute_force"))
+            normalize_no_leaves(t, IsolationSolution(1, frozenset({0}), 1, "brute_force"))
 
 
 class TestNormalizeNoDeg2Support:
@@ -375,7 +432,7 @@ class TestNormalizerContracts:
         for t in enumerate_free_trees(n):
             for k in (1, 2):
                 sol = iota_tree_dp(t, k)
-                out = normalize_no_leaves(t.graph, sol)
+                out = normalize_no_leaves(t, sol)
                 assert out.size == sol.size
                 assert is_isolating(t.graph, out.set, k)
                 assert not out.set & t.leaf_set

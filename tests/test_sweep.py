@@ -96,56 +96,82 @@ class TestCheckTree:
 
 
 class TestDpCalls:
-    """check_tree solves each k once; the every-root oracle adds one
-    rerooting pass per k and no DP call."""
+    """check_tree solves each k once; the oracle adds one certificate per k,
+    the bounds suite one k = 0 certificate, and neither calls the
+    domination brute force."""
 
     @staticmethod
     def count_calls(monkeypatch, t, cfg):
+        import stariso.solver
         import stariso.sweep
 
-        calls = {"iota_tree_dp": [], "iota_all_roots": []}
+        def no_brute_force(g):
+            raise AssertionError("the sweep called gamma_bruteforce")
+
+        monkeypatch.setattr(stariso.solver, "gamma_bruteforce", no_brute_force)
+        monkeypatch.setattr(stariso.sweep, "gamma_bruteforce", no_brute_force, raising=False)
+        calls = {"iota_tree_dp": [], "isolation_certificate": []}
         for name, log in calls.items():
             real = getattr(stariso.sweep, name)
 
             def counting(*args, _real=real, _log=log, **kwargs):
-                _log.append(args)
+                _log.append(args[1])
                 return _real(*args, **kwargs)
 
             monkeypatch.setattr(stariso.sweep, name, counting)
         rec = check_tree(t, cfg)
         assert rec.violations == []
-        return len(calls["iota_tree_dp"]), len(calls["iota_all_roots"])
+        return len(calls["iota_tree_dp"]), calls["isolation_certificate"]
 
     @pytest.mark.parametrize("k_list", [(1,), (2,), (3, 2), (1, 2, 3)])
     def test_once_per_k_without_oracle(self, monkeypatch, k_list):
         checks = tuple(c for c in CHECK_SUITES if c != "oracle")
         cfg = SweepConfig(max_n=8, k_list=k_list, checks=checks)
         calls = self.count_calls(monkeypatch, path_tree(8), cfg)
-        assert calls == (len(set(k_list) | {1}), 0)
+        assert calls == (len(set(k_list) | {1}), [0])
 
     @pytest.mark.parametrize("k_list", [(1,), (2, 3)])
-    def test_oracle_adds_every_root(self, monkeypatch, k_list):
+    def test_oracle_adds_one_certificate_per_k(self, monkeypatch, k_list):
         cfg = SweepConfig(max_n=8, k_list=k_list, bf_max=8)
         calls = self.count_calls(monkeypatch, path_tree(8), cfg)
-        assert calls == (len(set(k_list) | {1}), len(k_list))
+        assert calls == (len(set(k_list) | {1}), [*k_list, 0])
 
-    def test_every_root_check_names_the_first_bad_root(self, monkeypatch):
+    def test_no_certificate_above_bf_max(self, monkeypatch):
+        cfg = SweepConfig(max_n=8, k_list=(1, 2), bf_max=7)
+        assert self.count_calls(monkeypatch, path_tree(8), cfg) == (2, [])
+
+    def test_forged_certificate_names_each_fault(self, monkeypatch):
         import stariso.sweep
 
-        real = stariso.sweep.iota_all_roots
+        real = stariso.sweep.isolation_certificate
 
-        def off_at_three_and_five(t, k):
-            values = real(t, k)
-            values[3] += 1
-            values[5] += 1
-            return values
+        def one_star_short(t, k):
+            dominators, packing = real(t, k)
+            return dominators, packing[:-1]
 
-        monkeypatch.setattr(stariso.sweep, "iota_all_roots", off_at_three_and_five)
-        cfg = SweepConfig(max_n=8, k_list=(1, 2, 3), bf_max=8)
+        monkeypatch.setattr(stariso.sweep, "isolation_certificate", one_star_short)
+        cfg = SweepConfig(max_n=8, k_list=(1, 2), bf_max=8)
         rec = check_tree(path_tree(8), cfg)
+        # the 8-path: iota_1 = iota_2 = 2, domination number 3
         assert rec.violations == [
-            f"k={k}: dp optimum differs at root 3" for k in (1, 2, 3)
+            "k=1: set has 2 vertices, packing has 1 stars",
+            "k=1: dp=2 != certificate=1",
+            "k=2: set has 2 vertices, packing has 1 stars",
+            "k=2: dp=2 != certificate=1",
+            "k=0: set has 3 vertices, packing has 2 stars",
         ]
+
+
+    def test_domination_bound_reads_the_certificate(self, monkeypatch):
+        import stariso.sweep
+
+        def one_above_half(t, k):
+            return frozenset(range(t.n // 2 + 1)), [(v,) for v in range(t.n // 2 + 1)]
+
+        monkeypatch.setattr(stariso.sweep, "isolation_certificate", one_above_half)
+        monkeypatch.setattr(stariso.sweep, "certificate_failures", lambda *args: [])
+        rec = check_tree(path_tree(8), SweepConfig(max_n=8, k_list=(1,), checks=("bounds",)))
+        assert rec.violations == ["domination number 5 above n/2"]
 
 
 class TestCoronaPass:
