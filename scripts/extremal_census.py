@@ -14,7 +14,7 @@ import argparse
 import json
 from collections import defaultdict
 
-from stariso.sweep import SweepConfig, run_sweep
+from stariso.sweep import SweepConfig, sweep_lines
 
 NAMES = ("caro_trees", "order_minus_leaves", "order_plus_leaves", "star_bound")
 
@@ -25,33 +25,35 @@ def main() -> None:
     parser.add_argument("--k-list", default="1,2,3")
     args = parser.parse_args()
     ks = [int(f) for f in args.k_list.split(",")]
-    lines, _ = run_sweep(SweepConfig(args.max_n, tuple(ks), checks=(), bf_max=0))
-    records = [json.loads(rec.line) for rec in lines]
+
+    # one streaming pass over the records; the per-k counts are keyed by (k, n)
+    classes: dict[int, int] = defaultdict(int)
+    zero: dict[tuple[int, int], int] = defaultdict(int)
+    members: dict[tuple[int, int], int] = defaultdict(int)
+    eq_counts: dict[tuple[int, int, str], int] = defaultdict(int)
+    for line in sweep_lines(SweepConfig(args.max_n, tuple(ks), checks=(), bf_max=0)):
+        rec = json.loads(line.line)
+        n = rec["n"]
+        classes[n] += 1
+        for k in ks:
+            entry = rec["k"][str(k)]
+            zero[k, n] += entry["iota"] == 0
+            for name, flag in entry["equality"].items():
+                eq_counts[k, n, name] += flag
+            if k == 1:
+                members[k, n] += rec["family_F"]
+            else:
+                members[k, n] += (n == k + 1 and rec["l"] == k) or entry["tk_member"]
 
     for k in ks:
         print(f"\n== k = {k} ==")
-        classes: dict[int, int] = defaultdict(int)
-        zero: dict[int, int] = defaultdict(int)
-        members: dict[int, int] = defaultdict(int)
-        eq_counts: dict[tuple[int, str], int] = defaultdict(int)
-        for rec in records:
-            n = rec["n"]
-            entry = rec["k"][str(k)]
-            classes[n] += 1
-            zero[n] += entry["iota"] == 0
-            for name, flag in entry["equality"].items():
-                eq_counts[n, name] += flag
-            if k == 1:
-                members[n] += rec["family_F"]
-            else:
-                members[n] += (n == k + 1 and rec["l"] == k) or entry["tk_member"]
         family = "family" if k == 1 else "star+hub"
         print(f"{'n':>3} {'classes':>8} {'iota=0':>7} "
               + " ".join(f"{name[:7]:>7}" for name in NAMES) + f" {family:>8}")
         for n in range(1, args.max_n + 1):
-            row = [f"{n:>3}", f"{classes[n]:>8}", f"{zero[n]:>7}"]
-            row += [f"{eq_counts[n, name]:>7}" for name in NAMES]
-            row.append(f"{members[n]:>8}")
+            row = [f"{n:>3}", f"{classes[n]:>8}", f"{zero[k, n]:>7}"]
+            row += [f"{eq_counts[k, n, name]:>7}" for name in NAMES]
+            row.append(f"{members[k, n]:>8}")
             print(" ".join(row))
     print("\nequality columns count isomorphism classes with iota equal to the bound;")
     print("the final column counts recognized extremal-family members.")

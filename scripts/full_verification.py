@@ -53,9 +53,8 @@ def main() -> int:
         return 1
 
     t0 = time.time()
-    records, violations = run_sweep(config)
-    enumerated = sum(1 for r in records if r.source == "enumerated")
-    print(f"sweep: {enumerated} trees (n <= {args.max_n}), k in {ks}, "
+    summary, violations = run_sweep(config)
+    print(f"sweep: {summary.enumerated} trees (n <= {args.max_n}), k in {ks}, "
           f"{violations} violations  [{time.time() - t0:.1f}s]")
 
     extra_violations = 0

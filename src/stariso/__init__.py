@@ -58,7 +58,7 @@ _EXPORTS = {
         "normalize_no_leaves",
         "residual",
     ),
-    "sweep": ("SweepConfig", "SweepRecord", "run_sweep"),
+    "sweep": ("SweepConfig", "SweepRecord", "SweepSummary", "run_sweep", "sweep_lines"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -256,7 +256,7 @@ def generate(family: str, r: int, s: int, k: int, n: int | None, n0: int,
 def sweep(ctx: click.Context, max_n: int, k_list: str, checks: str,
           output_path: str | None, jobs: int, seed: int, bf_max: int) -> None:
     """Machine-check every statement over all free trees up to --max-n."""
-    from .sweep import SweepConfig, run_sweep
+    from .sweep import REPORTED_VIOLATIONS, SweepConfig, run_sweep
 
     try:
         ks = tuple(int(f) for f in k_list.split(","))
@@ -276,22 +276,21 @@ def sweep(ctx: click.Context, max_n: int, k_list: str, checks: str,
     except ValueError as exc:
         raise click.ClickException(str(exc)) from exc
     try:
-        records, violations = run_sweep(config)
+        summary, violations = run_sweep(config)
     except OSError as exc:
         raise click.ClickException(f"cannot write {output_path}: {exc}") from exc
-    enumerated = sum(1 for rec in records if rec.source == "enumerated")
-    click.echo(f"checked {enumerated} trees (+{len(records) - enumerated} generated), "
-               f"{violations} violations")
+    click.echo(f"checked {summary.enumerated} trees "
+               f"(+{len(summary) - summary.enumerated} generated), {violations} violations")
     if violations:
         shown = 0
-        for rec in records:
+        for rec in summary.violating:
             for v in rec.violations:
                 click.echo(f"VIOLATION n={rec.n} code={rec.tree_code}: {v}", err=True)
                 shown += 1
-                if shown >= 50:
+                if shown >= REPORTED_VIOLATIONS:
                     click.echo("... further violations suppressed", err=True)
                     break
-            if shown >= 50:
+            if shown >= REPORTED_VIOLATIONS:
                 break
         ctx.exit(2)
 

@@ -11,10 +11,16 @@ from __future__ import annotations
 import json
 import os
 import random
+import tempfile
+from collections import defaultdict
+from collections.abc import Iterable, Iterator
+from contextlib import ExitStack, contextmanager, nullcontext
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import chain, groupby
 from multiprocessing import Pool
-from typing import NamedTuple
+from operator import attrgetter, itemgetter
+from typing import IO, NamedTuple, TextIO
 
 from .bounds import (
     ORDER_PLUS_LEAVES,
@@ -68,6 +74,10 @@ MAX_SWEEP_N = 20
 #: Trees per task batch sent to a worker: large enough to amortize the
 #: pickling round trip, small enough to keep every worker busy at the end.
 CHUNKSIZE = 32
+
+#: A ``SweepSummary`` keeps the violating records until they hold this
+#: many violations: the CLI prints no more.
+REPORTED_VIOLATIONS = 50
 
 
 @dataclass(frozen=True)
@@ -369,29 +379,111 @@ def _worker(config: SweepConfig, levels: tuple[int, ...]) -> SweepLine:
     return _to_line(check_tree(as_tree(build_graph(len(levels), level_edges(levels))), config))
 
 
-def run_sweep(config: SweepConfig) -> tuple[list[SweepLine], int]:
-    """Execute the sweep; returns (one ``SweepLine`` per record, sorted by
-    order, tree code and source; the violation count) and writes the JSON
-    lines when an output path is configured.
+def _sorted_order(spill: IO[bytes], n: int, lines: Iterable[SweepLine]) -> Iterator[SweepLine]:
+    """Yield one order's lines sorted by tree code and source, holding
+    only their keys: the lines wait in ``spill``, emptied at the end."""
+    keys = []
+    offset = 0
+    for line in lines:
+        data = line.line.encode()
+        spill.write(data)
+        keys.append((line.tree_code, line.source, line.violations, offset, len(data)))
+        offset += len(data)
+    spill.flush()
+    # stable: equal keys (only among generated records) keep their order
+    keys.sort(key=itemgetter(0, 1))
+    for tree_code, source, violations, offset, size in keys:
+        data = os.pread(spill.fileno(), size, offset)
+        yield SweepLine(n, tree_code, source, violations, data.decode())
+    spill.seek(0)
+    spill.truncate()
+
+
+def sweep_lines(config: SweepConfig) -> Iterator[SweepLine]:
+    """Yield one ``SweepLine`` per record, sorted by order, tree code and
+    source.
 
     The enumeration streams level sequences, order by order, to the
-    workers, which build and check each tree and return its JSON line, so
-    the parent only sorts and writes.
+    workers, which build and check each tree and return its JSON line.
+    The lines come back grouped by ascending order (``imap`` and ``map``
+    keep task order), so the parent appends each order's lines to a
+    temporary spill file, sorts that order's keys and yields its lines
+    read back from the spill before the next order starts: it holds one
+    order's keys, and the spill one order's lines.  The constructive
+    records are checked first; each joins its own order, and those above
+    ``max_n`` come last.
     """
     config.validate()
+    generated: dict[int, list[SweepLine]] = defaultdict(list)
+    if "constructive" in config.active_checks():
+        for rec in _constructive_records(config):
+            generated[rec.n].append(_to_line(rec))
     tasks = (levels for n in range(1, config.max_n + 1) for levels in free_tree_levels(n))
     worker = partial(_worker, config)
-    if config.jobs > 1:
-        with Pool(config.jobs) as pool:
-            lines = list(pool.imap(worker, tasks, chunksize=CHUNKSIZE))
-    else:
-        lines = list(map(worker, tasks))
-    if "constructive" in config.active_checks():
-        lines.extend(map(_to_line, _constructive_records(config)))
-    lines.sort(key=lambda r: (r.n, r.tree_code, r.source))
-    total_violations = sum(len(r.violations) for r in lines)
-    if config.output_path:
-        with open(config.output_path, "w", encoding="utf-8") as fh:
-            for rec in lines:
-                fh.write(rec.line + "\n")
-    return lines, total_violations
+    with ExitStack() as stack:
+        if config.jobs > 1:
+            pool = stack.enter_context(Pool(config.jobs))
+            lines = pool.imap(worker, tasks, chunksize=CHUNKSIZE)
+        else:
+            lines = map(worker, tasks)
+        spill = stack.enter_context(tempfile.TemporaryFile())
+        for n, order in groupby(lines, key=attrgetter("n")):
+            yield from _sorted_order(spill, n, chain(order, generated.pop(n, ())))
+    yield from sorted(chain.from_iterable(generated.values()),
+                      key=attrgetter("n", "tree_code", "source"))
+
+
+@dataclass
+class SweepSummary:
+    """What ``run_sweep`` keeps of its records: the counts, and the
+    violating records up to the first ``REPORTED_VIOLATIONS`` violations.
+    ``len()`` is the number of records."""
+
+    records: int = 0
+    enumerated: int = 0
+    violating: list[SweepLine] = field(default_factory=list)
+
+    def __len__(self) -> int:
+        return self.records
+
+
+@contextmanager
+def _all_or_nothing(path: str) -> Iterator[TextIO]:
+    """Write to ``<path>.partial``, opened at once; move it onto ``path``
+    when the block succeeds and delete it when anything raises."""
+    tmp = f"{path}.partial"
+    fh = open(tmp, "w", encoding="utf-8")
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
+def run_sweep(config: SweepConfig) -> tuple[SweepSummary, int]:
+    """Execute the sweep; returns (a ``SweepSummary``, the violation count)
+    and, when an output path is configured, writes each record's JSON line
+    as ``sweep_lines`` yields it.
+
+    The output is opened before any tree is checked, so an unwritable
+    path fails at once.  It is written as ``<path>.partial`` and renamed
+    onto ``path`` only when the sweep completes; a failed run removes it
+    and leaves an older file at ``path`` as it was.
+    """
+    config.validate()
+    summary = SweepSummary()
+    violations = 0
+    path = config.output_path
+    with _all_or_nothing(path) if path else nullcontext() as out:
+        for line in sweep_lines(config):
+            if out is not None:
+                out.write(line.line + "\n")
+            summary.records += 1
+            summary.enumerated += line.source == "enumerated"
+            if line.violations:
+                if violations < REPORTED_VIOLATIONS:
+                    summary.violating.append(line)
+                violations += len(line.violations)
+    return summary, violations

@@ -293,17 +293,35 @@ class TestSweepCommand:
 
     def test_violations_exit_code(self, monkeypatch, capsys):
         import stariso.sweep
-        from stariso.sweep import SweepLine
+        from stariso.sweep import SweepLine, SweepSummary
 
         broken = SweepLine(
             n=2, tree_code="10", source="enumerated",
             violations=["synthetic violation for the exit-code path"],
             line="{}",
         )
-        monkeypatch.setattr(stariso.sweep, "run_sweep", lambda config: ([broken], 1))
+        summary = SweepSummary(records=1, enumerated=1, violating=[broken])
+        monkeypatch.setattr(stariso.sweep, "run_sweep", lambda config: (summary, 1))
         assert main(["sweep", "--max-n", "2"]) == 2
         captured = capsys.readouterr()
-        assert "VIOLATION" in captured.err
+        assert captured.out == "checked 1 trees (+0 generated), 1 violations\n"
+        assert captured.err == (
+            "VIOLATION n=2 code=10: synthetic violation for the exit-code path\n"
+        )
+
+    def test_unwritable_out_fails_before_any_work(self, monkeypatch, tmp_path, capsys):
+        import stariso.sweep
+
+        def never(*args, **kwargs):
+            raise AssertionError("no tree may be checked")
+
+        monkeypatch.setattr(stariso.sweep, "Pool", never)
+        monkeypatch.setattr(stariso.sweep, "_worker", never)
+        monkeypatch.setattr(stariso.sweep, "check_tree", never)
+        out = tmp_path / "no" / "such" / "r.jsonl"
+        assert main(["sweep", "--max-n", "16", "--jobs", "2", "--out", str(out)]) == 1
+        assert f"cannot write {out}: " in capsys.readouterr().err
+        assert not out.parent.exists()
 
     def test_checks_help_lists_every_suite(self):
         from stariso.cli import sweep

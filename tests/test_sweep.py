@@ -15,10 +15,13 @@ from stariso.graphs import as_tree, build_graph, canonical_code, enumerate_free_
 from stariso.sweep import (
     CHECK_SUITES,
     CHUNKSIZE,
+    REPORTED_VIOLATIONS,
     SweepConfig,
+    SweepLine,
     _strip_to_single_leaves,
     check_tree,
     run_sweep,
+    sweep_lines,
 )
 
 
@@ -195,10 +198,7 @@ class TestCoronaPass:
 
 class TestRunSweep:
     def test_clean_up_to_nine(self):
-        records, violations = run_sweep(
-            SweepConfig(max_n=9, k_list=(1, 2, 3), seed=4)
-        )
-        assert violations == 0
+        records = list(sweep_lines(SweepConfig(max_n=9, k_list=(1, 2, 3), seed=4)))
         enumerated = [r for r in records if r.source == "enumerated"]
         assert len(enumerated) == 95  # 1+1+1+2+3+6+11+23+47
         generated = [r for r in records if r.source == "generated"]
@@ -206,48 +206,106 @@ class TestRunSweep:
         assert all(not r.violations for r in records)
 
     def test_records_sorted(self):
-        records, _ = run_sweep(SweepConfig(max_n=6, k_list=(1,), seed=0))
+        records = list(sweep_lines(SweepConfig(max_n=6, k_list=(1,), seed=0)))
         keys = [(r.n, r.tree_code, r.source) for r in records]
         assert keys == sorted(keys)
 
     def test_output_file(self, tmp_path):
         out = tmp_path / "r.jsonl"
-        records, _ = run_sweep(
-            SweepConfig(max_n=5, k_list=(1,), seed=0, output_path=str(out))
-        )
-        lines = out.read_text().splitlines()
-        assert len(lines) == len(records)
-        assert json.loads(lines[0])["n"] == 1
+        config = SweepConfig(max_n=5, k_list=(1,), seed=0, output_path=str(out))
+        summary, violations = run_sweep(config)
+        records = list(sweep_lines(replace(config, output_path=None)))
+        assert len(summary) == len(records)
+        assert (summary.enumerated, violations) == (8, 0)  # 1+1+1+2+3 trees
+        assert summary.violating == []
+        assert out.read_text() == "".join(r.line + "\n" for r in records)
+        assert json.loads(records[0].line)["n"] == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["r.jsonl"]
 
     def test_subset_of_checks(self):
-        records, violations = run_sweep(
+        records = list(sweep_lines(
             SweepConfig(max_n=7, k_list=(2,), checks=("oracle", "tk-equality"), seed=0)
-        )
-        assert violations == 0
-        assert all(r.source == "enumerated" for r in records)
+        ))
+        assert all(r.source == "enumerated" and not r.violations for r in records)
 
     def test_parallel_matches_serial_across_chunks(self, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         config = SweepConfig(max_n=9, k_list=(1, 2), seed=3)
         assert 95 > 2 * CHUNKSIZE  # the 95 trees span several task batches
-        serial, _ = run_sweep(config)
-        parallel, _ = run_sweep(replace(config, jobs=2))
+        serial = list(sweep_lines(config))
+        parallel = list(sweep_lines(replace(config, jobs=2)))
         assert [r.line for r in parallel] == [r.line for r in serial]
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_output_matches_recorded_digest(self, monkeypatch, tmp_path, jobs):
         # recorded before the bound checks went integer, the corona
-        # recognizer was split and the JSON lines moved into the workers
+        # recognizer was split, the JSON lines moved into the workers and
+        # the records were streamed order by order
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         out = tmp_path / "r.jsonl"
-        lines, violations = run_sweep(
+        summary, violations = run_sweep(
             SweepConfig(max_n=10, k_list=(1, 2, 3), seed=0, jobs=jobs, output_path=str(out))
         )
-        assert (len(lines), violations) == (213, 0)
+        assert (len(summary), violations) == (213, 0)
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
             "ce0f15adb290a2fcb11ce933a9e241776ddda1961e57c5113a42b4e30ca7e6d2"
         )
-        assert out.read_text() == "".join(r.line + "\n" for r in lines)
+        assert len(out.read_text().splitlines()) == len(summary)
+
+    def test_streams_order_by_order(self, monkeypatch):
+        # the first record of order n is yielded before the worker has seen
+        # more than one tree of order n + 1
+        calls = []
+        real = stariso.sweep._worker
+
+        def counting(config, levels):
+            calls.append(len(levels))
+            return real(config, levels)
+
+        monkeypatch.setattr(stariso.sweep, "_worker", counting)
+        seen = {}
+        for rec in sweep_lines(SweepConfig(max_n=9, k_list=(1, 2), checks=("constructive",),
+                                           bf_max=0)):
+            seen.setdefault(rec.n, len(calls))
+        free_trees = [1, 1, 1, 2, 3, 6, 11, 23, 47]
+        for n in range(1, 10):
+            assert seen[n] <= sum(free_trees[:n]) + 1
+        assert len(calls) == 95
+
+    def test_summary_keeps_records_up_to_the_reported_violations(self, monkeypatch):
+        def failing(config, levels):
+            return SweepLine(len(levels), "".join(map(str, levels)), "enumerated",
+                             list("abcde"), "{}")
+
+        monkeypatch.setattr(stariso.sweep, "_worker", failing)
+        config = SweepConfig(max_n=7, k_list=(1,), checks=("bounds",))
+        summary, violations = run_sweep(config)
+        assert (len(summary), summary.enumerated, violations) == (25, 25, 125)
+        # a record is kept while fewer than 50 violations precede it: 0, 5, ..., 45
+        assert REPORTED_VIOLATIONS == 50
+        assert summary.violating == list(sweep_lines(config))[:10]
+
+    @pytest.mark.parametrize("older", [None, "older run\n"])
+    def test_crash_leaves_no_partial_output(self, monkeypatch, tmp_path, older):
+        real = stariso.sweep._worker
+
+        def crashing(config, levels):
+            if len(levels) == 6:
+                raise RuntimeError("worker crashed")
+            return real(config, levels)
+
+        monkeypatch.setattr(stariso.sweep, "_worker", crashing)
+        out = tmp_path / "r.jsonl"
+        if older is not None:
+            out.write_text(older)
+        with pytest.raises(RuntimeError, match="worker crashed"):
+            run_sweep(SweepConfig(max_n=7, k_list=(1,), checks=("bounds",), bf_max=0,
+                                  output_path=str(out)))
+        assert not (tmp_path / "r.jsonl.partial").exists()
+        if older is None:
+            assert not out.exists()
+        else:
+            assert out.read_text() == older
 
 
 def test_sweep_and_enumeration_never_import_networkx():
