@@ -282,16 +282,12 @@ def sweep(ctx: click.Context, max_n: int, k_list: str, checks: str,
     click.echo(f"checked {summary.enumerated} trees "
                f"(+{len(summary) - summary.enumerated} generated), {violations} violations")
     if violations:
-        shown = 0
-        for rec in summary.violating:
-            for v in rec.violations:
-                click.echo(f"VIOLATION n={rec.n} code={rec.tree_code}: {v}", err=True)
-                shown += 1
-                if shown >= REPORTED_VIOLATIONS:
-                    click.echo("... further violations suppressed", err=True)
-                    break
-            if shown >= REPORTED_VIOLATIONS:
-                break
+        reported = [(rec, v) for rec in summary.violating for v in rec.violations]
+        shown = reported[:REPORTED_VIOLATIONS]
+        for rec, v in shown:
+            click.echo(f"VIOLATION n={rec.n} code={rec.tree_code}: {v}", err=True)
+        if violations > len(shown):
+            click.echo("... further violations suppressed", err=True)
         ctx.exit(2)
 
 

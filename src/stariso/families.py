@@ -10,6 +10,10 @@ Three families are covered, each with a certificate type whose
   (parts A/B/C/L with degree-2 bridges and degree-k hubs);
 * the corona-style graphs attaining (n - l)/2 (4-cycles or coronas with
   pendant leaves).
+
+The two tree recognizers label a tree in one bottom-up pass over it rooted
+at its smallest leaf; ``validate`` alone decides whether that labeling
+makes it a member.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from .graphs import (
     Tree,
     as_tree,
     bfs_distances,
+    bfs_order,
     build_graph,
     prufer_decode,
 )
@@ -259,12 +264,14 @@ def gen_family_F(
 
 
 def recognize_F(t: Tree) -> FCertificate | None:
-    """Recover the forced A/B/C/X/Y labeling of t, or None.
+    """Recover the A/B/C/X/Y labeling of t, or None.
 
-    The labeling is uniquely determined when it exists: leaves are C, their
-    degree-2 supports are B, the supports' other neighbors are A, and the
-    X/Y split of the rest propagates from forced seeds.  The final
-    certificate is validated clause by clause before being returned.
+    The labeling is unique when it exists: leaves are C, their degree-2
+    supports are B and the supports' other neighbors are A.  The rest
+    splits into 4-path copies x - y - y' - x' whose y and y' have degree 2,
+    so rooted at a leaf each copy is a vertical chain below its upper x;
+    one bottom-up pass cuts the rest into such chains.  The certificate is
+    validated clause by clause before being returned.
     """
     g = t.graph
     n = g.n
@@ -300,84 +307,29 @@ def recognize_F(t: Tree) -> FCertificate | None:
         if any(w in b_set or w in c_set for w in g.adjacency[v]):
             return None
 
-    # propagate the X/Y split from forced seeds
-    label: dict[int, str] = {}
-    queue: deque[int] = deque()
-
-    def put(v: int, lab: str) -> bool:
-        if v in label:
-            return label[v] == lab
-        label[v] = lab
-        queue.append(v)
-        for w in g.adjacency[v]:
-            if w in rest:
-                queue.append(w)
-        return True
-
-    for v in rest:
-        in_rest = [w for w in g.adjacency[v] if w in rest]
-        if len(in_rest) != 2 or any(w in a_set for w in g.adjacency[v]):
-            if not put(v, "x"):
-                return None
-    while queue:
-        v = queue.popleft()
-        lab = label.get(v)
-        if lab is None:
-            continue
-        in_rest = [w for w in g.adjacency[v] if w in rest]
-        if lab == "y":
-            w1, w2 = in_rest
-            l1, l2 = label.get(w1), label.get(w2)
-            if l1 is not None and l2 is not None:
-                if {l1, l2} != {"x", "y"}:
-                    return None
-            elif l1 == "x" or l2 == "x":
-                if not put(w2 if l1 == "x" else w1, "y"):
-                    return None
-            elif l1 == "y" or l2 == "y":
-                if not put(w2 if l1 == "y" else w1, "x"):
-                    return None
-        else:
-            known_y = [w for w in in_rest if label.get(w) == "y"]
-            unknown = [w for w in in_rest if w not in label]
-            if len(known_y) > 1:
-                return None
-            if len(known_y) == 1:
-                for w in unknown:
-                    if not put(w, "x"):
-                        return None
-            elif len(unknown) == 1:
-                if not put(unknown[0], "y"):
-                    return None
-            elif not unknown:
-                return None  # an X vertex with no Y-neighbor available
-    if len(label) != len(rest):
-        return None  # propagation stalled: no consistent labeling
-    x_set = {v for v, lab in label.items() if lab == "x"}
-    y_set = rest - x_set
-
+    # each rest vertex extends the one chain of height < 3 below it (two
+    # such chains reject) or starts a chain; height 3 closes a 4-path copy
+    order, parent = bfs_order(g, min(c_set))
+    below: dict[int, int] = {}
+    height: dict[int, int] = {}
     p4 = []
-    seen = set()
-    for y in sorted(y_set):
-        if y in seen:
+    for v in reversed(order):
+        if v not in rest:
             continue
-        y_partners = [w for w in g.adjacency[y] if w in y_set]
-        x_nbrs = [w for w in g.adjacency[y] if w in x_set]
-        if len(y_partners) != 1 or len(x_nbrs) != 1:
-            return None
-        y2 = y_partners[0]
-        if y2 in seen:
-            return None
-        x_nbrs2 = [w for w in g.adjacency[y2] if w in x_set]
-        if len(x_nbrs2) != 1:
-            return None
-        x1, x2 = x_nbrs[0], x_nbrs2[0]
-        if x1 in seen or x2 in seen or x1 == x2:
-            return None
-        p4.append((x1, y, y2, x2))
-        seen.update((x1, y, y2, x2))
-    if seen != x_set | y_set:
+        w = below.get(v)
+        height[v] = 0 if w is None else height[w] + 1
+        if height[v] == 3:
+            y1, y2 = w, below[w]
+            x2 = below[y2]
+            p4.append((v, y1, y2, x2) if y1 < y2 else (x2, y2, y1, v))
+        elif parent[v] in rest:
+            if parent[v] in below:
+                return None
+            below[parent[v]] = v
+    if 4 * len(p4) != len(rest):
         return None
+    x_set = {x for q in p4 for x in (q[0], q[3])}
+    y_set = rest - x_set
 
     p3 = tuple(sorted((b_other[b], b, b_leaf[b]) for b in b_set))
     cert = FCertificate(
@@ -643,101 +595,59 @@ def gen_family_Tk(
     return tree, cert
 
 
-class _Reject(Exception):
-    """Raised inside recognize_Tk when the forced labeling conflicts."""
+# Kinds of a vertex in a T_k labeling rooted at a leaf, as bits so that a
+# vertex can collect the kinds of its children in one int.  An A vertex is
+# _A_BRIDGED when its bridge lies below it and _A_OPEN when its bridge is
+# its parent.
+_LEAF, _HUB, _BRIDGE_OVER_HUB, _BRIDGE_OVER_A, _A_BRIDGED, _A_OPEN = 1, 2, 4, 8, 16, 32
 
 
 def recognize_Tk(t: Tree, k: int) -> TkCertificate | None:
-    """Recover the forced A/B/C/L labeling of t for the given k, or None.
+    """Recover the A/B/C/L labeling of t for the given k, or None.
 
-    Propagation: supports become hubs, hubs spread to their bridges, each
-    bridge names its A vertex, A spreads along A-A edges and forces the
-    remaining bridges and leafless hubs.  A stalled or conflicting
-    propagation rejects; an accepted labeling is re-validated clause by
-    clause.
+    Rooted at a leaf, every vertex of a member is labeled by its children:
+    a vertex over a leaf or over a bridge to A is a hub, a vertex over a
+    hub is a bridge, a vertex over that bridge is an A vertex, a vertex
+    over an A vertex still without its bridge is that bridge, and any other
+    inner vertex is an A vertex whose bridge is its parent.  One bottom-up
+    pass labels every tree this way; ``TkCertificate.validate`` decides.
     """
     if k < 2:
         raise ValueError(f"the k >= 2 family needs k >= 2, got {k}")
     g = t.graph
     n = g.n
-    if n < 2 * k + 4:
+    if n < 2 * k + 4 or any(g.degree(s) != k for s in t.support_set):
         return None
-    leaves = set(t.leaf_set)
-    label: dict[int, str] = {}
-    queue: deque[int] = deque()
+    order, parent = bfs_order(g, min(t.leaf_set))
+    kind = [_LEAF] * n
+    below = [0] * n  # the kinds among each vertex's children
+    for v in reversed(order[1:]):  # the root is a leaf
+        kids = below[v]
+        if kids & (_LEAF | _BRIDGE_OVER_A):
+            kind[v] = _HUB
+        elif kids & _HUB:
+            kind[v] = _BRIDGE_OVER_HUB
+        elif kids & _BRIDGE_OVER_HUB:
+            kind[v] = _A_BRIDGED
+        elif kids & _A_OPEN:
+            kind[v] = _BRIDGE_OVER_A
+        elif kids:
+            kind[v] = _A_OPEN
+        below[parent[v]] |= kind[v]
 
-    def put(v: int, lab: str) -> None:
-        if v in leaves:
-            raise _Reject
-        old = label.get(v)
-        if old == lab:
-            return
-        if old is not None:
-            raise _Reject
-        if lab == "C" and g.degree(v) != k:
-            raise _Reject
-        if lab == "B" and g.degree(v) != 2:
-            raise _Reject
-        label[v] = lab
-        queue.append(v)
-        for w in g.adjacency[v]:
-            queue.append(w)
+    def labeled(kinds: int) -> frozenset[int]:
+        return frozenset(v for v in range(n) if kind[v] & kinds)
 
-    def examine(v: int) -> None:
-        lab = label.get(v)
-        if lab == "C":
-            for w in g.adjacency[v]:
-                if w not in leaves:
-                    put(w, "B")
-        elif lab == "B":
-            w1, w2 = g.adjacency[v]
-            l1, l2 = label.get(w1), label.get(w2)
-            if l1 == "C":
-                put(w2, "A")
-            elif l2 == "C":
-                put(w1, "A")
-            elif l1 == "A":
-                put(w2, "C")
-            elif l2 == "A":
-                put(w1, "C")
-        elif lab == "A":
-            if any(w in leaves or label.get(w) == "C" for w in g.adjacency[v]):
-                raise _Reject
-            b_nbrs = [w for w in g.adjacency[v] if label.get(w) == "B"]
-            unknown = [w for w in g.adjacency[v] if w not in label]
-            if len(b_nbrs) > 1:
-                raise _Reject
-            if len(b_nbrs) == 1:
-                for w in unknown:
-                    put(w, "A")
-            elif len(unknown) == 1:
-                put(unknown[0], "B")
-            elif not unknown:
-                raise _Reject  # an A vertex with no bridge available
-
-    try:
-        for s in t.support_set:
-            put(s, "C")
-        while queue:
-            v = queue.popleft()
-            if v in label:
-                examine(v)
-    except _Reject:
-        return None
-
-    if set(label) != set(range(n)) - leaves:
-        return None  # propagation stalled
-    a_set = frozenset(v for v, lab in label.items() if lab == "A")
+    a_set = labeled(_A_BRIDGED | _A_OPEN)
     if not a_set:
         return None
-    comps = _components(set(a_set), g)
     cert = TkCertificate(
         k=k,
         a_set=a_set,
-        b_set=frozenset(v for v, lab in label.items() if lab == "B"),
-        c_set=frozenset(v for v, lab in label.items() if lab == "C"),
-        leaf_set=frozenset(leaves),
-        h=len(comps),
+        b_set=labeled(_BRIDGE_OVER_HUB | _BRIDGE_OVER_A),
+        c_set=labeled(_HUB),
+        leaf_set=t.leaf_set,
+        h=len(_components(set(a_set), g)),
         n0=len(a_set),
     )
     return cert if not cert.validate(t) else None

@@ -100,6 +100,10 @@ class SweepConfig:
             raise ValueError("k_list must be nonempty")
         if any(k < 1 for k in self.k_list):
             raise ValueError(f"k values must be positive: {self.k_list}")
+        if any(k > MAX_SWEEP_N for k in self.k_list):
+            # no swept tree has a vertex of degree k, and the generated T_k
+            # members pad every hub with leaves up to degree k
+            raise ValueError(f"k values must be at most {MAX_SWEEP_N}: {self.k_list}")
         if not (1 <= self.max_n <= MAX_SWEEP_N):
             raise ValueError(f"max_n must be in 1..{MAX_SWEEP_N}, got {self.max_n}")
         if self.bf_max > BRUTE_FORCE_FREE_N:

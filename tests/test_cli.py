@@ -309,6 +309,38 @@ class TestSweepCommand:
             "VIOLATION n=2 code=10: synthetic violation for the exit-code path\n"
         )
 
+    @pytest.mark.parametrize("count,note", [(50, False), (51, True)])
+    def test_suppression_note_only_when_violations_are_left_out(
+        self, monkeypatch, capsys, count, note
+    ):
+        import stariso.sweep
+        from stariso.sweep import REPORTED_VIOLATIONS, SweepLine, SweepSummary
+
+        assert REPORTED_VIOLATIONS == 50
+        broken = [
+            SweepLine(n=2, tree_code="10", source="enumerated",
+                      violations=[f"synthetic violation {i}"], line="{}")
+            for i in range(count)
+        ]
+        summary = SweepSummary(records=count, enumerated=count, violating=broken[:50])
+        monkeypatch.setattr(stariso.sweep, "run_sweep", lambda config: (summary, count))
+        assert main(["sweep", "--max-n", "2"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[:50] == [f"VIOLATION n=2 code=10: synthetic violation {i}" for i in range(50)]
+        assert err[50:] == (["... further violations suppressed"] if note else [])
+
+    def test_k_above_the_largest_order_starts_no_work(self, monkeypatch, capsys):
+        import stariso.sweep
+
+        def never(*args, **kwargs):
+            raise AssertionError("no tree may be checked")
+
+        monkeypatch.setattr(stariso.sweep, "Pool", never)
+        monkeypatch.setattr(stariso.sweep, "_worker", never)
+        monkeypatch.setattr(stariso.sweep, "check_tree", never)
+        assert main(["sweep", "--max-n", "3", "--k-list", "2000000"]) == 1
+        assert "k values must be at most 20: (2000000,)" in capsys.readouterr().err
+
     def test_unwritable_out_fails_before_any_work(self, monkeypatch, tmp_path, capsys):
         import stariso.sweep
 

@@ -3,6 +3,7 @@ against exhaustive-labeling oracles and brute-force optima."""
 
 import hashlib
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -381,6 +382,66 @@ class TestRecognizeTk:
             assert got.a_set == cert.a_set
             assert got.c_set == cert.c_set
             assert got.h == cert.h
+
+
+def relabelled(t, perm):
+    return as_tree(build_graph(t.n, [(perm[u], perm[v]) for u, v in t.graph.edges()]))
+
+
+def random_permutation(rng, n):
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return perm
+
+
+class TestRecognizerCertificates:
+    def test_F_and_Tk_certificates_match_recorded_digest(self):
+        # every free tree with n <= 12 and seeded family samples, each also
+        # relabelled; the digest was recorded before the recognizers were
+        # rewritten as one bottom-up pass from a leaf
+        rng = random.Random(2408)
+        f_trees = [t for n in range(1, 13) for t in enumerate_free_trees(n)]
+        tk_trees = list(f_trees)
+        for _ in range(40):
+            f_trees.append(sample_family_F(rng, rng.randint(2, 5), rng.randint(0, 3))[0])
+        for _ in range(40):
+            h = rng.randint(1, 3)
+            tk_trees.append(sample_family_Tk(rng, rng.randint(2, 4), rng.randint(2 * h, 7), h)[0])
+        f_trees += [relabelled(t, random_permutation(rng, t.n)) for t in f_trees[-40:]]
+        tk_trees += [relabelled(t, random_permutation(rng, t.n)) for t in tk_trees[-40:]]
+
+        digest = hashlib.sha256()
+        accepted = 0
+        for t, k in [(t, None) for t in f_trees] + [(t, k) for t in tk_trees for k in (2, 3, 4)]:
+            cert = recognize_F(t) if k is None else recognize_Tk(t, k)
+            item = None
+            if cert is not None:
+                accepted += 1
+                item = json.dumps(cert.to_json_dict(), sort_keys=True)
+            digest.update(f"{item}\n".encode())
+        assert (len(f_trees), len(tk_trees), accepted) == (1067, 1067, 169)
+        assert digest.hexdigest() == (
+            "077f979c7d073ca1f53b924fbb5b172e6bf71e4f3fc6e7dcac8fd0f3722abd5a"
+        )
+
+    def test_relabelled_members_give_permuted_parts(self):
+        rng = random.Random(31)
+        for _ in range(20):
+            t, cert = sample_family_F(rng, rng.randint(2, 5), rng.randint(0, 3))
+            perm = random_permutation(rng, t.n)
+            got = recognize_F(relabelled(t, perm))
+            assert got is not None
+            for part in ("a_set", "b_set", "c_set", "x_set", "y_set"):
+                assert getattr(got, part) == {perm[v] for v in getattr(cert, part)}
+        for _ in range(20):
+            k, h = rng.randint(2, 4), rng.randint(1, 3)
+            t, cert = sample_family_Tk(rng, k, rng.randint(2 * h, 7), h)
+            perm = random_permutation(rng, t.n)
+            got = recognize_Tk(relabelled(t, perm), k)
+            assert got is not None
+            for part in ("a_set", "b_set", "c_set", "leaf_set"):
+                assert getattr(got, part) == {perm[v] for v in getattr(cert, part)}
+            assert (got.h, got.n0) == (cert.h, cert.n0)
 
 
 class TestTkCertificateValidate:

@@ -15,6 +15,7 @@ from stariso.graphs import as_tree, build_graph, canonical_code, enumerate_free_
 from stariso.sweep import (
     CHECK_SUITES,
     CHUNKSIZE,
+    MAX_SWEEP_N,
     REPORTED_VIOLATIONS,
     SweepConfig,
     SweepLine,
@@ -45,6 +46,13 @@ class TestConfig:
             SweepConfig(max_n=5, k_list=(1,), checks=("bogus",)).validate()
         with pytest.raises(ValueError, match="jobs"):
             SweepConfig(max_n=5, k_list=(1,), jobs=0).validate()
+
+    def test_k_bounded_by_the_largest_order(self):
+        SweepConfig(max_n=5, k_list=(1, MAX_SWEEP_N)).validate()
+        with pytest.raises(ValueError, match=f"k values must be at most {MAX_SWEEP_N}"):
+            SweepConfig(max_n=5, k_list=(2, MAX_SWEEP_N + 1)).validate()
+        with pytest.raises(ValueError, match=r"k values must be positive: \(0, 2\)"):
+            SweepConfig(max_n=5, k_list=(0, 2)).validate()
 
     def test_jobs_capped_at_the_cpu_count(self, monkeypatch):
         import stariso.sweep
