@@ -2,25 +2,26 @@
 """Full desk-scale machine check.
 
 Runs every check suite over all free trees up to --max-n for the given k
-values, extends the k = 2 equality characterization (the tk-equality
-suite) one order further, where brute force is switched off and the DP
-carries the sweep, and writes one JSON-lines record per tree of the main
-sweep.
+values and writes one JSON-lines record per tree of that sweep.  When
+--extend-tk-n is above --max-n, a second sweep rechecks the k = 2 equality
+characterization (the tk-equality suite alone, brute force off, the DP
+carrying it) over every order up to --extend-tk-n; it writes no records
+and prints each violation it finds.
 
 Usage:
     python scripts/full_verification.py [--max-n 12] [--k-list 1,2,3]
         [--extend-tk-n 13] [--out results.jsonl] [--jobs J] [--seed S]
 
 Exit status 0 only if every machine-checked statement holds on every
-instance; 1, before any work, if either order is out of range.
+instance, 2 if one fails; 1, before any work, if either order is out of
+range.
 """
 
 import argparse
 import sys
 import time
 
-from stariso.graphs import enumerate_free_trees
-from stariso.sweep import SweepConfig, check_tree, run_sweep
+from stariso.sweep import SweepConfig, run_sweep
 
 
 def main() -> int:
@@ -43,10 +44,11 @@ def main() -> int:
         seed=args.seed,
     )
     tk_config = SweepConfig(max_n=args.extend_tk_n, k_list=(2,),
-                            checks=("tk-equality",), bf_max=0)
+                            checks=("tk-equality",), jobs=args.jobs, bf_max=0)
+    extend = args.extend_tk_n > args.max_n
     try:
         config.validate()
-        if args.extend_tk_n > args.max_n:
+        if extend:
             tk_config.validate()
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -58,19 +60,14 @@ def main() -> int:
           f"{violations} violations  [{time.time() - t0:.1f}s]")
 
     extra_violations = 0
-    for n in range(args.max_n + 1, args.extend_tk_n + 1):
+    if extend:
         t1 = time.time()
-        count = 0
-        found = 0
-        for t in enumerate_free_trees(n):
-            count += 1
-            rec = check_tree(t, tk_config)
-            for v in rec.violations:
-                print(f"VIOLATION n={rec.n} code={rec.tree_code}: {v}")
-            found += len(rec.violations)
-        extra_violations += found
-        print(f"k=2 characterization at n={n}: {count} trees, "
-              f"{found} violations  [{time.time() - t1:.1f}s]")
+        summary, extra_violations = run_sweep(tk_config)
+        for line in summary.violating:
+            for v in line.violations:
+                print(f"VIOLATION n={line.n} code={line.tree_code}: {v}")
+        print(f"k=2 characterization for n <= {args.extend_tk_n}: {summary.enumerated} "
+              f"trees, {extra_violations} violations  [{time.time() - t1:.1f}s]")
 
     total = violations + extra_violations
     print(f"total violations: {total}")

@@ -44,7 +44,6 @@ _EXPORTS = {
         "sample_family_Tk",
     ),
     "solver": (
-        "DominationSolution",
         "IsolationSolution",
         "Residual",
         "certificate_failures",

@@ -26,6 +26,10 @@ from .solver import (
 # bounds, families, sweep and random are imported inside the commands that
 # use them, so that solve and verify-set start without loading them
 
+#: The largest member ``generate`` builds: the largest tree scale the
+#: toolkit targets.
+MAX_GENERATED_ORDER = 10**6
+
 
 @click.group()
 def cli() -> None:
@@ -78,7 +82,7 @@ def solve(ctx: click.Context, path: str, k: int, witness: bool, graph6: bool) ->
                 "input is the empty graph (n=0)" if g.n == 0 else "input graph is disconnected"
             )
         try:
-            sol = iota_bruteforce(g, k, size_cap=g.n if g.n > 16 else None)
+            sol = iota_bruteforce(g, k)
         except InstanceTooLarge as exc:
             raise click.ClickException(str(exc)) from exc
     if witness and not is_isolating(g, sol.set, k):
@@ -210,6 +214,28 @@ def generate(family: str, r: int, s: int, k: int, n: int | None, n0: int,
         sample_family_Tk,
     )
 
+    counts = [k] * 4
+    if family == "corona-c4" and leaf_counts:
+        try:
+            counts = [int(f) for f in leaf_counts.split(",")]
+        except ValueError as exc:
+            raise click.ClickException(str(exc)) from exc
+    if n is None:
+        n = (k + 2) * r
+    # the member's order, known from the parameters before anything is built
+    order = {
+        "F": 3 * r + 4 * s,
+        "Tk": (k + 2) * n0 - (k + 1) * (h - 1),
+        "corona-extremal": n,
+        "corona-c4": 4 + sum(counts),
+        "corona-corona": (k + 2) * r,
+        "spider": 2 * k + 3,
+    }[family]
+    if order > MAX_GENERATED_ORDER:
+        raise click.ClickException(
+            f"--family {family} with these parameters has {order} vertices, "
+            f"above the limit of {MAX_GENERATED_ORDER}"
+        )
     cert = None
     try:
         if family == "F":
@@ -219,12 +245,8 @@ def generate(family: str, r: int, s: int, k: int, n: int | None, n0: int,
             tree, cert = sample_family_Tk(random.Random(seed), k, n0, h)
             g = tree.graph
         elif family == "corona-extremal":
-            if n is None:
-                n = (k + 2) * r
             g = gen_corona_extremal(k, r, n)
         elif family == "corona-c4":
-            counts = ([int(f) for f in leaf_counts.split(",")]
-                      if leaf_counts else [k] * 4)
             g, cert = gen_char_orderminusleaves("c4", k, leaf_counts=counts)
         elif family == "corona-corona":
             base_edges = [(i, i + 1) for i in range(r - 1)]

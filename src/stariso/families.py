@@ -19,7 +19,7 @@ makes it a member.
 from __future__ import annotations
 
 import random
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -361,8 +361,6 @@ def _random_tree_edges(rng: random.Random, labels: list[int]) -> list[tuple[int,
     m = len(labels)
     if m == 1:
         return []
-    if m == 2:
-        return [(labels[0], labels[1])]
     seq = [rng.randrange(m) for _ in range(m - 2)]
     t = prufer_decode(seq)
     return [(labels[u], labels[v]) for u, v in t.graph.edges()]
@@ -683,19 +681,13 @@ def min_iso_set_Tk(t: Tree, cert: TkCertificate) -> IsolationSolution:
     return IsolationSolution(cert.k, frozenset(chosen), len(chosen), "family_construction")
 
 
-def sample_family_Tk(
-    rng: random.Random,
-    k: int,
-    n0: int,
-    h: int,
-    max_tries: int = 500,
-) -> tuple[Tree, TkCertificate]:
+def sample_family_Tk(rng: random.Random, k: int, n0: int, h: int) -> tuple[Tree, TkCertificate]:
     """Seeded random family member: random nontrivial A-forest with h
     components plus a random bridge wiring, retried until the wiring forms
     a tree."""
     if n0 < 2 * h:
         raise FamilyError(f"h={h} components need n0 >= {2 * h}, got {n0}")
-    for _ in range(max_tries):
+    for _ in range(500):
         sizes = [2] * h
         for _ in range(n0 - 2 * h):
             sizes[rng.randrange(h)] += 1
@@ -710,15 +702,13 @@ def sample_family_Tk(
         n_c = n0 - (h - 1)
         assignment = list(range(n_c)) + [rng.randrange(n_c) for _ in range(h - 1)]
         rng.shuffle(assignment)
-        if any(assignment.count(c) > k for c in range(n_c)):
+        if max(Counter(assignment).values()) > k:
             continue
         try:
             return gen_family_Tk(k, n0, edges, assignment)
         except FamilyError:
             continue
-    raise FamilyError(
-        f"no valid random instance for k={k}, n0={n0}, h={h} in {max_tries} tries"
-    )
+    raise FamilyError(f"no valid random instance for k={k}, n0={n0}, h={h} in 500 tries")
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Exact solvers for k-star isolation and domination.
 
-``iota_bruteforce`` is the increasing-size subset oracle (n <= 24); it and
-``gamma_bruteforce`` build per-vertex bitmasks locally for the search.
+``iota_bruteforce`` is the increasing-size subset oracle (n <= 24), and
+``gamma_bruteforce`` is the same search at k = 0, where K_{1,0} is a single
+vertex and isolation is domination; the search builds per-vertex bitmasks
+locally.
 ``iota_tree_dp`` is the flat rooted dynamic program used everywhere at
 scale, linear in time and memory; it walks the Tree's stored BFS order and
 parent array (``Tree.rooted``) instead of traversing the tree itself.  Both
@@ -20,23 +22,10 @@ from itertools import combinations
 from .graphs import Graph, GraphError, Tree, closed_neighborhood
 
 BRUTE_FORCE_MAX_N = 24
-BRUTE_FORCE_FREE_N = 16  # above this a size_cap is mandatory
 
 
 class InstanceTooLarge(ValueError):
     """Instance exceeds the brute-force cost guard."""
-
-
-class SizeCapExceeded(RuntimeError):
-    """No isolating set within the requested size cap.
-
-    ``lower_bound`` reports that every set of size <= cap fails, hence the
-    optimum is at least cap + 1.
-    """
-
-    def __init__(self, cap: int):
-        super().__init__(f"no solution of size <= {cap}; optimum >= {cap + 1}")
-        self.lower_bound = cap + 1
 
 
 @dataclass(frozen=True)
@@ -45,12 +34,6 @@ class IsolationSolution:
     set: frozenset[int]
     size: int
     method: str  # brute_force | tree_dp | family_construction
-
-
-@dataclass(frozen=True)
-class DominationSolution:
-    set: frozenset[int]
-    size: int
 
 
 @dataclass(frozen=True)
@@ -132,46 +115,34 @@ def _residual_has_k_star(adj: list[int], full: int, picked: tuple[int, ...], k: 
     return False
 
 
-def iota_bruteforce(g: Graph, k: int, size_cap: int | None = None) -> IsolationSolution:
-    """Minimum k-isolating set by increasing-size subset search.
-
-    Deterministic witness: the lexicographically smallest vertex set among
-    the minimum ones.  Guarded to n <= 24; above n = 16 a size_cap is
-    mandatory.
-    """
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
-    if g.n > BRUTE_FORCE_MAX_N:
-        raise InstanceTooLarge(f"brute force capped at n={BRUTE_FORCE_MAX_N}, got {g.n}")
-    if size_cap is None and g.n > BRUTE_FORCE_FREE_N:
-        raise InstanceTooLarge(
-            f"size_cap is mandatory for n > {BRUTE_FORCE_FREE_N} (n={g.n})"
-        )
-    limit = g.n if size_cap is None else min(size_cap, g.n)
-    adj = _adjacency_masks(g)
-    full = (1 << g.n) - 1
-    for size in range(limit + 1):
-        for picked in combinations(range(g.n), size):
-            if not _residual_has_k_star(adj, full, picked, k):
-                return IsolationSolution(k, frozenset(picked), size, "brute_force")
-    raise SizeCapExceeded(limit)
-
-
-def gamma_bruteforce(g: Graph) -> DominationSolution:
-    """Minimum dominating set, same search order and tie-break as the
-    isolation brute force."""
+def _first_isolating(g: Graph, k: int) -> IsolationSolution:
+    """The lexicographically first among the smallest vertex sets whose
+    closed neighborhood leaves no k-star (at k = 0: no vertex at all)."""
     if g.n > BRUTE_FORCE_MAX_N:
         raise InstanceTooLarge(f"brute force capped at n={BRUTE_FORCE_MAX_N}, got {g.n}")
     adj = _adjacency_masks(g)
     full = (1 << g.n) - 1
     for size in range(g.n + 1):
         for picked in combinations(range(g.n), size):
-            covered = 0
-            for v in picked:
-                covered |= adj[v] | (1 << v)
-            if covered == full:
-                return DominationSolution(frozenset(picked), size)
-    raise AssertionError("unreachable: V always dominates")
+            if not _residual_has_k_star(adj, full, picked, k):
+                return IsolationSolution(k, frozenset(picked), size, "brute_force")
+    raise AssertionError("unreachable: V always isolates")
+
+
+def iota_bruteforce(g: Graph, k: int) -> IsolationSolution:
+    """Minimum k-isolating set by increasing-size subset search.
+
+    Deterministic witness: the lexicographically smallest vertex set among
+    the minimum ones.  Guarded to n <= 24.
+    """
+    if k < 1:
+        raise ValueError(f"k must be positive, got {k}")
+    return _first_isolating(g, k)
+
+
+def gamma_bruteforce(g: Graph) -> IsolationSolution:
+    """Minimum dominating set: the isolation brute force at k = 0."""
+    return _first_isolating(g, 0)
 
 
 # ---------------------------------------------------------------------------

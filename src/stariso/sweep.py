@@ -39,6 +39,7 @@ from .families import (
     sample_family_Tk,
 )
 from .graphs import (
+    MAX_ENUMERATION_ORDER as MAX_SWEEP_N,
     Tree,
     as_tree,
     build_graph,
@@ -49,7 +50,6 @@ from .graphs import (
     level_edges,
 )
 from .solver import (
-    BRUTE_FORCE_FREE_N,
     certificate_failures,
     iota_bruteforce,
     iota_tree_dp,
@@ -69,7 +69,8 @@ CHECK_SUITES = (
     "constructive",
 )
 
-MAX_SWEEP_N = 20
+#: The largest ``bf_max``: the brute-force oracle on every tree up to it.
+BRUTE_FORCE_FREE_N = 16
 
 #: Trees per task batch sent to a worker: large enough to amortize the
 #: pickling round trip, small enough to keep every worker busy at the end.
@@ -359,9 +360,9 @@ def _constructive_records(config: SweepConfig) -> list[SweepRecord]:
     for _ in range(6):
         r = rng.randint(2, 4)
         s = rng.randint(0, 2)
-        t, cert = sample_family_F(rng, r, s)
+        t, _ = sample_family_F(rng, r, s)
         rec = check_tree(t, config, source="generated")
-        if recognize_F(t) is None:
+        if not rec.family_F:
             rec.violations.append(f"generated family member (r={r}, s={s}) not recognized")
         records.append(rec)
     tk_ks = [k for k in config.k_list if k >= 2] or [2]
@@ -369,7 +370,7 @@ def _constructive_records(config: SweepConfig) -> list[SweepRecord]:
         k = rng.choice(tk_ks)
         h = rng.randint(1, 2)
         n0 = rng.randint(2 * h, 5)
-        t, cert = sample_family_Tk(rng, k, n0, h)
+        t, _ = sample_family_Tk(rng, k, n0, h)
         rec = check_tree(t, config, source="generated")
         if recognize_Tk(t, k) is None:
             rec.violations.append(

@@ -77,6 +77,17 @@ class TestSolve:
         assert captured.out == ""
         assert "not 2-isolating" in captured.err
 
+    def test_brute_force_beyond_sixteen_vertices(self, tmp_path, capsys):
+        def cycle(n):
+            return f"{n}\n" + "".join(f"{i} {(i + 1) % n}\n" for i in range(n))
+
+        c20 = write(tmp_path, "c20.txt", cycle(20))
+        assert main(["solve", "--input", c20, "--k", "1", "--witness"]) == 0
+        assert capsys.readouterr().out.splitlines() == ["5", "0,4,8,12,16"]
+        c25 = write(tmp_path, "c25.txt", cycle(25))
+        assert main(["solve", "--input", c25, "--k", "1"]) == 1
+        assert "brute force capped at n=24, got 25" in capsys.readouterr().err
+
     def test_disconnected_rejected(self, tmp_path, capsys):
         f = write(tmp_path, "dis.txt", "4\n0 1\n2 3\n")
         assert main(["solve", "--input", f, "--k", "1"]) == 1
@@ -239,6 +250,45 @@ class TestGenerate:
                      "--r", "3"]) == 0
         g = parse_edgelist(capsys.readouterr().out)
         assert recognize_char_orderminusleaves(g, 1) is not None
+
+    @pytest.mark.parametrize("family, args, order", [
+        ("F", ["--r", "2", "--s", "1"], 10),
+        ("Tk", ["--k", "3", "--n0", "5", "--h", "2"], 21),
+        ("corona-extremal", ["--k", "2", "--r", "3"], 12),
+        ("corona-c4", ["--k", "1", "--leaf-counts", "1,2,3,4"], 14),
+        ("corona-corona", ["--k", "2", "--r", "3"], 12),
+        ("spider", ["--k", "4"], 11),
+    ])
+    def test_size_limit_is_the_members_order(self, monkeypatch, capsys, family, args, order):
+        import stariso.cli
+
+        monkeypatch.setattr(stariso.cli, "MAX_GENERATED_ORDER", order)
+        assert main(["generate", "--family", family, *args]) == 0
+        assert parse_edgelist(capsys.readouterr().out).n == order
+        monkeypatch.setattr(stariso.cli, "MAX_GENERATED_ORDER", order - 1)
+        assert main(["generate", "--family", family, *args]) == 1
+        assert f"has {order} vertices, above the limit of {order - 1}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("family, generator, args, order", [
+        ("F", "gen_family_F", ["--r", "333334"], 1000002),
+        ("Tk", "sample_family_Tk", ["--k", "200000000"], 400000004),
+        ("corona-extremal", "gen_corona_extremal", ["--k", "200000000"], 400000004),
+        ("corona-c4", "gen_char_orderminusleaves", ["--k", "200000000"], 800000004),
+        ("corona-corona", "gen_char_orderminusleaves", ["--r", "400000"], 1200000),
+        ("spider", "gen_spider_gap", ["--k", "200000000"], 400000003),
+    ])
+    def test_huge_member_rejected_before_building(self, monkeypatch, capsys, family,
+                                                  generator, args, order):
+        import stariso.families
+
+        def no_build(*_args, **_kwargs):
+            raise AssertionError(f"{generator} called")
+
+        monkeypatch.setattr(stariso.families, generator, no_build)
+        assert main(["generate", "--family", family, *args]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"has {order} vertices, above the limit of 1000000" in captured.err
 
     def test_invalid_parameters(self, capsys):
         assert main(["generate", "--family", "spider", "--k", "0"]) == 1

@@ -1,7 +1,8 @@
-"""The two scripts, run end to end as subprocesses."""
+"""The two scripts, run end to end as subprocesses or in-process."""
 
 import json
 import os
+import runpy
 import subprocess
 import sys
 from collections import Counter
@@ -36,6 +37,30 @@ def test_full_verification_small(tmp_path):
     sources = Counter(r["source"] for r in records)
     assert sources == {"enumerated": 25, "generated": 12}  # 1+1+1+2+3+6+11 trees
     assert {r["n"] for r in records if r["source"] == "enumerated"} == set(range(1, 8))
+
+
+def test_full_verification_reports_extension_violations(tmp_path, monkeypatch, capsys):
+    import stariso.sweep
+
+    check_tree = stariso.sweep.check_tree
+
+    def planted(t, config, source="enumerated"):
+        rec = check_tree(t, config, source)
+        if config.checks == ("tk-equality",) and t.n == 9:
+            rec.violations.append("planted")
+        return rec
+
+    monkeypatch.setattr(stariso.sweep, "check_tree", planted)
+    monkeypatch.setattr(sys, "argv", ["full_verification.py", "--max-n", "7",
+                                      "--extend-tk-n", "9", "--out", str(tmp_path / "r.jsonl")])
+    main = runpy.run_path(str(ROOT / "scripts" / "full_verification.py"))["main"]
+    assert main() == 2
+    lines = capsys.readouterr().out.splitlines()
+    reported = [line for line in lines if line.startswith("VIOLATION ")]
+    assert len(reported) == 47  # one per free tree on 9 vertices
+    assert all(line.startswith("VIOLATION n=9 code=") and line.endswith(": planted")
+               for line in reported)
+    assert "total violations: 47" in lines
 
 
 @pytest.mark.parametrize("flag, order", [("--max-n", "25"), ("--extend-tk-n", "21")])

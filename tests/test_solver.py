@@ -20,7 +20,6 @@ from stariso.graphs import (
 from stariso.solver import (
     InstanceTooLarge,
     IsolationSolution,
-    SizeCapExceeded,
     certificate_failures,
     contains_k_star,
     gamma_bruteforce,
@@ -149,22 +148,34 @@ class TestBruteForce:
         # {0, 3} isolates the 6-path and precedes {1, 4}
         assert iota_bruteforce(path_graph(6), 1).set == frozenset({0, 3})
 
-    def test_size_cap_exceeded_reports_lower_bound(self):
-        with pytest.raises(SizeCapExceeded) as info:
-            iota_bruteforce(path_graph(6), 1, size_cap=1)
-        assert info.value.lower_bound == 2
-
     def test_cap_mandatory_above_sixteen(self):
         g = path_graph(17)
-        with pytest.raises(InstanceTooLarge):
-            iota_bruteforce(g, 1)
-        sol = iota_bruteforce(g, 1, size_cap=6)
+        sol = iota_bruteforce(g, 1)
         assert sol.size == 4
         assert sol.size == iota_tree_dp(as_tree(g), 1).size
 
     def test_hard_limit(self):
         with pytest.raises(InstanceTooLarge):
-            iota_bruteforce(path_graph(25), 1, size_cap=5)
+            iota_bruteforce(path_graph(25), 1)
+
+    def test_witnesses_match_recorded_digest(self):
+        """The lexicographically first witnesses of both brute forces,
+        recorded while gamma_bruteforce still had a search of its own: every
+        free tree with n <= 10, the cycles C3..C10 and K4, iota for k = 1..3
+        on those with n <= 9."""
+        graphs = [t.graph for n in range(1, 11) for t in enumerate_free_trees(n)]
+        graphs += [build_graph(n, [(i, (i + 1) % n) for i in range(n)]) for n in range(3, 11)]
+        graphs.append(build_graph(4, list(itertools.combinations(range(4), 2))))
+        assert len(graphs) == 210
+        h = hashlib.sha256()
+        for i, g in enumerate(graphs):
+            h.update(repr(("gamma", i, sorted(gamma_bruteforce(g).set))).encode())
+            if g.n <= 9:
+                for k in (1, 2, 3):
+                    h.update(repr(("iota", i, k, sorted(iota_bruteforce(g, k).set))).encode())
+        assert h.hexdigest() == (
+            "a0b117b58b9f771e7b011fa7a3fa2428c1d72695cebe0356c4954c620978dc57"
+        )
 
 
 class TestTreeDp:
