@@ -5,8 +5,9 @@ Runs every check suite over all free trees up to --max-n for the given k
 values and writes one JSON-lines record per tree of that sweep.  When
 --extend-tk-n is above --max-n, a second sweep rechecks the k = 2 equality
 characterization (the tk-equality suite alone, brute force off, the DP
-carrying it) over every order up to --extend-tk-n; it writes no records
-and prints each violation it finds.
+carrying it) over every order up to --extend-tk-n; it writes no records.
+Each sweep prints its first 50 violations as ``VIOLATION n=... code=...: ...``
+lines, then ``... further violations suppressed`` if there were more.
 
 Usage:
     python scripts/full_verification.py [--max-n 12] [--k-list 1,2,3]
@@ -21,7 +22,15 @@ import argparse
 import sys
 import time
 
-from stariso.sweep import SweepConfig, run_sweep
+from stariso.sweep import SweepConfig, SweepSummary, run_sweep
+
+
+def sweep_and_report(config: SweepConfig) -> tuple[SweepSummary, int]:
+    """``run_sweep``, then print the violations it kept, as the CLI does."""
+    summary, violations = run_sweep(config)
+    for line in summary.violation_lines(violations):
+        print(line)
+    return summary, violations
 
 
 def main() -> int:
@@ -55,17 +64,14 @@ def main() -> int:
         return 1
 
     t0 = time.time()
-    summary, violations = run_sweep(config)
+    summary, violations = sweep_and_report(config)
     print(f"sweep: {summary.enumerated} trees (n <= {args.max_n}), k in {ks}, "
           f"{violations} violations  [{time.time() - t0:.1f}s]")
 
     extra_violations = 0
     if extend:
         t1 = time.time()
-        summary, extra_violations = run_sweep(tk_config)
-        for line in summary.violating:
-            for v in line.violations:
-                print(f"VIOLATION n={line.n} code={line.tree_code}: {v}")
+        summary, extra_violations = sweep_and_report(tk_config)
         print(f"k=2 characterization for n <= {args.extend_tk_n}: {summary.enumerated} "
               f"trees, {extra_violations} violations  [{time.time() - t1:.1f}s]")
 

@@ -1,17 +1,24 @@
-"""Command-line frontend.
+"""Command-line frontend, on the standard library's ``argparse``.
 
-Exit codes: 0 on success, 1 on usage or parse errors, 2 when a
-verification finds a violation (a failing set in ``verify-set``, a
-``solve --witness`` set that does not re-verify, or any violation record
-in ``sweep``).
+Each command is a ``Command`` registered on the ``cli`` group:
+``cli.commands[name]`` is the module attribute of the same name (with
+``-`` for ``_``), and ``main`` parses the arguments and calls that
+command's ``callback`` with them, looked up at call time, so a wrapper
+set on ``callback`` runs in its place.
+
+Exit codes: 0 on success (``--help`` included), 1 on usage or parse
+errors, 2 when a verification finds a violation (a failing set in
+``verify-set``, a ``solve --witness`` set that does not re-verify, or any
+violation record in ``sweep``).  Errors are printed to stderr as
+``Error: <message>``.
 """
 
 from __future__ import annotations
 
-import json
+import argparse
 import sys
-
-import click
+from copy import copy
+from functools import partial
 
 from .formats import format_edgelist, load_graph
 from .graphs import Graph, GraphError, as_tree
@@ -23,26 +30,95 @@ from .solver import (
     residual_degrees,
 )
 
-# bounds, families, sweep and random are imported inside the commands that
-# use them, so that solve and verify-set start without loading them
+# bounds, families, sweep, random and json are imported inside the commands
+# that use them, so that solve and verify-set start without loading them
 
 #: The largest member ``generate`` builds: the largest tree scale the
 #: toolkit targets.
 MAX_GENERATED_ORDER = 10**6
 
 
-@click.group()
-def cli() -> None:
-    """Exact k-star isolation toolkit for trees."""
+class CliError(Exception):
+    """A usage or input error: ``main`` prints it and exits 1."""
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):
+        # argparse would exit 2, which here means a violation
+        self.print_usage(sys.stderr)
+        raise CliError(message)
+
+
+class _HelpFormatter(argparse.HelpFormatter):
+    def _format_action(self, action: argparse.Action) -> str:
+        # show the default of each option that takes a value and has one
+        if action.nargs is None and action.default is not None:
+            action = copy(action)
+            action.help = f"{action.help or ''} [default: %(default)s]".lstrip()
+        return super()._format_action(action)
+
+
+def _new_parser(make, **kwargs) -> argparse.ArgumentParser:
+    parser = make(allow_abbrev=False, add_help=False, formatter_class=_HelpFormatter,
+                  **kwargs)
+    parser.add_argument("--help", action="help", help="Show this message and exit.")
+    return parser
+
+
+def option(*flags: str, **kwargs) -> tuple[tuple[str, ...], dict]:
+    """The arguments of one ``add_argument`` call."""
+    return flags, kwargs
+
+
+class Command:
+    """A subcommand: its options and the function that runs it."""
+
+    def __init__(self, callback, options: tuple) -> None:
+        self.name = callback.__name__.replace("_", "-")
+        self.callback = callback
+        self.options = options
+
+    def add_parser(self, subparsers) -> argparse.ArgumentParser:
+        doc = self.callback.__doc__
+        parser = _new_parser(partial(subparsers.add_parser, self.name),
+                             help=doc, description=doc)
+        for flags, kwargs in self.options:
+            parser.add_argument(*flags, **kwargs)
+        return parser
+
+
+class Group:
+    """The ``stariso`` command and its subcommands, by name."""
+
+    def __init__(self, doc: str) -> None:
+        self.doc = doc
+        self.commands: dict[str, Command] = {}
+
+    def command(self, *options: tuple):
+        def register(callback) -> Command:
+            command = Command(callback, options)
+            self.commands[command.name] = command
+            return command
+        return register
+
+    def parser(self) -> argparse.ArgumentParser:
+        parser = _new_parser(_Parser, prog="stariso", description=self.doc)
+        subparsers = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
+        for command in self.commands.values():
+            command.add_parser(subparsers)
+        return parser
+
+
+cli = Group("Exact k-star isolation toolkit for trees.")
 
 
 def _load(path: str, graph6: bool) -> Graph:
     try:
         return load_graph(path, graph6=graph6)
     except OSError as exc:
-        raise click.ClickException(f"cannot read {path}: {exc}") from exc
+        raise CliError(f"cannot read {path}: {exc}") from exc
     except GraphError as exc:
-        raise click.ClickException(f"parse error: {exc}") from exc
+        raise CliError(f"parse error: {exc}") from exc
 
 
 def _parse_vertex_list(text: str, g: Graph) -> frozenset[int]:
@@ -52,24 +128,29 @@ def _parse_vertex_list(text: str, g: Graph) -> frozenset[int]:
     try:
         vertices = [int(f) for f in text.split(",")]
     except ValueError:
-        raise click.ClickException(f"bad vertex list {text!r}") from None
+        raise CliError(f"bad vertex list {text!r}") from None
     for v in vertices:
         if not (0 <= v < g.n):
-            raise click.ClickException(f"vertex {v} out of range for n={g.n}")
+            raise CliError(f"vertex {v} out of range for n={g.n}")
     return frozenset(vertices)
 
 
-@cli.command()
-@click.option("--input", "path", required=True, type=click.Path())
-@click.option("--k", required=True, type=int)
-@click.option("--witness", is_flag=True, help="Also print a minimum witness set.")
-@click.option("--graph6", is_flag=True, help="Input is graph6 instead of an edge list.")
-@click.pass_context
-def solve(ctx: click.Context, path: str, k: int, witness: bool, graph6: bool) -> None:
+_INPUT = option("--input", dest="path", required=True)
+_K = option("--k", required=True, type=int)
+_GRAPH6 = option("--graph6", action="store_true")
+
+
+@cli.command(
+    _INPUT,
+    _K,
+    option("--witness", action="store_true", help="Also print a minimum witness set."),
+    option("--graph6", action="store_true", help="Input is graph6 instead of an edge list."),
+)
+def solve(path: str, k: int, witness: bool, graph6: bool) -> int | None:
     """Compute the k-isolation number of the input graph."""
     g = _load(path, graph6)
     if k < 1:
-        raise click.ClickException(f"k must be positive, got {k}")
+        raise CliError(f"k must be positive, got {k}")
     try:
         tree = as_tree(g)
     except GraphError:
@@ -78,43 +159,47 @@ def solve(ctx: click.Context, path: str, k: int, witness: bool, graph6: bool) ->
         sol = iota_tree_dp(tree, k)
     else:
         if not g.is_connected():
-            raise click.ClickException(
+            raise CliError(
                 "input is the empty graph (n=0)" if g.n == 0 else "input graph is disconnected"
             )
         try:
             sol = iota_bruteforce(g, k)
         except InstanceTooLarge as exc:
-            raise click.ClickException(str(exc)) from exc
+            raise CliError(str(exc)) from exc
     if witness and not is_isolating(g, sol.set, k):
-        click.echo(f"error: the {sol.method} witness of size {sol.size} is not "
-                   f"{k}-isolating", err=True)
-        ctx.exit(2)
-    click.echo(sol.size)
+        print(f"error: the {sol.method} witness of size {sol.size} is not "
+              f"{k}-isolating", file=sys.stderr)
+        return 2
+    print(sol.size)
     if witness:
-        click.echo(",".join(str(v) for v in sorted(sol.set)))
+        print(",".join(str(v) for v in sorted(sol.set)))
+    return None
 
 
-@cli.command()
-@click.option("--input", "path", required=True, type=click.Path())
-@click.option("--k", required=True, type=int)
-@click.option("--json", "as_json", is_flag=True, help="Emit the report as JSON.")
-@click.option("--graph6", is_flag=True)
+@cli.command(
+    _INPUT,
+    _K,
+    option("--json", dest="as_json", action="store_true", help="Emit the report as JSON."),
+    _GRAPH6,
+)
 def bounds(path: str, k: int, as_json: bool, graph6: bool) -> None:
     """Evaluate every bound for a tree and report equality flags."""
     g = _load(path, graph6)
     try:
         tree = as_tree(g)
     except GraphError as exc:
-        raise click.ClickException(f"bounds need a tree input: {exc}") from exc
+        raise CliError(f"bounds need a tree input: {exc}") from exc
     if k < 1:
-        raise click.ClickException(f"k must be positive, got {k}")
+        raise CliError(f"k must be positive, got {k}")
     from .bounds import BOUND_NAMES, evaluate_bounds
 
     report = evaluate_bounds(tree, k, iota_tree_dp(tree, k).size)
     if as_json:
-        click.echo(json.dumps(report.to_json_dict(), sort_keys=True))
+        import json
+
+        print(json.dumps(report.to_json_dict(), sort_keys=True))
         return
-    click.echo(
+    print(
         f"n={report.n} l={report.l} s={report.s} k={report.k} "
         f"iota={report.iota} regime: {report.regime}"
     )
@@ -123,42 +208,42 @@ def bounds(path: str, k: int, as_json: bool, graph6: bool) -> None:
             value = report.bounds[name]
             mark = "equal" if report.equality[name] else "strict"
             note = f"  ({report.notes[name]})" if name in report.notes else ""
-            click.echo(f"  {name:<20} {str(value):>8}  {mark}{note}")
+            print(f"  {name:<20} {str(value):>8}  {mark}{note}")
         else:
-            click.echo(f"  {name:<20}      N/A  {report.not_applicable[name]}")
+            print(f"  {name:<20}      N/A  {report.not_applicable[name]}")
 
 
-@cli.command("verify-set")
-@click.option("--input", "path", required=True, type=click.Path())
-@click.option("--k", required=True, type=int)
-@click.option("--set", "set_text", required=True)
-@click.option("--graph6", is_flag=True)
-@click.pass_context
-def verify_set(ctx: click.Context, path: str, k: int, set_text: str, graph6: bool) -> None:
+@cli.command(
+    _INPUT,
+    _K,
+    option("--set", dest="set_text", required=True),
+    _GRAPH6,
+)
+def verify_set(path: str, k: int, set_text: str, graph6: bool) -> int | None:
     """Check whether a vertex set is k-isolating; exit 2 when it is not."""
     g = _load(path, graph6)
     if k < 1:
-        raise click.ClickException(f"k must be positive, got {k}")
+        raise CliError(f"k must be positive, got {k}")
     dominators = _parse_vertex_list(set_text, g)
     degrees = residual_degrees(g, dominators)
     max_deg = max(degrees.values(), default=0)
     if max_deg < k:
-        click.echo("true")
-        click.echo(f"residual-max-degree: {max_deg}")
-        return
+        print("true")
+        print(f"residual-max-degree: {max_deg}")
+        return None
     offender = min(v for v, d in degrees.items() if d >= k)
-    click.echo("false")
-    click.echo(f"residual-max-degree: {max_deg}")
-    click.echo(f"witness: {offender}")
-    ctx.exit(2)
+    print("false")
+    print(f"residual-max-degree: {max_deg}")
+    print(f"witness: {offender}")
+    return 2
 
 
-@cli.command()
-@click.option("--family", "family", required=True,
-              type=click.Choice(["F", "Tk", "corona-char"]))
-@click.option("--input", "path", required=True, type=click.Path())
-@click.option("--k", type=int, default=1, show_default=True)
-@click.option("--graph6", is_flag=True)
+@cli.command(
+    option("--family", required=True, choices=["F", "Tk", "corona-char"]),
+    _INPUT,
+    option("--k", type=int, default=1),
+    _GRAPH6,
+)
 def recognize(family: str, path: str, k: int, graph6: bool) -> None:
     """Test family membership; print the certificate JSON or "none"."""
     g = _load(path, graph6)
@@ -174,31 +259,32 @@ def recognize(family: str, path: str, k: int, graph6: bool) -> None:
             cert = recognize_F(as_tree(g))
         elif family == "Tk":
             if k < 2:
-                raise click.ClickException("--family Tk needs --k >= 2")
+                raise CliError("--family Tk needs --k >= 2")
             cert = recognize_Tk(as_tree(g), k)
         else:
             cert = recognize_char_orderminusleaves(g, k)
     except (GraphError, FamilyError) as exc:
-        raise click.ClickException(str(exc)) from exc
+        raise CliError(str(exc)) from exc
     if cert is None:
-        click.echo("none")
+        print("none")
     else:
-        click.echo(json.dumps(cert.to_json_dict(), sort_keys=True))
+        import json
+
+        print(json.dumps(cert.to_json_dict(), sort_keys=True))
 
 
-@cli.command()
-@click.option("--family", required=True,
-              type=click.Choice(["F", "Tk", "corona-extremal", "corona-c4",
-                                 "corona-corona", "spider"]))
-@click.option("--r", type=int, default=2, show_default=True)
-@click.option("--s", type=int, default=0, show_default=True)
-@click.option("--k", type=int, default=1, show_default=True)
-@click.option("--n", type=int, default=None)
-@click.option("--n0", type=int, default=2, show_default=True)
-@click.option("--h", type=int, default=1, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--leaf-counts", default=None,
-              help="Comma list of per-vertex leaf counts (corona-c4).")
+@cli.command(
+    option("--family", required=True,
+           choices=["F", "Tk", "corona-extremal", "corona-c4", "corona-corona", "spider"]),
+    option("--r", type=int, default=2),
+    option("--s", type=int, default=0),
+    option("--k", type=int, default=1),
+    option("--n", type=int),
+    option("--n0", type=int, default=2),
+    option("--h", type=int, default=1),
+    option("--seed", type=int, default=0),
+    option("--leaf-counts", help="Comma list of per-vertex leaf counts (corona-c4)."),
+)
 def generate(family: str, r: int, s: int, k: int, n: int | None, n0: int,
              h: int, seed: int, leaf_counts: str | None) -> None:
     """Emit a family member as an edge list, certificate attached as a
@@ -219,7 +305,7 @@ def generate(family: str, r: int, s: int, k: int, n: int | None, n0: int,
         try:
             counts = [int(f) for f in leaf_counts.split(",")]
         except ValueError as exc:
-            raise click.ClickException(str(exc)) from exc
+            raise CliError(str(exc)) from exc
     if n is None:
         n = (k + 2) * r
     # the member's order, known from the parameters before anything is built
@@ -232,7 +318,7 @@ def generate(family: str, r: int, s: int, k: int, n: int | None, n0: int,
         "spider": 2 * k + 3,
     }[family]
     if order > MAX_GENERATED_ORDER:
-        raise click.ClickException(
+        raise CliError(
             f"--family {family} with these parameters has {order} vertices, "
             f"above the limit of {MAX_GENERATED_ORDER}"
         )
@@ -256,34 +342,36 @@ def generate(family: str, r: int, s: int, k: int, n: int | None, n0: int,
         else:
             g = gen_spider_gap(k).graph
     except (FamilyError, ValueError) as exc:
-        raise click.ClickException(str(exc)) from exc
-    click.echo(format_edgelist(g), nl=False)
+        raise CliError(str(exc)) from exc
+    print(format_edgelist(g), end="")
     if cert is not None:
-        click.echo(f"# certificate: {json.dumps(cert.to_json_dict(), sort_keys=True)}")
+        import json
+
+        print(f"# certificate: {json.dumps(cert.to_json_dict(), sort_keys=True)}")
 
 
-@cli.command()
-@click.option("--max-n", required=True, type=int)
-@click.option("--k-list", default="1,2,3", show_default=True)
-@click.option("--checks", default="all", show_default=True,
-              # stariso.sweep.CHECK_SUITES, spelled out to keep the sweep unloaded
-              help="Comma list from oracle, bounds, f-equality, tk-equality, "
-                   "corona-char, normalizers, constructive or 'all'.")
-@click.option("--out", "output_path", type=click.Path(), default=None)
-@click.option("--jobs", type=int, default=1, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--bf-max", type=int, default=12, show_default=True,
-              help="Largest n that gets brute-force cross-checks.")
-@click.pass_context
-def sweep(ctx: click.Context, max_n: int, k_list: str, checks: str,
-          output_path: str | None, jobs: int, seed: int, bf_max: int) -> None:
+@cli.command(
+    option("--max-n", required=True, type=int),
+    option("--k-list", default="1,2,3"),
+    option("--checks", default="all",
+           # stariso.sweep.CHECK_SUITES, spelled out to keep the sweep unloaded
+           help="Comma list from oracle, bounds, f-equality, tk-equality, "
+                "corona-char, normalizers, constructive or 'all'."),
+    option("--out", dest="output_path"),
+    option("--jobs", type=int, default=1),
+    option("--seed", type=int, default=0),
+    option("--bf-max", type=int, default=12,
+           help="Largest n that gets brute-force cross-checks."),
+)
+def sweep(max_n: int, k_list: str, checks: str, output_path: str | None, jobs: int,
+          seed: int, bf_max: int) -> int | None:
     """Machine-check every statement over all free trees up to --max-n."""
-    from .sweep import REPORTED_VIOLATIONS, SweepConfig, run_sweep
+    from .sweep import SweepConfig, run_sweep
 
     try:
         ks = tuple(int(f) for f in k_list.split(","))
     except ValueError:
-        raise click.ClickException(f"bad k list {k_list!r}") from None
+        raise CliError(f"bad k list {k_list!r}") from None
     config = SweepConfig(
         max_n=max_n,
         k_list=ks,
@@ -296,38 +384,37 @@ def sweep(ctx: click.Context, max_n: int, k_list: str, checks: str,
     try:
         config.validate()
     except ValueError as exc:
-        raise click.ClickException(str(exc)) from exc
+        raise CliError(str(exc)) from exc
     try:
         summary, violations = run_sweep(config)
     except OSError as exc:
-        raise click.ClickException(f"cannot write {output_path}: {exc}") from exc
-    click.echo(f"checked {summary.enumerated} trees "
-               f"(+{len(summary) - summary.enumerated} generated), {violations} violations")
-    if violations:
-        reported = [(rec, v) for rec in summary.violating for v in rec.violations]
-        shown = reported[:REPORTED_VIOLATIONS]
-        for rec, v in shown:
-            click.echo(f"VIOLATION n={rec.n} code={rec.tree_code}: {v}", err=True)
-        if violations > len(shown):
-            click.echo("... further violations suppressed", err=True)
-        ctx.exit(2)
+        raise CliError(f"cannot write {output_path}: {exc}") from exc
+    # flushed, so that it precedes the violations on a shared terminal or file
+    print(f"checked {summary.enumerated} trees "
+          f"(+{len(summary) - summary.enumerated} generated), {violations} violations",
+          flush=True)
+    if not violations:
+        return None
+    for line in summary.violation_lines(violations):
+        print(line, file=sys.stderr)
+    return 2
 
 
 def main(argv: list[str] | None = None) -> int:
     """Entry point with the documented exit-code mapping."""
     try:
-        rv = cli.main(args=argv, standalone_mode=False)
-    except click.exceptions.Exit as exc:
-        return exc.exit_code
-    except click.UsageError as exc:
-        exc.show()
+        try:
+            args = vars(cli.parser().parse_args(argv))
+        except SystemExit:  # only --help exits: _Parser.error raises CliError
+            return 0
+        command = cli.commands[args.pop("command")]
+        return command.callback(**args) or 0
+    except CliError as exc:
+        print(f"Error: {exc}", file=sys.stderr)
         return 1
-    except click.ClickException as exc:
-        exc.show()
+    except KeyboardInterrupt:
+        print(file=sys.stderr)
         return 1
-    except click.Abort:
-        return 1
-    return rv if isinstance(rv, int) else 0
 
 
 if __name__ == "__main__":

@@ -451,6 +451,16 @@ class SweepSummary:
     def __len__(self) -> int:
         return self.records
 
+    def violation_lines(self, violations: int) -> list[str]:
+        """``VIOLATION n=... code=...: ...`` for each of the first
+        ``REPORTED_VIOLATIONS`` violations kept, then a note when
+        ``violations`` (the sweep's count) is more than were printed."""
+        lines = [f"VIOLATION n={rec.n} code={rec.tree_code}: {v}"
+                 for rec in self.violating for v in rec.violations][:REPORTED_VIOLATIONS]
+        if violations > len(lines):
+            lines.append("... further violations suppressed")
+        return lines
+
 
 @contextmanager
 def _all_or_nothing(path: str) -> Iterator[TextIO]:

@@ -406,23 +406,30 @@ class TestSweepCommand:
         assert not out.parent.exists()
 
     def test_checks_help_lists_every_suite(self):
+        import argparse
+
         from stariso.cli import sweep
         from stariso.sweep import CHECK_SUITES
 
-        (checks,) = [p for p in sweep.params if p.name == "checks"]
+        parser = sweep.add_parser(argparse.ArgumentParser().add_subparsers())
+        (checks,) = [a for a in parser._actions if a.dest == "checks"]
         assert checks.help == f"Comma list from {', '.join(CHECK_SUITES)} or 'all'."
 
 
-def test_cli_import_loads_only_what_solve_needs():
+def run_python(*args):
     src = str(Path(stariso.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+
+
+def test_cli_import_loads_only_what_solve_needs():
     unused = ["stariso.families", "stariso.bounds", "stariso.sweep",
-              "multiprocessing", "networkx"]
+              "multiprocessing", "networkx", "click", "json"]
     code = f"import sys, stariso.cli; print([m for m in {unused!r} if m in sys.modules])"
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("name", stariso.__all__)
@@ -438,9 +445,57 @@ def test_package_rejects_unknown_names():
         exec("from stariso import no_such_name", {})
 
 
+COMMANDS = ["solve", "bounds", "verify-set", "recognize", "generate", "sweep"]
+
+
 class TestUsageErrors:
     def test_unknown_command(self):
         assert main(["frobnicate"]) == 1
 
     def test_missing_required_option(self):
         assert main(["solve"]) == 1
+
+    @pytest.mark.parametrize("command", [[], *([c] for c in COMMANDS)])
+    def test_help_exits_0(self, command, capsys):
+        assert main([*command, "--help"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith(" ".join(["usage: stariso", *command]) + " ")
+        assert captured.err == ""
+
+    @pytest.mark.parametrize("args", [
+        ["solve", "--input", "{p8}", "--k", "x"],
+        ["recognize", "--family", "G", "--input", "{p8}"],
+        ["solve", "--input", "{p8}", "--k", "2", "--frobnicate"],
+        ["solve", "--input", "{p8}", "--k", "2", "--wit"],
+        ["solve", "--k", "2"],
+    ], ids=["bad-int", "bad-choice", "unknown-option", "abbreviation", "missing-input"])
+    def test_usage_error_exits_1(self, p8_file, args, capsys):
+        assert main([a.format(p8=p8_file) for a in args]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "\nError: " in captured.err
+
+    def test_module_entry_point(self, p8_file):
+        proc = run_python("-m", "stariso.cli", "solve", "--input", p8_file, "--k", "2")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "2\n", "")
+        proc = run_python("-m", "stariso.cli", "solve", "--input", p8_file, "--k", "x")
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert "Error: argument --k: invalid int value: 'x'" in proc.stderr
+
+
+def test_main_calls_the_command_callback_it_finds(p8_file, monkeypatch, capsys):
+    # the benchmark's tracer wraps each command by replacing its callback
+    import stariso.cli
+
+    calls = []
+    callback = stariso.cli.solve.callback
+
+    def counting(**kwargs):
+        calls.append(kwargs)
+        return callback(**kwargs)
+
+    monkeypatch.setattr(stariso.cli.solve, "callback", counting)
+    assert main(["solve", "--input", p8_file, "--k", "2"]) == 0
+    assert capsys.readouterr().out == "2\n"
+    assert calls == [{"path": p8_file, "k": 2, "witness": False, "graph6": False}]

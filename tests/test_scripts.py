@@ -63,6 +63,34 @@ def test_full_verification_reports_extension_violations(tmp_path, monkeypatch, c
     assert "total violations: 47" in lines
 
 
+@pytest.mark.parametrize("per_tree, reported, note", [(1, 6, False), (9, 50, True)])
+def test_full_verification_reports_main_sweep_violations(
+    tmp_path, monkeypatch, capsys, per_tree, reported, note
+):
+    import stariso.sweep
+
+    check_tree = stariso.sweep.check_tree
+
+    def planted(t, config, source="enumerated"):
+        rec = check_tree(t, config, source)
+        if source == "enumerated" and t.n == 6:
+            rec.violations.extend(f"planted {i}" for i in range(per_tree))
+        return rec
+
+    monkeypatch.setattr(stariso.sweep, "check_tree", planted)
+    monkeypatch.setattr(sys, "argv", ["full_verification.py", "--max-n", "6",
+                                      "--extend-tk-n", "6", "--out", str(tmp_path / "r.jsonl")])
+    main = runpy.run_path(str(ROOT / "scripts" / "full_verification.py"))["main"]
+    assert main() == 2
+    lines = capsys.readouterr().out.splitlines()
+    violation_lines = [line for line in lines if line.startswith("VIOLATION ")]
+    assert len(violation_lines) == reported  # 6 free trees on 6 vertices
+    assert all(line.startswith("VIOLATION n=6 code=") and ": planted " in line
+               for line in violation_lines)
+    assert ("... further violations suppressed" in lines) == note
+    assert f"total violations: {6 * per_tree}" in lines
+
+
 @pytest.mark.parametrize("flag, order", [("--max-n", "25"), ("--extend-tk-n", "21")])
 def test_full_verification_rejects_orders_before_any_work(tmp_path, flag, order):
     # an unchecked --extend-tk-n 21 used to sweep n = 13..20 first (hours)
