@@ -45,9 +45,7 @@ _EXPORTS = {
     ),
     "solver": (
         "IsolationSolution",
-        "Residual",
         "certificate_failures",
-        "contains_k_star",
         "gamma_bruteforce",
         "iota_bruteforce",
         "iota_tree_dp",

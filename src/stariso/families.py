@@ -19,7 +19,7 @@ makes it a member.
 from __future__ import annotations
 
 import random
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -682,33 +682,45 @@ def min_iso_set_Tk(t: Tree, cert: TkCertificate) -> IsolationSolution:
 
 
 def sample_family_Tk(rng: random.Random, k: int, n0: int, h: int) -> tuple[Tree, TkCertificate]:
-    """Seeded random family member: random nontrivial A-forest with h
-    components plus a random bridge wiring, retried until the wiring forms
-    a tree."""
+    """Seeded random family member, built directly so that no draw fails.
+
+    n0 is split at random into h components of at least 2 vertices, each a
+    random recursive tree on consecutive labels.  The component-hub
+    incidence is grown as a tree: the first component opens one hub per
+    bridge; each later component sends its first vertex's bridge to a
+    random hub with fewer than k bridges and opens a new hub for each of
+    its other bridges.  Every hub so gets 1..k bridges and the pieces join
+    into one tree, for every k >= 2, h >= 1 and n0 >= 2h.
+    """
+    if k < 2:
+        raise FamilyError(f"need k >= 2, got {k}")
+    if h < 1:
+        raise FamilyError(f"need h >= 1, got {h}")
     if n0 < 2 * h:
         raise FamilyError(f"h={h} components need n0 >= {2 * h}, got {n0}")
-    for _ in range(500):
-        sizes = [2] * h
-        for _ in range(n0 - 2 * h):
-            sizes[rng.randrange(h)] += 1
-        vertices = list(range(n0))
-        rng.shuffle(vertices)
-        edges: list[tuple[int, int]] = []
-        pos = 0
-        for size in sizes:
-            chunk = vertices[pos: pos + size]
-            pos += size
-            edges += _random_tree_edges(rng, chunk)
-        n_c = n0 - (h - 1)
-        assignment = list(range(n_c)) + [rng.randrange(n_c) for _ in range(h - 1)]
-        rng.shuffle(assignment)
-        if max(Counter(assignment).values()) > k:
-            continue
-        try:
-            return gen_family_Tk(k, n0, edges, assignment)
-        except FamilyError:
-            continue
-    raise FamilyError(f"no valid random instance for k={k}, n0={n0}, h={h} in 500 tries")
+    sizes = [2] * h
+    for _ in range(n0 - 2 * h):
+        sizes[rng.randrange(h)] += 1
+    forest: list[tuple[int, int]] = []
+    hub_of: list[int] = []  # the hub of each A vertex's bridge
+    bridges: list[int] = []  # bridges per hub
+    open_hubs: list[int] = []  # hubs with fewer than k bridges
+    for size in sizes:
+        start = len(hub_of)
+        forest += [(start + rng.randrange(i), start + i) for i in range(1, size)]
+        if start:  # the first bridge of a later component joins an open hub
+            slot = rng.randrange(len(open_hubs))
+            hub = open_hubs[slot]
+            hub_of.append(hub)
+            bridges[hub] += 1
+            if bridges[hub] == k:
+                open_hubs[slot] = open_hubs[-1]
+                open_hubs.pop()
+        for _ in range(start + size - len(hub_of)):  # every other bridge opens one
+            open_hubs.append(len(bridges))
+            hub_of.append(len(bridges))
+            bridges.append(1)
+    return gen_family_Tk(k, n0, forest, hub_of)
 
 
 # ---------------------------------------------------------------------------

@@ -36,30 +36,12 @@ class IsolationSolution:
     method: str  # brute_force | tree_dp | family_construction
 
 
-@dataclass(frozen=True)
-class Residual:
-    """G - N[D]: the induced subgraph on vertices outside N[D].
-
-    ``vertices[i]`` maps vertex i of ``graph`` back to its original label.
-    """
-
-    graph: Graph
-    vertices: tuple[int, ...]
-
-
-def residual(g: Graph, dominators: frozenset[int] | set[int]) -> Residual:
+def residual(g: Graph, dominators: frozenset[int] | set[int]) -> tuple[Graph, tuple[int, ...]]:
+    """G - N[D]: the induced subgraph on the vertices outside N[D], and the
+    map from its vertices back to their labels in g."""
     _check_vertex_set(g, dominators)
     removed = closed_neighborhood(g, dominators)
-    keep = [v for v in range(g.n) if v not in removed]
-    sub, index_map = g.induced_subgraph(keep)
-    return Residual(sub, index_map)
-
-
-def contains_k_star(g: Graph, k: int) -> bool:
-    """A k-star (copy of K_{1,k}) exists iff some vertex has degree >= k."""
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
-    return g.max_degree() >= k
+    return g.induced_subgraph(v for v in range(g.n) if v not in removed)
 
 
 def residual_degrees(g: Graph, dominators: frozenset[int] | set[int]) -> dict[int, int]:

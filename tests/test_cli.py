@@ -240,6 +240,22 @@ class TestGenerate:
 
         assert recognize_Tk(tree, 3) is not None
 
+    def test_tk_sampler_at_fifty_thousand_vertices(self, capsys):
+        assert main(["generate", "--family", "Tk", "--k", "2", "--n0", "20000",
+                     "--h", "10000"]) == 0
+        assert as_tree(parse_edgelist(capsys.readouterr().out)).n == 4 * 20000 - 3 * 9999
+
+    @pytest.mark.parametrize("args, message", [
+        (["--k", "1"], "need k >= 2, got 1"),
+        (["--k", "2", "--h", "0"], "need h >= 1, got 0"),
+        (["--k", "2", "--h", "-1"], "need h >= 1, got -1"),
+    ])
+    def test_tk_bad_parameters_named(self, capsys, args, message):
+        assert main(["generate", "--family", "Tk", *args]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"Error: {message}\n"
+
     def test_corona_kinds_round_trip(self, capsys):
         from stariso.families import recognize_char_orderminusleaves
 

@@ -384,6 +384,49 @@ class TestRecognizeTk:
             assert got.h == cert.h
 
 
+class NoDraws:
+    """A random source that fails on any draw."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"rng.{name} used")
+
+
+class TestSampleFamilyTk:
+    def test_every_seed_gives_a_member(self):
+        for seed in range(10):
+            t, cert = sample_family_Tk(random.Random(seed), 4, 200, 20)
+            got = recognize_Tk(t, 4)
+            assert got is not None
+            assert (got.h, got.n0) == (cert.h, cert.n0) == (20, 200)
+
+    def test_draws_every_small_member(self):
+        members = [
+            (t, k, cert)
+            for n in range(1, 16)
+            for t in enumerate_free_trees(n)
+            for k in (2, 3)
+            if (cert := recognize_Tk(t, k)) is not None
+        ]
+        assert len(members) == 5
+        for t, k, cert in members:
+            code = canonical_code(t)
+            assert any(
+                canonical_code(sample_family_Tk(random.Random(seed), k, cert.n0, cert.h)[0])
+                == code
+                for seed in range(300)
+            ), (k, cert.n0, cert.h)
+
+    @pytest.mark.parametrize("k, n0, h, message", [
+        (1, 2, 1, "need k >= 2, got 1"),
+        (2, 2, 0, "need h >= 1, got 0"),
+        (2, 2, -1, "need h >= 1, got -1"),
+        (2, 3, 2, "h=2 components need n0 >= 4, got 3"),
+    ])
+    def test_bad_parameters_rejected_before_any_draw(self, k, n0, h, message):
+        with pytest.raises(FamilyError, match=f"^{message}$"):
+            sample_family_Tk(NoDraws(), k, n0, h)
+
+
 def relabelled(t, perm):
     return as_tree(build_graph(t.n, [(perm[u], perm[v]) for u, v in t.graph.edges()]))
 
@@ -398,7 +441,9 @@ class TestRecognizerCertificates:
     def test_F_and_Tk_certificates_match_recorded_digest(self):
         # every free tree with n <= 12 and seeded family samples, each also
         # relabelled; the digest was recorded before the recognizers were
-        # rewritten as one bottom-up pass from a leaf
+        # rewritten as one bottom-up pass from a leaf, and re-recorded when
+        # the T_k sampler became constructive (new T_k draws and relabellings),
+        # with only the sampler swapped into the older code
         rng = random.Random(2408)
         f_trees = [t for n in range(1, 13) for t in enumerate_free_trees(n)]
         tk_trees = list(f_trees)
@@ -421,7 +466,7 @@ class TestRecognizerCertificates:
             digest.update(f"{item}\n".encode())
         assert (len(f_trees), len(tk_trees), accepted) == (1067, 1067, 169)
         assert digest.hexdigest() == (
-            "077f979c7d073ca1f53b924fbb5b172e6bf71e4f3fc6e7dcac8fd0f3722abd5a"
+            "6d1d4de8686e783c2beb75a83b752e843ffd93f1e9f0f215f61cf0459e527e21"
         )
 
     def test_relabelled_members_give_permuted_parts(self):

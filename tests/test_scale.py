@@ -6,49 +6,13 @@ certificate."""
 import random
 from fractions import Fraction
 
-from stariso.families import gen_family_F, gen_family_Tk, recognize_Tk
+from stariso.families import gen_family_F, recognize_Tk, sample_family_Tk
 from stariso.solver import (
     certificate_failures,
     iota_tree_dp,
     is_isolating,
     isolation_certificate,
 )
-
-
-def constructive_tk_wiring(rng, k, sizes):
-    """A-forest edges and a hub assignment that always assemble a member.
-
-    The component-hub incidence is built as a tree: the first component
-    opens one hub per bridge; each later component sends one bridge to an
-    open hub (fewer than k bridges) and opens a new hub for each other one.
-    """
-    forest = []
-    comps = []
-    start = 0
-    for size in sizes:
-        comp = list(range(start, start + size))
-        start += size
-        forest += [(comp[rng.randrange(i)], comp[i]) for i in range(1, size)]
-        comps.append(comp)
-    hub_of = [0] * start
-    bridges = []
-    open_hubs = []
-    for ci, comp in enumerate(comps):
-        rest = comp
-        if ci > 0:
-            slot = rng.randrange(len(open_hubs))
-            hub = open_hubs[slot]
-            hub_of[comp[0]] = hub
-            bridges[hub] += 1
-            if bridges[hub] == k:
-                open_hubs[slot] = open_hubs[-1]
-                open_hubs.pop()
-            rest = comp[1:]
-        for a in rest:
-            hub_of[a] = len(bridges)
-            open_hubs.append(len(bridges))
-            bridges.append(1)
-    return forest, hub_of
 
 
 def test_family_F_at_eighty_thousand_vertices():
@@ -65,10 +29,7 @@ def test_family_F_at_eighty_thousand_vertices():
 
 def test_family_Tk_at_ten_thousand_vertices():
     k = 3
-    rng = random.Random(2024)
-    sizes = [21] * 100
-    forest, hub_of = constructive_tk_wiring(rng, k, sizes)
-    t, cert = gen_family_Tk(k, sum(sizes), forest, hub_of)
+    t, cert = sample_family_Tk(random.Random(2024), k, 2100, 100)
     assert t.n == (k + 2) * 2100 - (k + 1) * 99
     expected = Fraction(t.n + t.leaf_order, 2 * k + 1)
     sol = iota_tree_dp(t, k)

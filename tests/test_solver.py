@@ -21,7 +21,6 @@ from stariso.solver import (
     InstanceTooLarge,
     IsolationSolution,
     certificate_failures,
-    contains_k_star,
     gamma_bruteforce,
     iota_bruteforce,
     iota_tree_dp,
@@ -53,20 +52,20 @@ def random_trees(draw, min_n=2, max_n=9):
 
 class TestResidual:
     def test_middle_of_five_path_leaves_no_edges(self):
-        res = residual(path_graph(5), {2})
-        assert res.vertices == (0, 4)
-        assert res.graph.edge_count == 0
+        sub, vertices = residual(path_graph(5), {2})
+        assert vertices == (0, 4)
+        assert sub.edge_count == 0
 
     def test_six_path_leaves_a_three_path(self):
-        res = residual(path_graph(6), {1})
-        assert res.vertices == (3, 4, 5)
-        assert res.graph.edges() == [(0, 1), (1, 2)]
+        sub, vertices = residual(path_graph(6), {1})
+        assert vertices == (3, 4, 5)
+        assert sub.edges() == [(0, 1), (1, 2)]
 
     def test_empty_set_is_identity(self):
         g = star_graph(3)
-        res = residual(g, set())
-        assert res.graph.n == g.n
-        assert res.graph.adjacency == g.adjacency
+        sub, vertices = residual(g, set())
+        assert vertices == tuple(range(g.n))
+        assert sub.adjacency == g.adjacency
 
     def test_out_of_range_vertex(self):
         with pytest.raises(GraphError):
@@ -85,27 +84,14 @@ class TestResidualDegrees:
     def test_match_the_residual_subgraph(self, case):
         n, edges, dominators, k = case
         g = build_graph(n, edges)
-        res = residual(g, dominators)
-        expected = {res.vertices[i]: res.graph.degree(i) for i in range(res.graph.n)}
+        sub, vertices = residual(g, dominators)
+        expected = {vertices[i]: sub.degree(i) for i in range(sub.n)}
         assert residual_degrees(g, dominators) == expected
-        assert is_isolating(g, dominators, k) == (not contains_k_star(res.graph, k))
+        assert is_isolating(g, dominators, k) == (sub.max_degree() < k)
 
     def test_out_of_range_vertex(self):
         with pytest.raises(GraphError):
             residual_degrees(path_graph(3), {7})
-
-
-class TestContainsKStar:
-    def test_three_path(self):
-        assert contains_k_star(path_graph(3), 2)
-        assert not contains_k_star(path_graph(3), 3)
-
-    def test_empty_graph(self):
-        assert not contains_k_star(build_graph(0, []), 1)
-
-    def test_k_must_be_positive(self):
-        with pytest.raises(ValueError):
-            contains_k_star(path_graph(3), 0)
 
 
 class TestIsIsolating:
@@ -114,6 +100,11 @@ class TestIsIsolating:
             g = star_graph(k)
             assert is_isolating(g, {0}, k)
             assert not is_isolating(g, set(), k)
+
+    def test_empty_set_isolates_exactly_the_graphs_without_a_k_star(self):
+        assert not is_isolating(path_graph(3), set(), 2)
+        assert is_isolating(path_graph(3), set(), 3)
+        assert is_isolating(build_graph(0, []), set(), 1)
 
     def test_star_leaf_removes_the_center_too(self):
         g = star_graph(4)
@@ -339,7 +330,7 @@ def min_k1_isolating_size(g):
     residual has no vertices at all."""
     for size in range(g.n + 1):
         for picked in itertools.combinations(range(g.n), size):
-            if residual(g, set(picked)).graph.n == 0:
+            if residual(g, set(picked))[0].n == 0:
                 return size
     raise AssertionError
 
