@@ -94,17 +94,28 @@ class TestResidualDegrees:
             residual_degrees(path_graph(3), {7})
 
 
+class TestContainsKStar:
+    """A graph contains a k-star exactly when the empty set does not
+    isolate it."""
+
+    def test_three_path(self):
+        assert not is_isolating(path_graph(3), set(), 2)
+        assert is_isolating(path_graph(3), set(), 3)
+
+    def test_empty_graph(self):
+        assert is_isolating(build_graph(0, []), set(), 1)
+
+    def test_k_must_be_positive(self):
+        with pytest.raises(ValueError):
+            is_isolating(path_graph(3), set(), 0)
+
+
 class TestIsIsolating:
     def test_star_center(self):
         for k in (1, 2, 4):
             g = star_graph(k)
             assert is_isolating(g, {0}, k)
             assert not is_isolating(g, set(), k)
-
-    def test_empty_set_isolates_exactly_the_graphs_without_a_k_star(self):
-        assert not is_isolating(path_graph(3), set(), 2)
-        assert is_isolating(path_graph(3), set(), 3)
-        assert is_isolating(build_graph(0, []), set(), 1)
 
     def test_star_leaf_removes_the_center_too(self):
         g = star_graph(4)
