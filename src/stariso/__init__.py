@@ -51,6 +51,7 @@ _EXPORTS = {
         "iota_tree_dp",
         "is_isolating",
         "isolation_certificate",
+        "isolation_number",
         "normalize_no_deg2_support",
         "normalize_no_leaves",
         "residual",

@@ -1,9 +1,9 @@
 """Closed-form upper bounds on tree isolation numbers, regime
 classification, and per-instance equality reporting.
 
-The isolation number is an input: callers solve it (``iota_tree_dp``) and
-this module evaluates the closed forms in n, l and s against that given
-iota.  Equality detection is the whole point, so floating point never
+The isolation number is an input: callers solve it (``isolation_number``)
+and this module evaluates the closed forms in n, l and s against that
+given iota.  Equality detection is the whole point, so floating point never
 appears: every comparison is integer cross-multiplication, and reported
 bound values are reduced ``Fraction``s.  Bounds whose hypotheses fail are
 reported as explicit not-applicable entries with a reason.
@@ -11,8 +11,8 @@ reported as explicit not-applicable entries with a reason.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .graphs import Tree, is_any_star, is_star
 
@@ -35,8 +35,7 @@ BOUND_NAMES = (
 )
 
 
-@dataclass
-class BoundReport:
+class BoundReport(NamedTuple):
     """Every applicable bound value for one (tree, k) instance."""
 
     n: int
@@ -48,7 +47,7 @@ class BoundReport:
     bounds: dict[str, Fraction]
     not_applicable: dict[str, str]
     equality: dict[str, bool]
-    notes: dict[str, str] = field(default_factory=dict)
+    notes: dict[str, str]
 
     def to_json_dict(self) -> dict:
         rendered: dict[str, str] = {}

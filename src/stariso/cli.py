@@ -7,15 +7,17 @@ command's ``callback`` with them, looked up at call time, so a wrapper
 set on ``callback`` runs in its place.
 
 Exit codes: 0 on success (``--help`` included), 1 on usage or parse
-errors, 2 when a verification finds a violation (a failing set in
-``verify-set``, a ``solve --witness`` set that does not re-verify, or any
-violation record in ``sweep``).  Errors are printed to stderr as
-``Error: <message>``.
+errors and, with nothing printed, when the reader of stdout closes it
+early (``| head``), 2 when a verification finds a violation (a failing
+set in ``verify-set``, a ``solve --witness`` set that does not
+re-verify, or any violation record in ``sweep``).  Errors are printed to
+stderr as ``Error: <message>``.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from copy import copy
 from functools import partial
@@ -27,6 +29,7 @@ from .solver import (
     iota_bruteforce,
     iota_tree_dp,
     is_isolating,
+    isolation_number,
     residual_degrees,
 )
 
@@ -78,12 +81,13 @@ class Command:
         self.callback = callback
         self.options = options
 
-    def add_parser(self, subparsers) -> argparse.ArgumentParser:
+    def add_parser(self, subparsers, with_options: bool = True) -> argparse.ArgumentParser:
         doc = self.callback.__doc__
         parser = _new_parser(partial(subparsers.add_parser, self.name),
                              help=doc, description=doc)
-        for flags, kwargs in self.options:
-            parser.add_argument(*flags, **kwargs)
+        if with_options:
+            for flags, kwargs in self.options:
+                parser.add_argument(*flags, **kwargs)
         return parser
 
 
@@ -101,11 +105,16 @@ class Group:
             return command
         return register
 
-    def parser(self) -> argparse.ArgumentParser:
+    def parser(self, argv: list[str]) -> argparse.ArgumentParser:
+        """The parser for argv: every subcommand with its help, and the
+        options of the one that argv names."""
         parser = _new_parser(_Parser, prog="stariso", description=self.doc)
         subparsers = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
+        # the group's only option is --help, so the command is argv's first
+        # argument that is not an option
+        named = next((arg for arg in argv if not arg.startswith("-")), None)
         for command in self.commands.values():
-            command.add_parser(subparsers)
+            command.add_parser(subparsers, with_options=command.name == named)
         return parser
 
 
@@ -155,9 +164,7 @@ def solve(path: str, k: int, witness: bool, graph6: bool) -> int | None:
         tree = as_tree(g)
     except GraphError:
         tree = None
-    if tree is not None:
-        sol = iota_tree_dp(tree, k)
-    else:
+    if tree is None:
         if not g.is_connected():
             raise CliError(
                 "input is the empty graph (n=0)" if g.n == 0 else "input graph is disconnected"
@@ -166,6 +173,11 @@ def solve(path: str, k: int, witness: bool, graph6: bool) -> int | None:
             sol = iota_bruteforce(g, k)
         except InstanceTooLarge as exc:
             raise CliError(str(exc)) from exc
+    elif witness:
+        sol = iota_tree_dp(tree, k)
+    else:
+        print(isolation_number(tree, k))
+        return None
     if witness and not is_isolating(g, sol.set, k):
         print(f"error: the {sol.method} witness of size {sol.size} is not "
               f"{k}-isolating", file=sys.stderr)
@@ -193,7 +205,7 @@ def bounds(path: str, k: int, as_json: bool, graph6: bool) -> None:
         raise CliError(f"k must be positive, got {k}")
     from .bounds import BOUND_NAMES, evaluate_bounds
 
-    report = evaluate_bounds(tree, k, iota_tree_dp(tree, k).size)
+    report = evaluate_bounds(tree, k, isolation_number(tree, k))
     if as_json:
         import json
 
@@ -402,9 +414,11 @@ def sweep(max_n: int, k_list: str, checks: str, output_path: str | None, jobs: i
 
 def main(argv: list[str] | None = None) -> int:
     """Entry point with the documented exit-code mapping."""
+    if argv is None:
+        argv = sys.argv[1:]
     try:
         try:
-            args = vars(cli.parser().parse_args(argv))
+            args = vars(cli.parser(argv).parse_args(argv))
         except SystemExit:  # only --help exits: _Parser.error raises CliError
             return 0
         command = cli.commands[args.pop("command")]
@@ -414,6 +428,11 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except KeyboardInterrupt:
         print(file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # the reader left; what stdout still buffers goes to devnull, so that
+        # the flush at exit does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

@@ -19,8 +19,7 @@ from __future__ import annotations
 import gc
 import heapq
 from contextlib import contextmanager
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 #: Number of free (unlabeled) trees on n vertices, n = 1..20 (OEIS A000055).
 FREE_TREE_COUNTS = (1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551,
@@ -261,8 +260,7 @@ def closed_neighborhood(g: Graph, vertices: Iterable[int]) -> frozenset[int]:
     return frozenset(result)
 
 
-@dataclass(frozen=True)
-class PathWitness:
+class PathWitness(NamedTuple):
     """A concrete longest path: consecutive vertices adjacent, all distinct."""
 
     vertices: tuple[int, ...]

@@ -4,10 +4,13 @@
 ``gamma_bruteforce`` is the same search at k = 0, where K_{1,0} is a single
 vertex and isolation is domination; the search builds per-vertex bitmasks
 locally.
-``iota_tree_dp`` is the flat rooted dynamic program used everywhere at
-scale, linear in time and memory; it walks the Tree's stored BFS order and
-parent array (``Tree.rooted``) instead of traversing the tree itself.  Both
-return a witness set that re-verifies through ``is_isolating``.
+``iota_tree_dp`` is the rooted dynamic program used everywhere at scale,
+linear in time and memory; it walks the Tree's stored BFS order and
+parent array (``Tree.rooted``) instead of traversing the tree itself.  Its
+bottom-up pass runs each vertex through a finite ``Machine`` whose per-k
+transition table is filled lazily, and ``isolation_number`` runs that
+pass alone, without the witness.  Both ``iota_*`` functions return a
+witness set that re-verifies through ``is_isolating``.
 ``isolation_certificate`` is an oracle independent of the DP: a linear
 greedy that returns a k-isolating set (k = 0: a dominating set) together
 with a packing of k-stars, and ``certificate_failures`` proves the set
@@ -16,8 +19,8 @@ minimum from the packing by explicit checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from .graphs import Graph, GraphError, Tree, closed_neighborhood
 
@@ -28,8 +31,7 @@ class InstanceTooLarge(ValueError):
     """Instance exceeds the brute-force cost guard."""
 
 
-@dataclass(frozen=True)
-class IsolationSolution:
+class IsolationSolution(NamedTuple):
     k: int
     set: frozenset[int]
     size: int
@@ -128,7 +130,7 @@ def gamma_bruteforce(g: Graph) -> IsolationSolution:
 
 
 # ---------------------------------------------------------------------------
-# Tree dynamic program
+# Tree dynamic program, run as a finite machine
 # ---------------------------------------------------------------------------
 
 # Vertex states, relative to the solution D under construction:
@@ -138,97 +140,168 @@ def gamma_bruteforce(g: Graph) -> IsolationSolution:
 #   FREE_HI  outside N[D], at most k-1 residual children (parent covered)
 #   FREE_LO  outside N[D], at most k-2 residual children (parent residual)
 _IN, _SAT, _NEED, _FREE_HI, _FREE_LO = range(5)
+_INF = 2  # a pruned state: relative costs that survive are 0 or 1
+
+
+class Machine(dict):
+    """The tree DP at one k as a finite machine over interned state ids.
+
+    The cost of a state at v is the least |D| within v's subtree with v in
+    that state.  A finished vertex is a base, the least of its five costs,
+    plus a *shape*, the five costs minus the base.  IN costs one more than
+    the sum B of the children's bases and no state costs less than B.  Any
+    state costing more than IN is pruned to ``_INF``: putting v into D
+    instead keeps D isolating (v's parent turns SAT, or stays IN or SAT),
+    so an optimum never uses it.  A shape is thus a point of {0, 1, INF}^5.
+
+    An accumulator holds v's sums over the children attached so far,
+    relative to the sum of their bases: ``(sat, has_in, uplift, need, free,
+    must, gains)``, the terms of SAT, NEED and the FREE states, with
+    ``must`` counting the children that have to be FREE_LO and ``gains``
+    those where FREE_LO is one cheaper than SAT.  Each counter saturates
+    where it stops mattering (sat and need above 1, free above k, must
+    above k - 1, gains at k - 1), so the states are finite for each k.
+    ``attach(acc, shape)`` adds a finished child and ``finish(acc)`` gives
+    v's shape and base - B.  States are interned as they first appear; the
+    machine itself is attach's table, keyed by ``acc << 8 | shape`` (there
+    are at most 3^5 shapes) and filled on a miss.
+    """
+
+    def __init__(self, k: int) -> None:
+        super().__init__()
+        self.k = k
+        self.accumulators: list[tuple[int, ...]] = []
+        self.shapes: list[tuple[int, ...]] = []
+        self._acc_ids: dict[tuple[int, ...], int] = {}
+        self._shape_ids: dict[tuple[int, ...], int] = {}
+        # finish(acc), by acc id
+        self.finished_shape: list[int] = []
+        self.finished_low: list[int] = []
+        self.start = self._intern_acc((0, 0, _INF, 0, 0, 0, 0))
+
+    def attach(self, acc: int, shape: int) -> int:
+        return self[acc << 8 | shape]
+
+    def finish(self, acc: int) -> tuple[int, int]:
+        return self.finished_shape[acc], self.finished_low[acc]
+
+    def __missing__(self, key: int) -> int:
+        k = self.k
+        sat, has_in, uplift, need, free, must, gains = self.accumulators[key >> 8]
+        a, b, _, f, lo = self.shapes[key & 255]
+        # IN: children IN, SAT or NEED, whose least is the child's base, so
+        # IN - B is always 1 and needs no term
+        # SAT: children IN, SAT or FREE_HI, at least one IN (cheapest uplift)
+        # NEED: children SAT or FREE_HI; the parent must take v's cover
+        m = min(b, f)
+        need += m
+        if a <= m:
+            sat += a
+            has_in = 1
+        else:
+            sat += m
+            uplift = min(uplift, a - m)
+        # FREE: children SAT or FREE_LO, at most budget of them FREE_LO
+        if b < _INF:
+            free += b
+            gains += lo < b
+        elif lo < _INF:
+            free += lo
+            must += 1
+        else:
+            free = k + 1
+        acc = self[key] = self._intern_acc((min(sat, _INF), has_in, uplift, min(need, _INF),
+                                            min(free, k + 1), min(must, k), min(gains, k - 1)))
+        return acc
+
+    def _intern_acc(self, acc: tuple[int, ...]) -> int:
+        """acc's id; a new accumulator is finished at once."""
+        i = self._acc_ids.get(acc)
+        if i is None:
+            i = self._acc_ids[acc] = len(self.accumulators)
+            self.accumulators.append(acc)
+            k = self.k
+            sat, has_in, uplift, need, free, must, gains = acc
+            costs = (
+                1,
+                sat if has_in else sat + uplift,
+                need,
+                free - min(gains, k - 1 - must) if must <= k - 1 else _INF,
+                free - min(gains, k - 2 - must) if must <= k - 2 else _INF,
+            )
+            low = min(costs[:3])
+            shape = tuple(c - low if c <= 1 else _INF for c in costs)
+            if shape not in self._shape_ids:
+                self._shape_ids[shape] = len(self.shapes)
+                self.shapes.append(shape)
+            self.finished_shape.append(self._shape_ids[shape])
+            self.finished_low.append(low)
+        return i
+
+
+_MACHINES: dict[int, Machine] = {}
+
+
+def machine(k: int) -> Machine:
+    """The machine for k, shared by every call in the process."""
+    if k not in _MACHINES:
+        _MACHINES[k] = Machine(k)
+    return _MACHINES[k]
+
+
+def _bottom_up(t: Tree, k: int, root: int) -> tuple[list, list[int], list[int], list[int], int]:
+    """Finish every vertex of t rooted at root: the machine's shapes, the
+    rooted view, each vertex's shape id and the root's base."""
+    if k < 1:
+        raise ValueError(f"k must be positive, got {k}")
+    order, parent = t.rooted(root)
+    m = machine(k)
+    finished_shape, finished_low = m.finished_shape, m.finished_low
+    acc = [m.start] * t.n
+    shape = [0] * t.n
+    base = 0  # each vertex adds its base minus its children's: the root's base
+    # children come after their parent in BFS order, and attach order does
+    # not matter, so each finished vertex attaches itself to its parent
+    for v in order[:0:-1]:
+        a = acc[v]
+        s = shape[v] = finished_shape[a]
+        base += finished_low[a]
+        p = parent[v]
+        acc[p] = m[acc[p] << 8 | s]
+    shape[root], low = m.finish(acc[root])
+    return m.shapes, order, parent, shape, base + low
+
+
+def isolation_number(t: Tree, k: int) -> int:
+    """iota(T, K_{1,k}): the bottom-up pass of ``iota_tree_dp`` alone,
+    without a witness."""
+    costs, _, _, shape, base = _bottom_up(t, k, 0)
+    a, b, _, f, _ = costs[shape[0]]
+    return base + min(a, b, f)
 
 
 def iota_tree_dp(t: Tree, k: int, root: int = 0) -> IsolationSolution:
     """Exact minimum k-isolating set of a tree via a rooted 5-state DP.
 
     One bottom-up pass over the Tree's rooted view (``t.rooted(root)``,
-    stored for root 0) fills five int cost arrays, with ``n + 1`` marking
-    an infeasible state; one top-down pass re-derives each vertex's child
-    states with the same comparisons and collects the IN vertices.  Ties go
-    to the earliest state in the order IN, SAT, NEED, FREE_HI and then to
-    the earliest child in adjacency order.  The root choice cannot change
-    the optimum; it only steers tie-breaks in the witness.
+    stored for root 0) runs every vertex through k's ``Machine``; one
+    top-down pass re-derives each vertex's child states from the children's
+    shapes and collects the IN vertices.  Every comparison there is between
+    two states of one child, so its base cancels.  Ties go to the earliest
+    state in the order IN, SAT, NEED, FREE_HI and then to the earliest child
+    in adjacency order.  The root choice cannot change the optimum; it only
+    steers tie-breaks in the witness.
     """
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
-    order, parent = t.rooted(root)
-    n = t.n
-    if n == 1:
-        return IsolationSolution(k, frozenset(), 0, "tree_dp")
+    costs, order, parent, shape, base = _bottom_up(t, k, root)
     adj = t.graph.adjacency
-    inf = n + 1  # above every feasible cost
-    hi_budget, lo_budget = k - 1, k - 2
-    # initialised to the costs of a leaf, which the loop then skips
-    c_in = [1] * n
-    c_sat = [inf] * n
-    c_need = [0] * n
-    c_hi = [0] * n
-    c_lo = [0 if k >= 2 else inf] * n
-    for v in reversed(order):
-        p = parent[v]
-        if len(adj[v]) == 1 and v != root:
-            continue
-        total_in = 1
-        total_sat = 0
-        has_in = False
-        uplift = inf
-        total_need = 0
-        free = 0
-        must = 0
-        gains = []
-        for c in adj[v]:
-            if c == p:
-                continue
-            a, b, d, f = c_in[c], c_sat[c], c_need[c], c_hi[c]
-            # IN: children may be IN, SAT or NEED
-            total_in += a if a <= b and a <= d else (b if b <= d else d)
-            # SAT: children IN, SAT or FREE_HI, at least one IN (cheapest uplift)
-            # NEED: children SAT or FREE_HI; the parent must take v's cover
-            m = b if b <= f else f
-            total_need += m
-            if a <= m:
-                total_sat += a
-                has_in = True
-            else:
-                total_sat += m
-                if a - m < uplift:
-                    uplift = a - m
-            # FREE: children SAT or FREE_LO, at most budget of them FREE_LO
-            if free < inf:
-                lo = c_lo[c]
-                if b >= inf:
-                    if lo >= inf:
-                        free = inf
-                    else:
-                        must += 1
-                        free += lo
-                else:
-                    free += b
-                    if lo < b:
-                        gains.append(lo - b)
-        c_in[v] = total_in
-        if not has_in:
-            total_sat += uplift
-        c_sat[v] = total_sat if total_sat < inf else inf
-        c_need[v] = total_need if total_need < inf else inf
-        if free >= inf:
-            c_hi[v] = c_lo[v] = inf
-        else:
-            gains.sort()
-            c_hi[v] = free + sum(gains[: hi_budget - must]) if must <= hi_budget else inf
-            c_lo[v] = free + sum(gains[: lo_budget - must]) if must <= lo_budget else inf
+    a, b, _, f, _ = costs[shape[root]]
+    best_state, best = _IN, a
+    if b < best:
+        best_state, best = _SAT, b
+    if f < best:
+        best_state, best = _FREE_HI, f
 
-    best_state, best = _IN, c_in[root]
-    if c_sat[root] < best:
-        best_state, best = _SAT, c_sat[root]
-    if c_hi[root] < best:
-        best_state, best = _FREE_HI, c_hi[root]
-    if best >= inf:
-        raise RuntimeError(f"tree DP found no feasible root state (k={k}, n={n})")
-
-    state = bytearray(n)
+    state = bytearray(t.n)
     state[root] = best_state
     witness = []
     for v in order:
@@ -238,55 +311,54 @@ def iota_tree_dp(t: Tree, k: int, root: int = 0) -> IsolationSolution:
             witness.append(v)
             for c in adj[v]:
                 if c != p:
-                    a, b, d = c_in[c], c_sat[c], c_need[c]
+                    a, b, d, _, _ = costs[shape[c]]
                     state[c] = _IN if a <= b and a <= d else (_SAT if b <= d else _NEED)
         elif s == _NEED:
             for c in adj[v]:
                 if c != p:
-                    state[c] = _SAT if c_sat[c] <= c_hi[c] else _FREE_HI
-        elif s == _SAT:
-            has_in = False
-            uplift, cheapest = inf, -1
-            for c in adj[v]:
-                if c == p:
-                    continue
-                a, b, f = c_in[c], c_sat[c], c_hi[c]
-                m = b if b <= f else f
-                if a <= m:
-                    state[c] = _IN
-                    has_in = True
-                else:
+                    _, b, _, f, _ = costs[shape[c]]
                     state[c] = _SAT if b <= f else _FREE_HI
-                    if a - m < uplift:
-                        uplift, cheapest = a - m, c
-            if not has_in:
-                state[cheapest] = _IN
-        else:
-            budget = hi_budget if s == _FREE_HI else lo_budget
-            must = 0
-            optional = []
-            i = 0
+        elif s == _SAT:
+            # IN where it is cheapest; with no such child, the first child
+            # goes IN, as its uplift is 1 like every other child's
+            has_in = False
+            first = -1
             for c in adj[v]:
-                if c == p:
-                    continue
-                b, lo = c_sat[c], c_lo[c]
-                if b >= inf:
-                    state[c] = _FREE_LO
-                    must += 1
-                else:
-                    state[c] = _SAT
-                    if lo < b:
-                        optional.append((lo - b, i, c))
-                i += 1
-            optional.sort()
-            for _, _, c in optional[: budget - must]:
+                if c != p:
+                    a, b, _, f, _ = costs[shape[c]]
+                    if a <= b and a <= f:
+                        state[c] = _IN
+                        has_in = True
+                    else:
+                        state[c] = _SAT if b <= f else _FREE_HI
+                        if first < 0:
+                            first = c
+            if not has_in:
+                state[first] = _IN
+        else:
+            # children that must be FREE_LO, then, while the budget lasts,
+            # those where FREE_LO is one cheaper than SAT, in adjacency order
+            budget = k - 1 if s == _FREE_HI else k - 2
+            optional = []
+            for c in adj[v]:
+                if c != p:
+                    _, b, _, _, lo = costs[shape[c]]
+                    if b >= _INF:
+                        state[c] = _FREE_LO
+                        budget -= 1
+                    else:
+                        state[c] = _SAT
+                        if lo < b:
+                            optional.append(c)
+            for c in optional[:budget]:
                 state[c] = _FREE_LO
 
-    if len(witness) != best:
+    size = base + best
+    if len(witness) != size:
         raise RuntimeError(
-            f"tree DP witness has {len(witness)} vertices, optimum is {best} (k={k}, n={n})"
+            f"tree DP witness has {len(witness)} vertices, optimum is {size} (k={k}, n={t.n})"
         )
-    return IsolationSolution(k, frozenset(witness), best, "tree_dp")
+    return IsolationSolution(k, frozenset(witness), size, "tree_dp")
 
 
 def isolation_certificate(t: Tree, k: int) -> tuple[frozenset[int], list[tuple[int, ...]]]:

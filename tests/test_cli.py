@@ -432,11 +432,16 @@ class TestSweepCommand:
         assert checks.help == f"Comma list from {', '.join(CHECK_SUITES)} or 'all'."
 
 
-def run_python(*args):
+def python_env():
     src = str(Path(stariso.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+    return env
+
+
+def run_python(*args):
+    return subprocess.run([sys.executable, *args], env=python_env(), capture_output=True,
+                          text=True)
 
 
 def test_cli_import_loads_only_what_solve_needs():
@@ -446,6 +451,28 @@ def test_cli_import_loads_only_what_solve_needs():
     proc = run_python("-c", code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_cli_and_bounds_import_without_dataclasses_or_inspect():
+    code = ("import sys, stariso.cli, stariso.bounds; "
+            "print([m for m in ('dataclasses', 'inspect') if m in sys.modules])")
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_closed_stdout_exits_1_without_a_traceback():
+    # the member has 50,003 vertices, far more output than a pipe buffers
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "stariso.cli", "generate", "--family", "Tk",
+         "--k", "2", "--n0", "20000", "--h", "10000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=python_env(),
+    )
+    assert proc.stdout.readline() == b"50003\n"
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(), stderr) == (1, b"")
 
 
 @pytest.mark.parametrize("name", stariso.__all__)
@@ -462,6 +489,17 @@ def test_package_rejects_unknown_names():
 
 
 COMMANDS = ["solve", "bounds", "verify-set", "recognize", "generate", "sweep"]
+
+
+def test_parser_adds_only_the_named_commands_options():
+    from stariso.cli import cli
+
+    parser = cli.parser(["bounds", "--k", "2"])
+    (subparsers,) = [a for a in parser._actions if a.dest == "command"]
+    options = {name: [a.dest for a in sub._actions] for name, sub in subparsers.choices.items()}
+    assert list(options) == COMMANDS
+    assert options.pop("bounds") == ["help", "path", "k", "as_json", "graph6"]
+    assert set(map(tuple, options.values())) == {("help",)}
 
 
 class TestUsageErrors:

@@ -1,5 +1,5 @@
-"""Solver tests: residual graphs, brute force, the tree DP, the packing
-certificate, domination and the witness normalizers."""
+"""Solver tests: residual graphs, brute force, the tree DP and its finite
+machine, the packing certificate, domination and the witness normalizers."""
 
 import hashlib
 import itertools
@@ -20,12 +20,14 @@ from stariso.graphs import (
 from stariso.solver import (
     InstanceTooLarge,
     IsolationSolution,
+    Machine,
     certificate_failures,
     gamma_bruteforce,
     iota_bruteforce,
     iota_tree_dp,
     is_isolating,
     isolation_certificate,
+    isolation_number,
     normalize_no_deg2_support,
     normalize_no_leaves,
     residual,
@@ -253,6 +255,56 @@ class TestTreeDp:
                 assert values == sorted(values, reverse=True)
                 for k in (1, 2, 3, 4):
                     assert (iota_tree_dp(t, k).size == 0) == (t.max_degree < k)
+
+
+class TestMachine:
+    """The DP's finite machine: ``isolation_number`` runs its bottom-up pass
+    alone, and the states it can reach are finite for each k."""
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_isolation_number_matches_the_dp_exhaustively(self, n):
+        for t in enumerate_free_trees(n):
+            for k in range(1, 6):
+                assert isolation_number(t, k) == iota_tree_dp(t, k).size
+
+    @pytest.mark.parametrize("n", [3, 40, 300, 2000])
+    def test_isolation_number_matches_the_dp_on_prufer_trees(self, n):
+        rng = random.Random(n)
+        for _ in range(3):
+            t = prufer_decode([rng.randrange(n) for _ in range(n - 2)])
+            for k in range(1, 6):
+                assert isolation_number(t, k) == iota_tree_dp(t, k).size
+
+    @pytest.mark.parametrize("k, accumulators, shapes", [
+        (1, 17, 12), (2, 85, 19), (3, 188, 19), (4, 349, 19),
+        (5, 580, 19), (6, 893, 19), (7, 1300, 19),
+    ])
+    def test_closure_state_counts(self, k, accumulators, shapes):
+        # every accumulator finishes as it is interned, so attaching every
+        # shape to every accumulator until nothing new appears is the closure
+        m = Machine(k)
+        assert (m.accumulators[m.start], m.shapes[m.finish(m.start)[0]]) == (
+            (0, 0, 2, 0, 0, 0, 0), (1, 2, 0, 0, 0 if k >= 2 else 2),
+        )
+        while True:
+            seen = len(m.accumulators), len(m.shapes)
+            for acc in range(seen[0]):
+                for shape in range(seen[1]):
+                    m.attach(acc, shape)
+            if (len(m.accumulators), len(m.shapes)) == seen:
+                break
+        assert seen == (accumulators, shapes)
+        assert len(m) == accumulators * shapes
+
+    @pytest.mark.parametrize("k", [2, 10**4 - 1])
+    def test_hostile_star_degree(self, k):
+        # the center of K_{1,10^4} counts its FREE_LO children up to k
+        t = as_tree(star_graph(10**4))
+        assert isolation_number(t, k) == 1
+        for root in (0, 1):
+            sol = iota_tree_dp(t, k, root)
+            assert sol.size == 1
+            assert is_isolating(t.graph, sol.set, k)
 
 
 def certified_size(t, k):
