@@ -29,7 +29,6 @@ _EXPORTS = {
         "FamilyError",
         "FCertificate",
         "TkCertificate",
-        "add_twin_leaves",
         "gen_char_orderminusleaves",
         "gen_corona_extremal",
         "gen_family_F",

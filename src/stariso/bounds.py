@@ -7,11 +7,18 @@ given iota.  Equality detection is the whole point, so floating point never
 appears: every comparison is integer cross-multiplication, and reported
 bound values are reduced ``Fraction``s.  Bounds whose hypotheses fail are
 reported as explicit not-applicable entries with a reason.
+
+The closed forms read only n, l, s, k and whether the tree is a star, so
+their values, reasons and notes are computed once per such key into a
+per-process table, bounded at ``_TABLE_SIZE`` entries and holding
+only immutable values; every report is built with fresh dicts, so no
+caller can change what a later report reads.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from typing import NamedTuple
 
 from .graphs import Tree, is_any_star, is_star
@@ -96,6 +103,12 @@ def regime_classify(n: int, l: int, k: int) -> str:
     return "ℓ > kn/(k+2)"
 
 
+#: Entries in the per-process bound table.  A sweep to max-n 14 at k 1, 2, 3
+#: fills 537 of them; the bound keeps a longer-lived process from growing
+#: without end.
+_TABLE_SIZE = 4096
+
+
 def evaluate_bounds(t: Tree, k: int, iota: int) -> BoundReport:
     """Evaluate every bound for (t, k) with exact equality flags against
     the given isolation number iota = iota_k(t).
@@ -103,57 +116,72 @@ def evaluate_bounds(t: Tree, k: int, iota: int) -> BoundReport:
     Hypotheses are enforced: bounds built on leaf removal are not
     applicable to stars (removing all leaves would leave a single vertex,
     where the domination step fails), and the remaining conditions follow
-    each bound's stated requirements.
+    each bound's stated requirements.  Everything but iota comes from a
+    bounded per-process table of immutable entries; each report gets its
+    own dicts.
     """
     n, l, s = t.n, t.leaf_order, t.support_count
-    bounds: dict[str, Fraction] = {}
-    na: dict[str, str] = {}
-    notes: dict[str, str] = {}
+    regime, bounds, whole, na, notes = _closed_forms(n, l, s, k, is_any_star(t), is_star(t, k))
+    return BoundReport(
+        n=n, l=l, s=s, k=k, iota=iota, regime=regime,
+        bounds=dict(bounds), not_applicable=dict(na),
+        equality={name: value == iota for name, value in whole},
+        notes=dict(notes),
+    )
 
-    star_any = is_any_star(t)
+
+@lru_cache(maxsize=_TABLE_SIZE)
+def _closed_forms(
+    n: int, l: int, s: int, k: int, star_any: bool, star_k: bool
+) -> tuple[str, tuple[tuple[str, Fraction], ...], tuple[tuple[str, int | None], ...],
+           tuple[tuple[str, str], ...], tuple[tuple[str, str], ...]]:
+    """The regime, the (name, value) bounds, the (name, integer value or
+    None) pairs that the equality flags compare iota with, the (name,
+    reason) N/A entries and the (name, note) notes for one key, all in
+    report order."""
+    bounds: list[tuple[str, Fraction]] = []
+    na: list[tuple[str, str]] = []
+    notes: list[tuple[str, str]] = []
+
     if n < 3:
-        na[ORDER_MINUS_LEAVES] = "requires n >= 3"
+        na.append((ORDER_MINUS_LEAVES, "requires n >= 3"))
     elif star_any:
-        na[ORDER_MINUS_LEAVES] = "star: removing the leaves leaves a single vertex"
+        na.append((ORDER_MINUS_LEAVES, "star: removing the leaves leaves a single vertex"))
     else:
-        bounds[ORDER_MINUS_LEAVES] = Fraction(n - l, 2)
+        bounds.append((ORDER_MINUS_LEAVES, Fraction(n - l, 2)))
 
-    bounds[ORDER_PLUS_LEAVES] = Fraction(n + l, 4)
+    bounds.append((ORDER_PLUS_LEAVES, Fraction(n + l, 4)))
 
-    if is_star(t, k):
-        na[CARO_TREES] = f"tree is the k-star K(1,{k})"
+    if star_k:
+        na.append((CARO_TREES, f"tree is the k-star K(1,{k})"))
     else:
-        bounds[CARO_TREES] = Fraction(n, k + 2)
+        bounds.append((CARO_TREES, Fraction(n, k + 2)))
 
-    bounds[STAR_BOUND] = Fraction(n + l, 2 * k + 1)
+    bounds.append((STAR_BOUND, Fraction(n + l, 2 * k + 1)))
     if k == 1:
-        notes[STAR_BOUND] = "informational at k=1: not sharp, dominated by order_plus_leaves"
+        notes.append((STAR_BOUND, "informational at k=1: not sharp, dominated by order_plus_leaves"))
 
     if n < 3:
-        na[SUPPORT_BOUND] = "requires n >= 3"
+        na.append((SUPPORT_BOUND, "requires n >= 3"))
     elif s == 1:
-        na[SUPPORT_BOUND] = "requires s != 1"
+        na.append((SUPPORT_BOUND, "requires s != 1"))
     else:
-        bounds[SUPPORT_BOUND] = Fraction(n - l + 2 * s, 4)
+        bounds.append((SUPPORT_BOUND, Fraction(n - l + 2 * s, 4)))
 
     if n < 3:
-        na[BOUTRIG] = "requires n >= 3"
+        na.append((BOUTRIG, "requires n >= 3"))
     elif star_any:
-        na[BOUTRIG] = "star: removing the leaves leaves a single vertex"
+        na.append((BOUTRIG, "star: removing the leaves leaves a single vertex"))
     else:
-        bounds[BOUTRIG] = Fraction(n - l + s, 3)
+        bounds.append((BOUTRIG, Fraction(n - l + s, 3)))
 
     if n == 2:
-        na[CARO_THIRD] = "tree is K_2"
+        na.append((CARO_THIRD, "tree is K_2"))
     else:
-        bounds[CARO_THIRD] = Fraction(n, 3)
+        bounds.append((CARO_THIRD, Fraction(n, 3)))
 
-    equality = {name: value == iota for name, value in bounds.items()}
-    return BoundReport(
-        n=n, l=l, s=s, k=k, iota=iota,
-        regime=regime_classify(n, l, k),
-        bounds=bounds, not_applicable=na, equality=equality, notes=notes,
-    )
+    whole = tuple((name, f.numerator if f.denominator == 1 else None) for name, f in bounds)
+    return regime_classify(n, l, k), tuple(bounds), whole, tuple(na), tuple(notes)
 
 
 def regime_table_violations(t: Tree, k: int, iota: int) -> list[str]:

@@ -994,7 +994,7 @@ def recognize_char_orderminusleaves(g: Graph, k: int) -> CoronaCertificate | Non
 
 
 # ---------------------------------------------------------------------------
-# Gap spiders and twin-leaf augmentation
+# Gap spiders
 # ---------------------------------------------------------------------------
 
 def gen_spider_gap(k: int) -> Tree:
@@ -1005,26 +1005,3 @@ def gen_spider_gap(k: int) -> Tree:
     edges = [(0, 1), (1, 2), (2, 3)]
     edges += [(1, 4 + i) for i in range(2 * k - 1)]
     return as_tree(build_graph(2 * k + 3, edges))
-
-
-def add_twin_leaves(
-    t: Tree,
-    cert: FCertificate,
-    multiplicities: dict[int, int],
-) -> Tree:
-    """Attach extra twin leaves at support vertices of a family member.
-
-    The result attains iota = (n - l + 2s)/4 with its own statistics.
-    """
-    for v, extra in multiplicities.items():
-        if v not in cert.b_set:
-            raise FamilyError(f"vertex {v} is not a support vertex of the family member")
-        if extra < 0:
-            raise FamilyError(f"negative multiplicity at {v}")
-    edges = t.graph.edges()
-    nxt = t.n
-    for v in sorted(multiplicities):
-        for _ in range(multiplicities[v]):
-            edges.append((v, nxt))
-            nxt += 1
-    return as_tree(build_graph(nxt, edges))

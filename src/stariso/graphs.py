@@ -11,7 +11,8 @@ two functions: ``bfs_order`` (single-source order and parents) and
 Free trees are enumerated here, without third-party code:
 ``free_tree_levels`` yields one compact level sequence per isomorphism
 class (what the sweep ships to its workers), ``level_edges`` turns one into
-an edge list, and ``enumerate_free_trees`` builds the validated Trees.
+an edge list, ``level_tree`` into a validated Tree without the edge-list
+build, and ``enumerate_free_trees`` yields those Trees.
 """
 
 from __future__ import annotations
@@ -449,6 +450,19 @@ def level_edges(levels: tuple[int, ...]) -> list[tuple[int, int]]:
     return edges
 
 
+def level_tree(levels: tuple[int, ...]) -> Tree:
+    """The rooted tree with these levels as a validated Tree, labels being
+    level-sequence indices: equal to ``as_tree(build_graph(n,
+    level_edges(levels)))``.  A vertex's parent comes before it and its
+    children after it, in ascending order, so the neighbor tuples come
+    out sorted with no sort and no duplicate scan."""
+    adjacency: list[list[int]] = [[] for _ in levels]
+    for v, p in level_edges(levels):
+        adjacency[v].append(p)
+        adjacency[p].append(v)
+    return as_tree(Graph(len(levels), tuple(map(tuple, adjacency))))
+
+
 def enumerate_free_trees(n: int) -> Iterator[Tree]:
     """Yield one representative per isomorphism class of trees on n vertices,
     in ``free_tree_levels`` order; vertex labels are level-sequence indices.
@@ -458,4 +472,4 @@ def enumerate_free_trees(n: int) -> Iterator[Tree]:
     the known class counts.
     """
     for levels in free_tree_levels(n):
-        yield as_tree(build_graph(n, level_edges(levels)))
+        yield level_tree(levels)

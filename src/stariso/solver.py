@@ -62,10 +62,20 @@ def residual_degrees(g: Graph, dominators: frozenset[int] | set[int]) -> dict[in
 
 
 def is_isolating(g: Graph, dominators: frozenset[int] | set[int], k: int) -> bool:
-    """True iff G - N[D] contains no k-star."""
+    """True iff G - N[D] contains no k-star.
+
+    Stops at the first vertex outside N[D] with residual degree >= k, and
+    counts none of degree < k.
+    """
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
-    return max(residual_degrees(g, dominators).values(), default=0) < k
+    _check_vertex_set(g, dominators)
+    removed = closed_neighborhood(g, dominators)
+    for v, neighbors in enumerate(g.adjacency):
+        if (len(neighbors) >= k and v not in removed
+                and len(neighbors) - len(removed.intersection(neighbors)) >= k):
+            return False
+    return True
 
 
 def _check_vertex_set(g: Graph, vertices) -> None:

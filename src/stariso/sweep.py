@@ -42,12 +42,11 @@ from .graphs import (
     MAX_ENUMERATION_ORDER as MAX_SWEEP_N,
     Tree,
     as_tree,
-    build_graph,
     canonical_code,
     diameter_path,
     free_tree_levels,
     is_star,
-    level_edges,
+    level_tree,
 )
 from .solver import (
     certificate_failures,
@@ -381,7 +380,7 @@ def _constructive_records(config: SweepConfig) -> list[SweepRecord]:
 
 
 def _worker(config: SweepConfig, levels: tuple[int, ...]) -> SweepLine:
-    return _to_line(check_tree(as_tree(build_graph(len(levels), level_edges(levels))), config))
+    return _to_line(check_tree(level_tree(levels), config))
 
 
 def _sorted_order(spill: IO[bytes], n: int, lines: Iterable[SweepLine]) -> Iterator[SweepLine]:

@@ -14,7 +14,6 @@ from fractions import Fraction
 
 from stariso.bounds import evaluate_bounds, regime_table_violations
 from stariso.families import (
-    add_twin_leaves,
     gen_corona_extremal,
     gen_spider_gap,
     min_iso_set_F,
@@ -38,6 +37,8 @@ from stariso.solver import (
     normalize_no_deg2_support,
     normalize_no_leaves,
 )
+
+from family_helpers import add_twin_leaves
 
 
 def _report(number: int, name: str, failures: list[str]) -> None:

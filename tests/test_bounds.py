@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from stariso.bounds import (
+    BOUND_NAMES,
     BOUTRIG,
     CARO_THIRD,
     CARO_TREES,
@@ -14,13 +15,15 @@ from stariso.bounds import (
     ORDER_PLUS_LEAVES,
     STAR_BOUND,
     SUPPORT_BOUND,
+    BoundReport,
     evaluate_bounds,
     regime_classify,
     regime_table_violations,
 )
 from stariso.families import gen_corona_extremal, gen_spider_gap
-from stariso.graphs import as_tree, build_graph, enumerate_free_trees
+from stariso.graphs import as_tree, build_graph, enumerate_free_trees, is_any_star, is_star
 from stariso.solver import iota_tree_dp
+from stariso.sweep import SweepConfig, sweep_lines
 
 
 def path_tree(n):
@@ -170,10 +173,11 @@ class TestSweptInvariants:
 
 class FakeTree:
     """Just the statistics the bound code reads, for (n, l, s) no tree has;
-    max degree 0 keeps every star clause off."""
+    max degree 0 (the default) keeps every star clause off, and n - 1 turns
+    them on."""
 
-    def __init__(self, n, l, s=0):
-        self.n, self.leaf_order, self.support_count, self.max_degree = n, l, s, 0
+    def __init__(self, n, l, s=0, max_degree=0):
+        self.n, self.leaf_order, self.support_count, self.max_degree = n, l, s, max_degree
 
 
 def fraction_regime(n, l, k):
@@ -279,3 +283,135 @@ class TestIntegerComparisons:
                             assert got == fraction_table_violations(n, l, k, iota, regime)
                             templates.update(re.sub(r"=[\d/]+", "=#", v) for v in got)
         assert len(templates) == 15  # 2 + 2 + 2 checks at k = 1, 2 + 2 + 1 + 2 + 2 above
+
+
+def fraction_evaluate_bounds(t, k, iota):
+    """evaluate_bounds as it was written before the bound table, with
+    Fraction equality flags: the reference."""
+    n, l, s = t.n, t.leaf_order, t.support_count
+    bounds = {}
+    na = {}
+    notes = {}
+
+    star_any = is_any_star(t)
+    if n < 3:
+        na[ORDER_MINUS_LEAVES] = "requires n >= 3"
+    elif star_any:
+        na[ORDER_MINUS_LEAVES] = "star: removing the leaves leaves a single vertex"
+    else:
+        bounds[ORDER_MINUS_LEAVES] = Fraction(n - l, 2)
+
+    bounds[ORDER_PLUS_LEAVES] = Fraction(n + l, 4)
+
+    if is_star(t, k):
+        na[CARO_TREES] = f"tree is the k-star K(1,{k})"
+    else:
+        bounds[CARO_TREES] = Fraction(n, k + 2)
+
+    bounds[STAR_BOUND] = Fraction(n + l, 2 * k + 1)
+    if k == 1:
+        notes[STAR_BOUND] = "informational at k=1: not sharp, dominated by order_plus_leaves"
+
+    if n < 3:
+        na[SUPPORT_BOUND] = "requires n >= 3"
+    elif s == 1:
+        na[SUPPORT_BOUND] = "requires s != 1"
+    else:
+        bounds[SUPPORT_BOUND] = Fraction(n - l + 2 * s, 4)
+
+    if n < 3:
+        na[BOUTRIG] = "requires n >= 3"
+    elif star_any:
+        na[BOUTRIG] = "star: removing the leaves leaves a single vertex"
+    else:
+        bounds[BOUTRIG] = Fraction(n - l + s, 3)
+
+    if n == 2:
+        na[CARO_THIRD] = "tree is K_2"
+    else:
+        bounds[CARO_THIRD] = Fraction(n, 3)
+
+    equality = {name: value == iota for name, value in bounds.items()}
+    return BoundReport(
+        n=n, l=l, s=s, k=k, iota=iota,
+        regime=regime_classify(n, l, k),
+        bounds=bounds, not_applicable=na, equality=equality, notes=notes,
+    )
+
+
+def report_fields(report):
+    """Every field, each dict as its item list so that order counts too."""
+    return [list(value.items()) if isinstance(value, dict) else value for value in report]
+
+
+class TestBoundTable:
+    """The per-process table gives the reports the Fraction code gave, and
+    no report can change a later one."""
+
+    def test_matches_the_fraction_reference(self):
+        # every key of the FakeTree grid, star or not; iota at 0 and at and
+        # just above every whole bound value, where an equality flag turns
+        # (TestIntegerComparisons covers every iota on part of the grid)
+        stars = 0
+        for n in range(1, 41):
+            for l in range(n + 1):
+                for s in sorted({0, 1, (l + 1) // 2, l}):
+                    for max_degree in (0, n - 1):
+                        t = FakeTree(n, l, s, max_degree)
+                        for k in range(1, 6):
+                            stars += is_star(t, k)
+                            base = fraction_evaluate_bounds(t, k, 0)
+                            values = base.bounds.values()
+                            whole = {int(v) for v in values if v.denominator == 1}
+                            iotas = {0} | whole | {w + 1 for w in whole}
+                            for iota in sorted(iotas):
+                                got = evaluate_bounds(t, k, iota)
+                                want = base._replace(iota=iota, equality={
+                                    name: v == iota for name, v in base.bounds.items()})
+                                assert report_fields(got) == report_fields(want), (
+                                    n, l, s, max_degree, k, iota)
+        assert stars > 0
+
+    def test_real_trees_match_the_fraction_reference(self):
+        for n in range(1, 10):
+            for t in enumerate_free_trees(n):
+                for k in (1, 2, 3):
+                    iota = iota_tree_dp(t, k).size
+                    got = evaluate_bounds(t, k, iota)
+                    want = fraction_evaluate_bounds(t, k, iota)
+                    assert report_fields(got) == report_fields(want)
+                    assert got.to_json_dict() == want.to_json_dict()
+
+    @pytest.mark.parametrize("t, k", [(star_tree(3), 1), (star_tree(3), 3), (path_tree(2), 1)])
+    def test_mutating_a_report_leaves_later_ones_alone(self, t, k):
+        first = evaluate_bounds(t, k, 1)
+        assert first.not_applicable
+        first.bounds.clear()
+        first.equality.clear()
+        first.not_applicable.clear()
+        first.notes["planted"] = "note"
+        for iota in (1, 0):
+            again = evaluate_bounds(t, k, iota)
+            assert report_fields(again) == report_fields(fraction_evaluate_bounds(t, k, iota))
+            again.bounds[ORDER_PLUS_LEAVES] = Fraction(99)
+            again.equality[ORDER_PLUS_LEAVES] = None
+        assert set(evaluate_bounds(t, k, 1).to_json_dict()["bounds"]) == set(BOUND_NAMES)
+
+    def test_a_sweep_misses_once_per_key(self):
+        import stariso.bounds
+
+        table = stariso.bounds._closed_forms
+        config = SweepConfig(max_n=10, k_list=(1, 2, 3), jobs=1)
+        table.cache_clear()
+        keys = set()
+        records = 0
+        for line in sweep_lines(config):
+            record = json.loads(line.line)
+            n, l, s = record["n"], record["l"], record["s"]
+            records += 1
+            for k in config.k_list:
+                star = n == 2 or (n >= 3 and l == n - 1)
+                keys.add((n, l, s, k, n >= 3 and star, star and n == k + 1))
+        info = table.cache_info()
+        assert info.hits + info.misses == records * len(config.k_list)
+        assert info.misses <= len(keys) <= info.maxsize

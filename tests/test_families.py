@@ -13,7 +13,6 @@ from stariso.families import (
     FamilyError,
     FCertificate,
     TkCertificate,
-    add_twin_leaves,
     gen_char_orderminusleaves,
     gen_corona_extremal,
     gen_family_F,
@@ -36,6 +35,8 @@ from stariso.graphs import (
     enumerate_free_trees,
 )
 from stariso.solver import iota_bruteforce, iota_tree_dp, is_isolating
+
+from family_helpers import add_twin_leaves
 
 
 def path_tree(n):

@@ -29,6 +29,7 @@ from stariso.graphs import (
     is_any_star,
     is_star,
     level_edges,
+    level_tree,
     prufer_decode,
     tree_centers,
 )
@@ -527,6 +528,34 @@ class TestEnumeration:
                 for seq in itertools.product(range(n), repeat=n - 2)
             }
         assert {canonical_code(t) for t in enumerate_free_trees(n)} == oracle
+
+
+def tree_fields(t):
+    return (t.graph.n, t.graph.adjacency, t.graph.edge_count, t.order, t.parent,
+            t.leaf_set, t.support_set, t.strong_support_set, t.max_degree)
+
+
+class TestLevelTree:
+    """``level_tree`` builds the same Tree as the edge-list route."""
+
+    @staticmethod
+    def check_order(n):
+        for levels in free_tree_levels(n):
+            expected = as_tree(build_graph(n, level_edges(levels)))
+            assert tree_fields(level_tree(levels)) == tree_fields(expected), levels
+
+    @pytest.mark.parametrize("n", range(1, 15))
+    def test_matches_the_edge_list_build(self, n):
+        self.check_order(n)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("n", (15, 16))
+    def test_matches_the_edge_list_build_to_16(self, n):
+        self.check_order(n)
+
+    def test_empty_sequence_is_not_a_tree(self):
+        with pytest.raises(GraphError, match="the empty graph is not a tree"):
+            level_tree(())
 
 
 class TestPrufer:

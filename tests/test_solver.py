@@ -129,11 +129,32 @@ class TestIsIsolating:
         import stariso.solver
 
         def no_pass(*args):
-            raise AssertionError("residual_degrees called")
+            raise AssertionError("a pass over the graph ran")
 
-        monkeypatch.setattr(stariso.solver, "residual_degrees", no_pass)
+        for name in ("residual_degrees", "closed_neighborhood", "_check_vertex_set"):
+            monkeypatch.setattr(stariso.solver, name, no_pass)
         with pytest.raises(ValueError, match=f"k must be positive, got {k}"):
             is_isolating(path_graph(6), {1}, k)
+
+    def test_agrees_with_the_residual_degrees(self):
+        # the early exit gives the answer of the full residual count
+        rng = random.Random(18)
+        outcomes = set()
+        for n in range(1, 10):
+            for t in enumerate_free_trees(n):
+                g = t.graph
+                sets = [set(c) for size in range(3) for c in itertools.combinations(range(n), size)]
+                sets += [set(rng.sample(range(n), rng.randint(0, n))) for _ in range(8)]
+                for k in (1, 2, 3):
+                    for dominators in sets:
+                        expected = max(residual_degrees(g, dominators).values(), default=0) < k
+                        assert is_isolating(g, dominators, k) == expected, (n, k, dominators)
+                        outcomes.add(expected)
+        assert outcomes == {True, False}
+
+    def test_vertex_out_of_range(self):
+        with pytest.raises(GraphError, match="vertex 6 out of range for n=6"):
+            is_isolating(path_graph(6), {6}, 1)
 
 
 class TestBruteForce:
