@@ -9,16 +9,19 @@ bound values are reduced ``Fraction``s.  Bounds whose hypotheses fail are
 reported as explicit not-applicable entries with a reason.
 
 The closed forms read only n, l, s, k and whether the tree is a star, so
-their values, reasons and notes are computed once per such key into a
-per-process table, bounded at ``_TABLE_SIZE`` entries and holding
-only immutable values; every report is built with fresh dicts, so no
-caller can change what a later report reads.
+their values, reasons, notes and rendered strings are computed once per
+such key into a per-process table, bounded at ``_TABLE_SIZE`` entries and
+holding only read-only values; every report is built with fresh dicts and
+renders into fresh dicts, so no caller can change what a later report
+reads.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
 from typing import NamedTuple
 
 from .graphs import Tree, is_any_star, is_star
@@ -42,9 +45,7 @@ BOUND_NAMES = (
 )
 
 
-class BoundReport(NamedTuple):
-    """Every applicable bound value for one (tree, k) instance."""
-
+class _ReportFields(NamedTuple):
     n: int
     l: int
     s: int
@@ -56,14 +57,29 @@ class BoundReport(NamedTuple):
     equality: dict[str, bool]
     notes: dict[str, str]
 
+
+class BoundReport(_ReportFields):
+    """Every applicable bound value for one (tree, k) instance.
+
+    A report from ``evaluate_bounds`` also keeps its bound-table entry,
+    ``_forms``, and ``to_json_dict`` copies that entry's rendered strings
+    while the report's bounds and N/A reasons still equal the entry's.  A
+    report built any other way, copied or edited renders its own dicts.
+    """
+
+    _forms: _Forms | None = None
+
+    def __reduce__(self):
+        # the table entry stays in its process
+        return BoundReport, tuple(self)
+
     def to_json_dict(self) -> dict:
-        rendered: dict[str, str] = {}
-        for name in BOUND_NAMES:
-            if name in self.bounds:
-                f = self.bounds[name]
-                rendered[name] = f"{f.numerator}/{f.denominator}"
-            else:
-                rendered[name] = f"N/A: {self.not_applicable[name]}"
+        forms = self._forms
+        if (forms is not None and forms.bounds == self.bounds
+                and forms.not_applicable == self.not_applicable):
+            rendered = forms.rendered.copy()
+        else:
+            rendered = _render(self.bounds, self.not_applicable)
         out = {
             "n": self.n,
             "l": self.l,
@@ -77,6 +93,19 @@ class BoundReport(NamedTuple):
         if self.notes:
             out["notes"] = dict(self.notes)
         return out
+
+
+def _render(bounds: Mapping[str, Fraction], na: Mapping[str, str]) -> dict[str, str]:
+    """Each bound as ``"p/q"``, or ``"N/A: reason"`` where it does not
+    apply, in ``BOUND_NAMES`` order."""
+    rendered: dict[str, str] = {}
+    for name in BOUND_NAMES:
+        if name in bounds:
+            f = bounds[name]
+            rendered[name] = f"{f.numerator}/{f.denominator}"
+        else:
+            rendered[name] = f"N/A: {na[name]}"
+    return rendered
 
 
 def regime_classify(n: int, l: int, k: int) -> str:
@@ -121,24 +150,36 @@ def evaluate_bounds(t: Tree, k: int, iota: int) -> BoundReport:
     own dicts.
     """
     n, l, s = t.n, t.leaf_order, t.support_count
-    regime, bounds, whole, na, notes = _closed_forms(n, l, s, k, is_any_star(t), is_star(t, k))
-    return BoundReport(
-        n=n, l=l, s=s, k=k, iota=iota, regime=regime,
-        bounds=dict(bounds), not_applicable=dict(na),
-        equality={name: value == iota for name, value in whole},
-        notes=dict(notes),
+    forms = _closed_forms(n, l, s, k, is_any_star(t), is_star(t, k))
+    report = BoundReport(
+        n=n, l=l, s=s, k=k, iota=iota, regime=forms.regime,
+        bounds=forms.bounds.copy(), not_applicable=forms.not_applicable.copy(),
+        equality={name: value == iota for name, value in forms.whole},
+        notes=forms.notes.copy(),
     )
+    report._forms = forms
+    return report
+
+
+class _Forms(NamedTuple):
+    """One key's entry in the bound table, read-only: the mappings are
+    ``MappingProxyType`` views, in report order."""
+
+    regime: str
+    bounds: Mapping[str, Fraction]
+    #: (name, integer value or None) pairs that the equality flags compare
+    #: iota with
+    whole: tuple[tuple[str, int | None], ...]
+    not_applicable: Mapping[str, str]
+    notes: Mapping[str, str]
+    #: ``BoundReport.to_json_dict``'s ``"bounds"``
+    rendered: Mapping[str, str]
 
 
 @lru_cache(maxsize=_TABLE_SIZE)
-def _closed_forms(
-    n: int, l: int, s: int, k: int, star_any: bool, star_k: bool
-) -> tuple[str, tuple[tuple[str, Fraction], ...], tuple[tuple[str, int | None], ...],
-           tuple[tuple[str, str], ...], tuple[tuple[str, str], ...]]:
-    """The regime, the (name, value) bounds, the (name, integer value or
-    None) pairs that the equality flags compare iota with, the (name,
-    reason) N/A entries and the (name, note) notes for one key, all in
-    report order."""
+def _closed_forms(n: int, l: int, s: int, k: int, star_any: bool, star_k: bool) -> _Forms:
+    """The regime, bounds, N/A reasons, notes and rendered strings for one
+    key."""
     bounds: list[tuple[str, Fraction]] = []
     na: list[tuple[str, str]] = []
     notes: list[tuple[str, str]] = []
@@ -181,7 +222,15 @@ def _closed_forms(
         bounds.append((CARO_THIRD, Fraction(n, 3)))
 
     whole = tuple((name, f.numerator if f.denominator == 1 else None) for name, f in bounds)
-    return regime_classify(n, l, k), tuple(bounds), whole, tuple(na), tuple(notes)
+    values, reasons = dict(bounds), dict(na)
+    return _Forms(
+        regime=regime_classify(n, l, k),
+        bounds=MappingProxyType(values),
+        whole=whole,
+        not_applicable=MappingProxyType(reasons),
+        notes=MappingProxyType(dict(notes)),
+        rendered=MappingProxyType(_render(values, reasons)),
+    )
 
 
 def regime_table_violations(t: Tree, k: int, iota: int) -> list[str]:

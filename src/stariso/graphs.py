@@ -305,16 +305,28 @@ def diameter_path(t: Tree) -> PathWitness:
 # Canonical form (center-rooted AHU level encoding)
 # ---------------------------------------------------------------------------
 
-def tree_centers(t: Tree) -> list[int]:
-    """The 1 or 2 centers of a tree: the middle of a diametral path, which
-    runs from ``t.order[-1]`` to the last vertex of a BFS from there."""
+def far_path(t: Tree) -> list[int]:
+    """A diametral path of t from one BFS: it runs from the last vertex of
+    a BFS from ``t.order[-1]`` back to ``t.order[-1]``, itself the far end
+    of a BFS from 0 and hence an end of some diametral path.  Its length,
+    ``len(path) - 1``, is the diameter, and its middle holds the centers."""
     a = t.order[-1]
     order, parent = bfs_order(t.graph, a)
     path = [order[-1]]
     while path[-1] != a:
         path.append(parent[path[-1]])
+    return path
+
+
+def _middle(path: list[int]) -> list[int]:
+    """The 1 or 2 middle vertices of a path, sorted."""
     d = len(path) - 1
     return sorted(path[d // 2:(d + 1) // 2 + 1])
+
+
+def tree_centers(t: Tree) -> list[int]:
+    """The 1 or 2 centers of a tree: the middle of ``far_path(t)``."""
+    return _middle(far_path(t))
 
 
 def _rooted_code(t: Tree, root: int) -> bytes:
@@ -335,7 +347,14 @@ def canonical_code(t: Tree) -> bytes:
     Roots at the tree center; for bicentral trees takes the lexicographic
     minimum over the two center rootings.
     """
-    return min(_rooted_code(t, c) for c in tree_centers(t))
+    return centered_code(t, far_path(t))
+
+
+def centered_code(t: Tree, path: list[int]) -> bytes:
+    """``canonical_code(t)`` from a diametral path of t that the caller
+    already holds, such as ``far_path(t)``: every diametral path has the
+    centers in its middle."""
+    return min(_rooted_code(t, c) for c in _middle(path))
 
 
 # ---------------------------------------------------------------------------

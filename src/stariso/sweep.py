@@ -42,8 +42,9 @@ from .graphs import (
     MAX_ENUMERATION_ORDER as MAX_SWEEP_N,
     Tree,
     as_tree,
-    canonical_code,
+    centered_code,
     diameter_path,
+    far_path,
     free_tree_levels,
     is_star,
     level_tree,
@@ -174,13 +175,27 @@ def _strip_to_single_leaves(t: Tree) -> Tree:
     return as_tree(sub)
 
 
+def _twin_leaf_member(t: Tree) -> bool:
+    """``recognize_F(_strip_to_single_leaves(t)) is not None``, with no
+    rebuild where ``recognize_F`` rejects at its first tests.  The reduced
+    tree has n - l + s vertices, and recognize_F needs 6; it keeps one
+    leaf per support vertex, whose degree there must be 2, so the support
+    needs exactly one non-leaf neighbor in t."""
+    adjacency, leaves = t.graph.adjacency, t.leaf_set
+    if t.n - t.leaf_order + t.support_count < 6 or any(
+            sum(w not in leaves for w in adjacency[v]) != 1 for v in t.support_set):
+        return False
+    return recognize_F(_strip_to_single_leaves(t)) is not None
+
+
 def check_tree(t: Tree, config: SweepConfig, source: str = "enumerated") -> SweepRecord:
     """Run every enabled check suite on one tree and collect violations."""
     checks = config.active_checks()
     g = t.graph
     n, l, s = t.n, t.leaf_order, t.support_count
-    path = diameter_path(t) if n >= 2 else None
-    diam = path.length if path else 0
+    # one BFS gives the diameter here and the centers of the tree code
+    far = far_path(t)
+    diam = len(far) - 1
     violations: list[str] = []
     per_k: dict[int, dict] = {}
 
@@ -261,7 +276,7 @@ def check_tree(t: Tree, config: SweepConfig, source: str = "enumerated") -> Swee
                 violations.append("strong support vertex on an (n+l)/4 equality tree")
             if s >= 2 and n >= 3:
                 eq2 = 4 * iota1 == n - l + 2 * s
-                member2 = recognize_F(_strip_to_single_leaves(t)) is not None
+                member2 = _twin_leaf_member(t)
                 if eq2 != member2:
                     violations.append(
                         f"(n-l+2s)/4 equality is {eq2} but twin-leaf reduction membership is {member2}"
@@ -288,10 +303,10 @@ def check_tree(t: Tree, config: SweepConfig, source: str = "enumerated") -> Swee
                 violations.append(f"k={k}: equality instance in the forbidden small-order band")
             if eq and not is_star(t, k) and diam < 5:
                 violations.append(f"k={k}: non-star equality instance with diameter {diam}")
-            if eq and path is not None and g.degree(path.vertices[1]) != k:
-                violations.append(
-                    f"k={k}: equality instance with deg(u1)={g.degree(path.vertices[1])} != k"
-                )
+            if eq:  # a k-star exists, so n >= 3
+                u1 = diameter_path(t).vertices[1]
+                if g.degree(u1) != k:
+                    violations.append(f"k={k}: equality instance with deg(u1)={g.degree(u1)} != k")
             if n >= 3 and k <= t.max_degree and n <= 2 * k + 1 and iota != 1:
                 violations.append(f"k={k}: small-order tree with iota={iota} != 1")
 
@@ -339,7 +354,7 @@ def check_tree(t: Tree, config: SweepConfig, source: str = "enumerated") -> Swee
             violations.append(f"domination number {len(dominators)} above n/2")
 
     return SweepRecord(
-        tree_code=canonical_code(t).decode("ascii"),
+        tree_code=centered_code(t, far).decode("ascii"),
         source=source,
         n=n,
         l=l,

@@ -415,3 +415,60 @@ class TestBoundTable:
         info = table.cache_info()
         assert info.hits + info.misses == records * len(config.k_list)
         assert info.misses <= len(keys) <= info.maxsize
+
+
+def direct_render(report):
+    """The "bounds" block of to_json_dict rendered from the report's own
+    Fractions and reasons: the reference."""
+    return {
+        name: (f"{report.bounds[name].numerator}/{report.bounds[name].denominator}"
+               if name in report.bounds else f"N/A: {report.not_applicable[name]}")
+        for name in BOUND_NAMES
+    }
+
+
+class TestRenderedStrings:
+    """to_json_dict reads the table's rendered strings, which match a
+    direct rendering, cannot be changed through a report, and give way to
+    the report's own values once a caller edits them."""
+
+    def test_match_a_direct_rendering(self):
+        keys = set()
+        for n in range(1, 11):
+            for t in enumerate_free_trees(n):
+                for k in range(1, 5):
+                    report = evaluate_bounds(t, k, 1)
+                    rendered = report.to_json_dict()
+                    assert rendered["bounds"] == direct_render(report)
+                    assert list(rendered["bounds"]) == list(BOUND_NAMES)
+                    keys.add((n, t.leaf_order, t.support_count, k))
+        assert len(keys) > 100
+
+    @pytest.mark.parametrize("t, k", [(path_tree(6), 1), (star_tree(3), 3), (path_tree(2), 1)])
+    def test_editing_a_report_leaves_the_next_alone(self, t, k):
+        first = evaluate_bounds(t, k, 1)
+        want = first.to_json_dict()
+        json_dict = first.to_json_dict()
+        json_dict["bounds"].clear()
+        json_dict["equality"][ORDER_PLUS_LEAVES] = None
+        first.bounds[ORDER_PLUS_LEAVES] = Fraction(99)
+        first.not_applicable["planted"] = "reason"
+        assert first.to_json_dict()["bounds"][ORDER_PLUS_LEAVES] == "99/1"
+        first.bounds.clear()
+        first.not_applicable.clear()
+        first.equality.clear()
+        first.notes.clear()
+        again = evaluate_bounds(t, k, 1)
+        assert again.to_json_dict() == want
+        assert again.to_json_dict()["bounds"] == direct_render(again)
+
+    def test_copies_render_alike(self):
+        import copy
+        import pickle
+
+        report = evaluate_bounds(path_tree(7), 2, 1)
+        want = report.to_json_dict()
+        for other in (pickle.loads(pickle.dumps(report)), copy.deepcopy(report),
+                      report._replace(iota=1)):
+            assert other == report
+            assert other.to_json_dict() == want

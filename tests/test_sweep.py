@@ -11,7 +11,14 @@ from pathlib import Path
 import pytest
 
 import stariso
-from stariso.graphs import as_tree, build_graph, canonical_code, enumerate_free_trees
+from stariso.families import recognize_F
+from stariso.graphs import (
+    as_tree,
+    build_graph,
+    canonical_code,
+    diameter_path,
+    enumerate_free_trees,
+)
 from stariso.sweep import (
     CHECK_SUITES,
     CHUNKSIZE,
@@ -20,6 +27,7 @@ from stariso.sweep import (
     SweepConfig,
     SweepLine,
     _strip_to_single_leaves,
+    _twin_leaf_member,
     check_tree,
     run_sweep,
     sweep_lines,
@@ -76,6 +84,35 @@ class TestStripToSingleLeaves:
     def test_already_single(self):
         t = path_tree(6)
         assert canonical_code(_strip_to_single_leaves(t)) == canonical_code(t)
+
+
+    def test_precheck_keeps_the_membership(self, monkeypatch):
+        # the precheck skips exactly the reduced trees that fail
+        # recognize_F's first tests: under 6 vertices, or a leaf whose
+        # support does not have degree 2
+        import stariso.sweep
+
+        rebuilt = []
+
+        def recording(t):
+            rebuilt.append(_strip_to_single_leaves(t))
+            return rebuilt[-1]
+
+        monkeypatch.setattr(stariso.sweep, "_strip_to_single_leaves", recording)
+        counts = {True: 0, False: 0}
+        for n in range(3, 15):
+            for t in enumerate_free_trees(n):
+                if t.support_count >= 2:
+                    member = _twin_leaf_member(t)
+                    reduced = _strip_to_single_leaves(t)
+                    assert member == (recognize_F(reduced) is not None)
+                    counts[member] += 1
+                    first_tests = reduced.n >= 6 and all(
+                        reduced.graph.degree(reduced.graph.adjacency[c][0]) == 2
+                        for c in reduced.leaf_set)
+                    assert first_tests == bool(rebuilt)
+                    rebuilt.clear()
+        assert counts[True] > 0 and counts[False] > 0
 
 
 class TestCheckTree:
@@ -185,6 +222,47 @@ class TestDpCalls:
         assert rec.violations == ["domination number 5 above n/2"]
 
 
+class TestRecordShape:
+    """The record's diameter and tree code come from one BFS and match the
+    public functions; ``diameter_path`` runs only on tk-equality
+    instances, where its u_1 is read."""
+
+    def test_diameter_and_code_match_the_public_functions(self, monkeypatch):
+        import stariso.sweep
+
+        calls = []
+
+        def counting(t):
+            calls.append(t)
+            return diameter_path(t)
+
+        monkeypatch.setattr(stariso.sweep, "diameter_path", counting)
+        cfg = SweepConfig(max_n=12, k_list=(1, 2, 3), bf_max=0)
+        expected = 0
+        for n in range(1, 13):
+            for t in enumerate_free_trees(n):
+                rec = check_tree(t, cfg)
+                assert rec.violations == []
+                assert rec.diam == (diameter_path(t).length if n >= 2 else 0)
+                assert rec.tree_code == canonical_code(t).decode("ascii")
+                expected += sum((2 * k + 1) * rec.per_k[k]["iota"] == n + rec.l
+                                for k in (2, 3))
+        assert 0 < expected == len(calls)
+
+    def test_no_diameter_path_without_the_tk_suite(self, monkeypatch):
+        import stariso.sweep
+
+        def no_call(t):
+            raise AssertionError("diameter_path ran outside the tk-equality suite")
+
+        monkeypatch.setattr(stariso.sweep, "diameter_path", no_call)
+        checks = tuple(c for c in CHECK_SUITES if c != "tk-equality")
+        cfg = SweepConfig(max_n=10, k_list=(1, 2, 3), checks=checks, bf_max=0)
+        for n in range(1, 11):
+            for t in enumerate_free_trees(n):
+                assert check_tree(t, cfg).violations == []
+
+
 class TestCoronaPass:
     def test_k_free_pass_once_per_tree(self, monkeypatch):
         import stariso.sweep
@@ -229,6 +307,15 @@ class TestRunSweep:
         assert out.read_text() == "".join(r.line + "\n" for r in records)
         assert json.loads(records[0].line)["n"] == 1
         assert sorted(p.name for p in tmp_path.iterdir()) == ["r.jsonl"]
+
+    def test_k_keys_in_string_order(self, tmp_path):
+        out = tmp_path / "r.jsonl"
+        run_sweep(SweepConfig(max_n=5, k_list=(1, 2, 10), output_path=str(out)))
+        lines = out.read_text().splitlines()
+        assert lines
+        for line in lines:
+            record = json.loads(line, object_pairs_hook=lambda pairs: pairs)
+            assert [key for key, _ in dict(record)["k"]] == ["1", "10", "2"]
 
     def test_subset_of_checks(self):
         records = list(sweep_lines(
