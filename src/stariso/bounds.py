@@ -10,10 +10,11 @@ reported as explicit not-applicable entries with a reason.
 
 The closed forms read only n, l, s, k and whether the tree is a star, so
 their values, reasons, notes and rendered strings are computed once per
-such key into a per-process table, bounded at ``_TABLE_SIZE`` entries and
-holding only read-only values; every report is built with fresh dicts and
-renders into fresh dicts, so no caller can change what a later report
-reads.
+such key into one per-process table of read-only entries, bounded at
+``_TABLE_SIZE``; ``closed_forms(t, k)`` reads it, and an entry's
+``equality(iota)`` sets the flags.  ``evaluate_bounds`` copies an entry
+into a ``BoundReport`` of fresh dicts, and ``to_json_dict`` renders the
+report's own dicts, so no caller can change what a later report reads.
 """
 
 from __future__ import annotations
@@ -45,7 +46,9 @@ BOUND_NAMES = (
 )
 
 
-class _ReportFields(NamedTuple):
+class BoundReport(NamedTuple):
+    """Every applicable bound value for one (tree, k) instance."""
+
     n: int
     l: int
     s: int
@@ -57,29 +60,7 @@ class _ReportFields(NamedTuple):
     equality: dict[str, bool]
     notes: dict[str, str]
 
-
-class BoundReport(_ReportFields):
-    """Every applicable bound value for one (tree, k) instance.
-
-    A report from ``evaluate_bounds`` also keeps its bound-table entry,
-    ``_forms``, and ``to_json_dict`` copies that entry's rendered strings
-    while the report's bounds and N/A reasons still equal the entry's.  A
-    report built any other way, copied or edited renders its own dicts.
-    """
-
-    _forms: _Forms | None = None
-
-    def __reduce__(self):
-        # the table entry stays in its process
-        return BoundReport, tuple(self)
-
     def to_json_dict(self) -> dict:
-        forms = self._forms
-        if (forms is not None and forms.bounds == self.bounds
-                and forms.not_applicable == self.not_applicable):
-            rendered = forms.rendered.copy()
-        else:
-            rendered = _render(self.bounds, self.not_applicable)
         out = {
             "n": self.n,
             "l": self.l,
@@ -87,7 +68,7 @@ class BoundReport(_ReportFields):
             "k": self.k,
             "iota": self.iota,
             "regime": self.regime,
-            "bounds": rendered,
+            "bounds": _render(self.bounds, self.not_applicable),
             "equality": dict(self.equality),
         }
         if self.notes:
@@ -145,23 +126,18 @@ def evaluate_bounds(t: Tree, k: int, iota: int) -> BoundReport:
     Hypotheses are enforced: bounds built on leaf removal are not
     applicable to stars (removing all leaves would leave a single vertex,
     where the domination step fails), and the remaining conditions follow
-    each bound's stated requirements.  Everything but iota comes from a
-    bounded per-process table of immutable entries; each report gets its
-    own dicts.
+    each bound's stated requirements.  Everything but iota comes from the
+    bound table (``closed_forms``); each report gets its own dicts.
     """
-    n, l, s = t.n, t.leaf_order, t.support_count
-    forms = _closed_forms(n, l, s, k, is_any_star(t), is_star(t, k))
-    report = BoundReport(
-        n=n, l=l, s=s, k=k, iota=iota, regime=forms.regime,
+    forms = closed_forms(t, k)
+    return BoundReport(
+        n=t.n, l=t.leaf_order, s=t.support_count, k=k, iota=iota, regime=forms.regime,
         bounds=forms.bounds.copy(), not_applicable=forms.not_applicable.copy(),
-        equality={name: value == iota for name, value in forms.whole},
-        notes=forms.notes.copy(),
+        equality=forms.equality(iota), notes=forms.notes.copy(),
     )
-    report._forms = forms
-    return report
 
 
-class _Forms(NamedTuple):
+class ClosedForms(NamedTuple):
     """One key's entry in the bound table, read-only: the mappings are
     ``MappingProxyType`` views, in report order."""
 
@@ -172,12 +148,21 @@ class _Forms(NamedTuple):
     whole: tuple[tuple[str, int | None], ...]
     not_applicable: Mapping[str, str]
     notes: Mapping[str, str]
-    #: ``BoundReport.to_json_dict``'s ``"bounds"``
+    #: the ``"bounds"`` that ``BoundReport.to_json_dict`` renders for this key
     rendered: Mapping[str, str]
+
+    def equality(self, iota: int) -> dict[str, bool]:
+        """Whether iota attains each applicable bound."""
+        return {name: value == iota for name, value in self.whole}
+
+
+def closed_forms(t: Tree, k: int) -> ClosedForms:
+    """The bound table's entry for (t, k)."""
+    return _closed_forms(t.n, t.leaf_order, t.support_count, k, is_any_star(t), is_star(t, k))
 
 
 @lru_cache(maxsize=_TABLE_SIZE)
-def _closed_forms(n: int, l: int, s: int, k: int, star_any: bool, star_k: bool) -> _Forms:
+def _closed_forms(n: int, l: int, s: int, k: int, star_any: bool, star_k: bool) -> ClosedForms:
     """The regime, bounds, N/A reasons, notes and rendered strings for one
     key."""
     bounds: list[tuple[str, Fraction]] = []
@@ -223,7 +208,7 @@ def _closed_forms(n: int, l: int, s: int, k: int, star_any: bool, star_k: bool) 
 
     whole = tuple((name, f.numerator if f.denominator == 1 else None) for name, f in bounds)
     values, reasons = dict(bounds), dict(na)
-    return _Forms(
+    return ClosedForms(
         regime=regime_classify(n, l, k),
         bounds=MappingProxyType(values),
         whole=whole,

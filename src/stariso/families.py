@@ -816,27 +816,18 @@ def gen_corona_extremal(k: int, r: int, n: int) -> Graph:
         raise FamilyError(f"need k >= 1 and r >= 1, got k={k}, r={r}")
     if n < (k + 2) * r:
         raise FamilyError(f"need n >= (k+2)r = {(k + 2) * r}, got {n}")
-    edges: list[tuple[int, int]] = []
     if r == 1:
         # v0 = 0, w0 = 1, one pendant on v0, the rest on w0
-        edges.append((0, 1))
+        edges = [(0, 1)]
         if n >= 3:
             edges.append((0, 2))
         edges.extend((1, u) for u in range(3, n))
         return build_graph(n, edges)
-    vs = list(range(r))
-    ws = list(range(r, 2 * r))
-    edges += [(vs[i], vs[i + 1]) for i in range(r - 1)]
-    edges += [(vs[i], ws[i]) for i in range(r)]
-    nxt = 2 * r
-    for i in range(r):
-        for _ in range(k):
-            edges.append((ws[i], nxt))
-            nxt += 1
-    while nxt < n:
-        edges.append((ws[-1], nxt))
-        nxt += 1
-    return build_graph(n, edges)
+    path = [(i, i + 1) for i in range(r - 1)]
+    spare = n - (k + 2) * r
+    return gen_char_orderminusleaves(
+        "corona", k, base_edges=path, base_n=r, w_leaf_counts=[k] * (r - 1) + [k + spare]
+    )[0]
 
 
 def gen_char_orderminusleaves(

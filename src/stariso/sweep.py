@@ -1,9 +1,9 @@
 """Exhaustive verification sweeps over all free trees at desk scale.
 
 Every enumerated tree yields one record carrying its statistics, per-k
-solver results, bound report, family memberships and a list of violations
-(empty on success).  Any nonempty violation list means a machine-checked
-statement failed on a concrete instance.
+solver results, bounds, equality flags, family memberships and a list of
+violations (empty on success).  Any nonempty violation list means a
+machine-checked statement failed on a concrete instance.
 """
 
 from __future__ import annotations
@@ -23,9 +23,11 @@ from operator import attrgetter, itemgetter
 from typing import IO, NamedTuple, TextIO
 
 from .bounds import (
+    ORDER_MINUS_LEAVES,
     ORDER_PLUS_LEAVES,
+    STAR_BOUND,
     SUPPORT_BOUND,
-    evaluate_bounds,
+    closed_forms,
     regime_table_violations,
 )
 from .families import (
@@ -199,7 +201,7 @@ def check_tree(t: Tree, config: SweepConfig, source: str = "enumerated") -> Swee
     violations: list[str] = []
     per_k: dict[int, dict] = {}
 
-    # one DP solution per k, shared by the bound report, the oracle's
+    # one DP solution per k, shared by the bound checks, the oracle's
     # witness check and the normalizers
     solutions = {k: iota_tree_dp(t, k) for k in sorted(set(config.k_list) | {1})}
     iota1 = solutions[1].size
@@ -210,13 +212,13 @@ def check_tree(t: Tree, config: SweepConfig, source: str = "enumerated") -> Swee
     for k in sorted(set(config.k_list)):
         sol = solutions[k]
         iota = sol.size
-        report = evaluate_bounds(t, k, iota)
-        rendered = report.to_json_dict()
+        forms = closed_forms(t, k)
+        equality = forms.equality(iota)
         entry: dict = {
             "iota": iota,
-            "regime": report.regime,
-            "bounds": rendered["bounds"],
-            "equality": rendered["equality"],
+            "regime": forms.regime,
+            "bounds": forms.rendered.copy(),
+            "equality": equality,
         }
 
         if "oracle" in checks and n <= config.bf_max:
@@ -233,13 +235,13 @@ def check_tree(t: Tree, config: SweepConfig, source: str = "enumerated") -> Swee
                 violations.append(f"k={k}: dp={iota} != certificate={len(packing)}")
 
         if "bounds" in checks:
-            for name, value in report.bounds.items():
+            for name, value in forms.bounds.items():
                 if iota * value.denominator > value.numerator:
                     violations.append(f"k={k}: iota={iota} exceeds {name}={value}")
             violations.extend(f"k={k}: {v}" for v in regime_table_violations(t, k, iota))
-            if SUPPORT_BOUND in report.bounds:
-                sb = report.bounds[SUPPORT_BOUND]
-                opl = report.bounds[ORDER_PLUS_LEAVES]
+            if SUPPORT_BOUND in forms.bounds:
+                sb = forms.bounds[SUPPORT_BOUND]
+                opl = forms.bounds[ORDER_PLUS_LEAVES]
                 if sb > opl:
                     violations.append(f"k={k}: support bound {sb} above (n+l)/4 {opl}")
                 if (sb == opl) != (not t.strong_support_set):
@@ -257,7 +259,7 @@ def check_tree(t: Tree, config: SweepConfig, source: str = "enumerated") -> Swee
                 violations.append(f"k={k}: iota_k={iota} above iota_1={iota1}")
 
         if "f-equality" in checks and k == 1:
-            eq = 4 * iota1 == n + l
+            eq = equality[ORDER_PLUS_LEAVES]
             member = f_cert is not None
             if eq != (member or n == 2):
                 violations.append(
@@ -275,7 +277,7 @@ def check_tree(t: Tree, config: SweepConfig, source: str = "enumerated") -> Swee
             if t.strong_support_set and n >= 3 and eq:
                 violations.append("strong support vertex on an (n+l)/4 equality tree")
             if s >= 2 and n >= 3:
-                eq2 = 4 * iota1 == n - l + 2 * s
+                eq2 = equality[SUPPORT_BOUND]
                 member2 = _twin_leaf_member(t)
                 if eq2 != member2:
                     violations.append(
@@ -287,7 +289,7 @@ def check_tree(t: Tree, config: SweepConfig, source: str = "enumerated") -> Swee
             tk_cert = recognize_Tk(t, k)
             entry["tk_member"] = tk_cert is not None
         if "tk-equality" in checks and k >= 2:
-            eq = (2 * k + 1) * iota == n + l
+            eq = equality[STAR_BOUND]
             member = is_star(t, k) or tk_cert is not None
             if eq != member:
                 violations.append(
@@ -313,7 +315,8 @@ def check_tree(t: Tree, config: SweepConfig, source: str = "enumerated") -> Swee
         if "corona-char" in checks and n >= 3:
             corona_cert = corona_certificate(g, corona, k)
             entry["corona_char_member"] = corona_cert is not None
-            eq = 2 * iota == n - l
+            # N/A, so False, on stars, where n - l = 1
+            eq = equality.get(ORDER_MINUS_LEAVES, False)
             if k >= 2 and n - l == 2:
                 # double-star core: equality holds exactly when a k-star
                 # exists at all, regardless of the per-support leaf counts

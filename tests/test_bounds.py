@@ -428,9 +428,9 @@ def direct_render(report):
 
 
 class TestRenderedStrings:
-    """to_json_dict reads the table's rendered strings, which match a
-    direct rendering, cannot be changed through a report, and give way to
-    the report's own values once a caller edits them."""
+    """to_json_dict renders the report's own dicts: it matches a direct
+    rendering, its output cannot change a later report, and it follows a
+    caller's edits."""
 
     def test_match_a_direct_rendering(self):
         keys = set()

@@ -555,6 +555,15 @@ class TestCoronaExtremal:
         assert sorted(g.edges()) == [(0, 1), (0, 2)]
         assert iota_bruteforce(g, 1).size == 1
 
+    def test_labels_pinned(self):
+        # path v_0..v_2, partners w_i = 3 + i, k leaves per partner in turn,
+        # then the two spare vertices on the last partner
+        g = gen_corona_extremal(2, 3, 14)
+        assert sorted(g.edges()) == [
+            (0, 1), (0, 3), (1, 2), (1, 4), (2, 5), (3, 6), (3, 7),
+            (4, 8), (4, 9), (5, 10), (5, 11), (5, 12), (5, 13),
+        ]
+
     def test_too_few_vertices_rejected(self):
         with pytest.raises(FamilyError, match="n >="):
             gen_corona_extremal(2, 2, 7)

@@ -11,7 +11,14 @@ from pathlib import Path
 import pytest
 
 import stariso
-from stariso.families import recognize_F
+from stariso.bounds import (
+    ORDER_MINUS_LEAVES,
+    ORDER_PLUS_LEAVES,
+    STAR_BOUND,
+    SUPPORT_BOUND,
+    evaluate_bounds,
+)
+from stariso.families import gen_corona_extremal, recognize_F
 from stariso.graphs import (
     as_tree,
     build_graph,
@@ -261,6 +268,49 @@ class TestRecordShape:
         for n in range(1, 11):
             for t in enumerate_free_trees(n):
                 assert check_tree(t, cfg).violations == []
+
+
+class TestBoundTableReads:
+    """check_tree reads each record's regime, bound strings and equality
+    flags from the bound table, and its equality clauses read the flags."""
+
+    def test_per_k_entry_matches_the_report(self):
+        cfg = SweepConfig(max_n=10, k_list=(1, 2, 3, 4), bf_max=0)
+        for n in range(1, 11):
+            for t in enumerate_free_trees(n):
+                rec = check_tree(t, cfg)
+                assert rec.violations == []
+                for k in cfg.k_list:
+                    want = evaluate_bounds(t, k, rec.per_k[k]["iota"]).to_json_dict()
+                    for key in ("regime", "bounds", "equality"):
+                        assert rec.per_k[k][key] == want[key], (n, k, key)
+
+    @pytest.mark.parametrize("t, k, name, whole, violation", [
+        (path_tree(6), 1, ORDER_PLUS_LEAVES, None,
+         "(n+l)/4 equality is False but family membership is True"),
+        (path_tree(5), 1, ORDER_PLUS_LEAVES, 1,
+         "(n+l)/4 equality is True but family membership is False"),
+        (path_tree(6), 1, SUPPORT_BOUND, None,
+         "(n-l+2s)/4 equality is False but twin-leaf reduction membership is True"),
+        (path_tree(8), 2, STAR_BOUND, None,
+         "k=2: (n+l)/(2k+1) equality is False but membership is True"),
+        (as_tree(gen_corona_extremal(2, 2, 8)), 2, ORDER_MINUS_LEAVES, None,
+         "k=2: (n-l)/2 equality is False but corona membership is True"),
+    ])
+    def test_a_flipped_flag_fires_its_clause(self, monkeypatch, t, k, name, whole, violation):
+        import stariso.sweep
+
+        cfg = SweepConfig(max_n=t.n, k_list=(k,), bf_max=0)
+        assert check_tree(t, cfg).violations == []
+        real = stariso.sweep.closed_forms
+
+        def flipped(t, k):
+            forms = real(t, k)
+            return forms._replace(whole=tuple(
+                (key, whole if key == name else value) for key, value in forms.whole))
+
+        monkeypatch.setattr(stariso.sweep, "closed_forms", flipped)
+        assert check_tree(t, cfg).violations == [violation]
 
 
 class TestCoronaPass:
