@@ -63,17 +63,17 @@ def main() -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    t0 = time.time()
+    t0 = time.perf_counter()
     summary, violations = sweep_and_report(config)
     print(f"sweep: {summary.enumerated} trees (n <= {args.max_n}), k in {ks}, "
-          f"{violations} violations  [{time.time() - t0:.1f}s]")
+          f"{violations} violations  [{time.perf_counter() - t0:.1f}s]")
 
     extra_violations = 0
     if extend:
-        t1 = time.time()
+        t1 = time.perf_counter()
         summary, extra_violations = sweep_and_report(tk_config)
         print(f"k=2 characterization for n <= {args.extend_tk_n}: {summary.enumerated} "
-              f"trees, {extra_violations} violations  [{time.time() - t1:.1f}s]")
+              f"trees, {extra_violations} violations  [{time.perf_counter() - t1:.1f}s]")
 
     total = violations + extra_violations
     print(f"total violations: {total}")

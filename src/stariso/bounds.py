@@ -11,8 +11,9 @@ reported as explicit not-applicable entries with a reason.
 The closed forms read only n, l, s, k and whether the tree is a star, so
 their values, reasons, notes and rendered strings are computed once per
 such key into one per-process table of read-only entries, bounded at
-``_TABLE_SIZE``; ``closed_forms(t, k)`` reads it, and an entry's
-``equality(iota)`` sets the flags.  ``evaluate_bounds`` copies an entry
+``_TABLE_SIZE``; ``closed_forms(t, k)`` reads it.  An entry holds its
+key, its ``equality(iota)`` sets the flags and its ``row_violations(iota)``
+checks the regime row.  ``evaluate_bounds`` copies an entry
 into a ``BoundReport`` of fresh dicts, and ``to_json_dict`` renders the
 report's own dicts, so no caller can change what a later report reads.
 """
@@ -141,6 +142,9 @@ class ClosedForms(NamedTuple):
     """One key's entry in the bound table, read-only: the mappings are
     ``MappingProxyType`` views, in report order."""
 
+    #: the table key the entry was computed for: (n, l, s, k, whether the
+    #: tree is a star, whether it is the k-star)
+    key: tuple[int, int, int, int, bool, bool]
     regime: str
     bounds: Mapping[str, Fraction]
     #: (name, integer value or None) pairs that the equality flags compare
@@ -154,6 +158,11 @@ class ClosedForms(NamedTuple):
     def equality(self, iota: int) -> dict[str, bool]:
         """Whether iota attains each applicable bound."""
         return {name: value == iota for name, value in self.whole}
+
+    def row_violations(self, iota: int) -> list[str]:
+        """``regime_table_violations`` for a tree of this entry's key."""
+        n, l, _, k, star_any, _ = self.key
+        return [] if n < 3 or star_any else _row_violations(n, l, k, self.regime, iota)
 
 
 def closed_forms(t: Tree, k: int) -> ClosedForms:
@@ -209,6 +218,7 @@ def _closed_forms(n: int, l: int, s: int, k: int, star_any: bool, star_k: bool) 
     whole = tuple((name, f.numerator if f.denominator == 1 else None) for name, f in bounds)
     values, reasons = dict(bounds), dict(na)
     return ClosedForms(
+        key=(n, l, s, k, star_any, star_k),
         regime=regime_classify(n, l, k),
         bounds=MappingProxyType(values),
         whole=whole,
@@ -228,7 +238,12 @@ def regime_table_violations(t: Tree, k: int, iota: int) -> list[str]:
     n, l = t.n, t.leaf_order
     if n < 3 or is_any_star(t):
         return []
-    regime = regime_classify(n, l, k)
+    return _row_violations(n, l, k, regime_classify(n, l, k), iota)
+
+
+def _row_violations(n: int, l: int, k: int, regime: str, iota: int) -> list[str]:
+    """The checks of the table row ``regime`` for a non-star tree with
+    n >= 3."""
     violations: list[str] = []
 
     def check(cond: bool, template: str) -> None:

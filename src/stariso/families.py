@@ -915,10 +915,13 @@ def corona_shape(g: Graph) -> tuple[CoronaCertificate, int] | None:
     vertex of which needs >= k leaves, or a corona core, one pendant
     partner per inner vertex, every core leaf of which needs >= k leaves.
     The largest k is the fewest leaves on a vertex that needs them.
+    Each accepted core has an even order (4 for the cycle, 2 for an
+    edge, twice its inner vertices for a corona), so an odd core is
+    rejected before it is built.
     """
     leaves = {u for u in range(g.n) if g.degree(u) == 1}
     core_vertices = [u for u in range(g.n) if u not in leaves]
-    if not core_vertices:
+    if not core_vertices or len(core_vertices) % 2:
         return None
     core, core_map = g.induced_subgraph(core_vertices)
     attached = {

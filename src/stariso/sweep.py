@@ -4,6 +4,13 @@ Every enumerated tree yields one record carrying its statistics, per-k
 solver results, bounds, equality flags, family memberships and a list of
 violations (empty on success).  Any nonempty violation list means a
 machine-checked statement failed on a concrete instance.
+
+The bounds suite and a record's per-k entry read only a few values of
+(tree, k): the bound-table entry, iota, and a handful of flags.  Each
+process therefore evaluates the suite once per such key, and builds each
+per-k entry once per key as a shared read-only mapping that carries its
+JSON text; ``SweepRecord.to_json_line`` splices those texts.  Both memos
+are bounded at ``MEMO_SIZE`` keys.
 """
 
 from __future__ import annotations
@@ -18,6 +25,7 @@ from contextlib import ExitStack, contextmanager, nullcontext
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain, groupby
+from json.encoder import encode_basestring_ascii as json_string
 from multiprocessing import Pool
 from operator import attrgetter, itemgetter
 from typing import IO, NamedTuple, TextIO
@@ -27,8 +35,8 @@ from .bounds import (
     ORDER_PLUS_LEAVES,
     STAR_BOUND,
     SUPPORT_BOUND,
+    ClosedForms,
     closed_forms,
-    regime_table_violations,
 )
 from .families import (
     corona_certificate,
@@ -82,6 +90,11 @@ CHUNKSIZE = 32
 #: many violations: the CLI prints no more.
 REPORTED_VIOLATIONS = 50
 
+#: Keys in each per-process memo of ``check_tree`` (the bounds suite's
+#: violations, the per-k entries).  A one-process sweep to max-n 14 at
+#: k 1, 2, 3 fills 1,056 and 825; a full memo is emptied and refilled.
+MEMO_SIZE = 4096
+
 
 @dataclass(frozen=True)
 class SweepConfig:
@@ -123,8 +136,36 @@ class SweepConfig:
             raise ValueError(f"jobs must be <= {cpus} (the CPU count), got {self.jobs}")
 
 
+class _ReadOnly(dict):
+    """A dict that refuses every change, so that records can share it.
+    Its copies and pickles are plain dicts."""
+
+    __slots__ = ()
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError("a sweep record's per-k entry is read-only")
+
+    __setitem__ = __delitem__ = __ior__ = _refuse
+    clear = pop = popitem = setdefault = update = _refuse
+
+    def __reduce__(self):
+        return dict, (dict(self),)
+
+
+class _Entry(_ReadOnly):
+    """A per-k entry of a ``SweepRecord``, with its JSON text."""
+
+    __slots__ = ("json",)
+
+
 @dataclass
 class SweepRecord:
+    """One tree's checks.  ``per_k`` maps each k to an entry with
+    ``iota``, ``regime``, ``bounds``, ``equality`` and, where computed,
+    ``tk_member`` and ``corona_char_member``.  ``check_tree`` shares each
+    entry, read-only, between the records with the same values; a caller
+    may put a plain dict in its place."""
+
     tree_code: str
     source: str  # enumerated | generated
     n: int
@@ -136,18 +177,17 @@ class SweepRecord:
     violations: list[str] = field(default_factory=list)
 
     def to_json_line(self) -> str:
-        payload = {
-            "tree_code": self.tree_code,
-            "source": self.source,
-            "n": self.n,
-            "l": self.l,
-            "s": self.s,
-            "diam": self.diam,
-            "family_F": self.family_F,
-            "k": {str(k): v for k, v in sorted(self.per_k.items())},
-            "violations": self.violations,
-        }
-        return json.dumps(payload, sort_keys=True)
+        """``json.dumps`` of the record with sorted keys, the k keys as
+        strings, for fields of their declared types: each shared per-k
+        entry's stored text is spliced in, any other entry is encoded."""
+        per_k = ", ".join(
+            f'"{k}": {v.json if type(v) is _Entry else json.dumps(v, sort_keys=True)}'
+            for k, v in sorted(self.per_k.items(), key=lambda item: str(item[0])))
+        return (f'{{"diam": {self.diam}, "family_F": {"true" if self.family_F else "false"}, '
+                f'"k": {{{per_k}}}, "l": {self.l}, "n": {self.n}, "s": {self.s}, '
+                f'"source": {json_string(self.source)}, '
+                f'"tree_code": {json_string(self.tree_code)}, '
+                f'"violations": [{", ".join(map(json_string, self.violations))}]}}')
 
 
 class SweepLine(NamedTuple):
@@ -190,6 +230,74 @@ def _twin_leaf_member(t: Tree) -> bool:
     return recognize_F(_strip_to_single_leaves(t)) is not None
 
 
+_SUITE_MEMO: dict[tuple, tuple[ClosedForms, tuple[str, ...]]] = {}
+_ENTRY_MEMO: dict[tuple, tuple[ClosedForms, _Entry]] = {}
+
+
+def _memoized(memo: dict, build, forms: ClosedForms, *args):
+    """``build(forms, *args)``, computed once per key while ``memo`` holds
+    it.  The key is the entry's id with ``args``; the memo keeps the entry
+    itself, so no other entry can take that id while the key lives."""
+    key = (id(forms), *args)
+    hit = memo.get(key)
+    if hit is None:
+        if len(memo) >= MEMO_SIZE:
+            memo.clear()
+        hit = memo[key] = (forms, build(forms, *args))
+    return hit[1]
+
+
+def _bounds_suite(forms: ClosedForms, iota: int, iota1: int, strong: bool,
+                  wide: bool) -> tuple[str, ...]:
+    """The bounds suite's violations at one (tree, k): a function of the
+    bound-table entry, whose key gives n, l, k and the star flags, of iota
+    and iota_1, of whether the tree has a strong support vertex and of
+    whether its max degree is at least k (``wide``)."""
+    n, l, _, k, _, star_k = forms.key
+    violations = [f"k={k}: iota={iota} exceeds {name}={value}"
+                  for name, value in forms.bounds.items()
+                  if iota * value.denominator > value.numerator]
+    violations.extend(f"k={k}: {v}" for v in forms.row_violations(iota))
+    if SUPPORT_BOUND in forms.bounds:
+        sb = forms.bounds[SUPPORT_BOUND]
+        opl = forms.bounds[ORDER_PLUS_LEAVES]
+        if sb > opl:
+            violations.append(f"k={k}: support bound {sb} above (n+l)/4 {opl}")
+        if (sb == opl) != (not strong):
+            violations.append(
+                f"k={k}: support bound ties (n+l)/4 iff no strong support failed"
+            )
+    if k >= 2 and wide:
+        if n + l < 2 * k + 1:
+            violations.append(f"k={k}: n+l={n + l} below 2k+1")
+        if (n + l == 2 * k + 1) != star_k:
+            violations.append(f"k={k}: n+l=2k+1 boundary is not the k-star")
+    if (iota == 0) != (not wide):
+        violations.append(f"k={k}: iota=0 iff max degree < k failed")
+    if iota > iota1:
+        violations.append(f"k={k}: iota_k={iota} above iota_1={iota1}")
+    return tuple(violations)
+
+
+def _per_k_entry(forms: ClosedForms, iota: int, tk_member: bool | None,
+                 corona_member: bool | None) -> _Entry:
+    """The record's entry at one k, its membership flags left out where
+    None; read-only, its mappings too, with its JSON text."""
+    entry = {
+        "iota": iota,
+        "regime": forms.regime,
+        "bounds": _ReadOnly(forms.rendered),
+        "equality": _ReadOnly(forms.equality(iota)),
+    }
+    if tk_member is not None:
+        entry["tk_member"] = tk_member
+    if corona_member is not None:
+        entry["corona_char_member"] = corona_member
+    frozen = _Entry(entry)
+    frozen.json = json.dumps(entry, sort_keys=True)
+    return frozen
+
+
 def check_tree(t: Tree, config: SweepConfig, source: str = "enumerated") -> SweepRecord:
     """Run every enabled check suite on one tree and collect violations."""
     checks = config.active_checks()
@@ -207,19 +315,20 @@ def check_tree(t: Tree, config: SweepConfig, source: str = "enumerated") -> Swee
     iota1 = solutions[1].size
 
     f_cert = recognize_F(t)
-    corona = corona_shape(g) if "corona-char" in checks and n >= 3 else None
+    corona_check = "corona-char" in checks and n >= 3
+    corona = corona_shape(g) if corona_check else None
+    strong = bool(t.strong_support_set)
 
     for k in sorted(set(config.k_list)):
         sol = solutions[k]
         iota = sol.size
         forms = closed_forms(t, k)
-        equality = forms.equality(iota)
-        entry: dict = {
-            "iota": iota,
-            "regime": forms.regime,
-            "bounds": forms.rendered.copy(),
-            "equality": equality,
-        }
+        tk_cert = recognize_Tk(t, k) if k >= 2 else None
+        corona_cert = corona_certificate(g, corona, k) if corona_check else None
+        entry = _memoized(_ENTRY_MEMO, _per_k_entry, forms, iota,
+                          tk_cert is not None if k >= 2 else None,
+                          corona_cert is not None if corona_check else None)
+        equality = entry["equality"]
 
         if "oracle" in checks and n <= config.bf_max:
             bf = iota_bruteforce(g, k)
@@ -235,28 +344,8 @@ def check_tree(t: Tree, config: SweepConfig, source: str = "enumerated") -> Swee
                 violations.append(f"k={k}: dp={iota} != certificate={len(packing)}")
 
         if "bounds" in checks:
-            for name, value in forms.bounds.items():
-                if iota * value.denominator > value.numerator:
-                    violations.append(f"k={k}: iota={iota} exceeds {name}={value}")
-            violations.extend(f"k={k}: {v}" for v in regime_table_violations(t, k, iota))
-            if SUPPORT_BOUND in forms.bounds:
-                sb = forms.bounds[SUPPORT_BOUND]
-                opl = forms.bounds[ORDER_PLUS_LEAVES]
-                if sb > opl:
-                    violations.append(f"k={k}: support bound {sb} above (n+l)/4 {opl}")
-                if (sb == opl) != (not t.strong_support_set):
-                    violations.append(
-                        f"k={k}: support bound ties (n+l)/4 iff no strong support failed"
-                    )
-            if k >= 2 and t.max_degree >= k:
-                if n + l < 2 * k + 1:
-                    violations.append(f"k={k}: n+l={n + l} below 2k+1")
-                if (n + l == 2 * k + 1) != is_star(t, k):
-                    violations.append(f"k={k}: n+l=2k+1 boundary is not the k-star")
-            if (iota == 0) != (t.max_degree < k):
-                violations.append(f"k={k}: iota=0 iff max degree < k failed")
-            if iota > iota1:
-                violations.append(f"k={k}: iota_k={iota} above iota_1={iota1}")
+            violations.extend(_memoized(_SUITE_MEMO, _bounds_suite, forms, iota, iota1,
+                                        strong, t.max_degree >= k))
 
         if "f-equality" in checks and k == 1:
             eq = equality[ORDER_PLUS_LEAVES]
@@ -274,7 +363,7 @@ def check_tree(t: Tree, config: SweepConfig, source: str = "enumerated") -> Swee
                 violations.append("iota=1 strictness iff n >= 3 failed")
             if 2 <= diam <= 3 and iota1 != 1:
                 violations.append(f"diameter {diam} tree needs iota=1, got {iota1}")
-            if t.strong_support_set and n >= 3 and eq:
+            if strong and n >= 3 and eq:
                 violations.append("strong support vertex on an (n+l)/4 equality tree")
             if s >= 2 and n >= 3:
                 eq2 = equality[SUPPORT_BOUND]
@@ -284,10 +373,6 @@ def check_tree(t: Tree, config: SweepConfig, source: str = "enumerated") -> Swee
                         f"(n-l+2s)/4 equality is {eq2} but twin-leaf reduction membership is {member2}"
                     )
 
-        tk_cert = None
-        if k >= 2:
-            tk_cert = recognize_Tk(t, k)
-            entry["tk_member"] = tk_cert is not None
         if "tk-equality" in checks and k >= 2:
             eq = equality[STAR_BOUND]
             member = is_star(t, k) or tk_cert is not None
@@ -312,9 +397,7 @@ def check_tree(t: Tree, config: SweepConfig, source: str = "enumerated") -> Swee
             if n >= 3 and k <= t.max_degree and n <= 2 * k + 1 and iota != 1:
                 violations.append(f"k={k}: small-order tree with iota={iota} != 1")
 
-        if "corona-char" in checks and n >= 3:
-            corona_cert = corona_certificate(g, corona, k)
-            entry["corona_char_member"] = corona_cert is not None
+        if corona_check:
             # N/A, so False, on stars, where n - l = 1
             eq = equality.get(ORDER_MINUS_LEAVES, False)
             if k >= 2 and n - l == 2:

@@ -13,6 +13,7 @@ from stariso.families import (
     FamilyError,
     FCertificate,
     TkCertificate,
+    corona_shape,
     gen_char_orderminusleaves,
     gen_corona_extremal,
     gen_family_F,
@@ -632,6 +633,13 @@ class TestCharOrderMinusLeaves:
         assert Fraction(iota_bruteforce(g, 2).size) == Fraction(g.n - leaf_order(g), 2)
         assert recognize_char_orderminusleaves(g, 2) is None
 
+
+    def test_an_odd_core_has_no_shape(self):
+        # each accepted core (4-cycle, edge, corona) has an even order
+        odd = [t for n in range(3, 13) for t in enumerate_free_trees(n)
+               if (t.n - t.leaf_order) % 2]
+        assert len(odd) == 494
+        assert all(corona_shape(t.graph) is None for t in odd)
 
     def test_disconnected_graph_raises(self):
         g = build_graph(6, [(0, 1), (1, 2), (3, 4), (4, 5)])

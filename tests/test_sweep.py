@@ -1,8 +1,10 @@
 """Sweep machinery: record content, determinism, and the check suites."""
 
+import copy
 import hashlib
 import json
 import os
+import pickle
 import subprocess
 import sys
 from dataclasses import replace
@@ -16,7 +18,9 @@ from stariso.bounds import (
     ORDER_PLUS_LEAVES,
     STAR_BOUND,
     SUPPORT_BOUND,
+    closed_forms,
     evaluate_bounds,
+    regime_table_violations,
 )
 from stariso.families import gen_corona_extremal, recognize_F
 from stariso.graphs import (
@@ -25,14 +29,19 @@ from stariso.graphs import (
     canonical_code,
     diameter_path,
     enumerate_free_trees,
+    is_star,
 )
+from stariso.solver import iota_tree_dp
 from stariso.sweep import (
     CHECK_SUITES,
     CHUNKSIZE,
     MAX_SWEEP_N,
+    MEMO_SIZE,
     REPORTED_VIOLATIONS,
     SweepConfig,
     SweepLine,
+    _bounds_suite,
+    _memoized,
     _strip_to_single_leaves,
     _twin_leaf_member,
     check_tree,
@@ -313,6 +322,177 @@ class TestBoundTableReads:
         assert check_tree(t, cfg).violations == [violation]
 
 
+def reference_bounds_suite(t, k, iota, iota1):
+    """The bounds suite as check_tree ran it inline, reading the tree:
+    the reference for the memoized suite."""
+    forms = closed_forms(t, k)
+    n, l = t.n, t.leaf_order
+    violations = []
+    for name, value in forms.bounds.items():
+        if iota * value.denominator > value.numerator:
+            violations.append(f"k={k}: iota={iota} exceeds {name}={value}")
+    violations.extend(f"k={k}: {v}" for v in regime_table_violations(t, k, iota))
+    if SUPPORT_BOUND in forms.bounds:
+        sb = forms.bounds[SUPPORT_BOUND]
+        opl = forms.bounds[ORDER_PLUS_LEAVES]
+        if sb > opl:
+            violations.append(f"k={k}: support bound {sb} above (n+l)/4 {opl}")
+        if (sb == opl) != (not t.strong_support_set):
+            violations.append(
+                f"k={k}: support bound ties (n+l)/4 iff no strong support failed"
+            )
+    if k >= 2 and t.max_degree >= k:
+        if n + l < 2 * k + 1:
+            violations.append(f"k={k}: n+l={n + l} below 2k+1")
+        if (n + l == 2 * k + 1) != is_star(t, k):
+            violations.append(f"k={k}: n+l=2k+1 boundary is not the k-star")
+    if (iota == 0) != (t.max_degree < k):
+        violations.append(f"k={k}: iota=0 iff max degree < k failed")
+    if iota > iota1:
+        violations.append(f"k={k}: iota_k={iota} above iota_1={iota1}")
+    return violations
+
+
+def reference_json_line(rec):
+    """SweepRecord.to_json_line as it was before the per-k entries were
+    shared: the reference."""
+    payload = {
+        "tree_code": rec.tree_code,
+        "source": rec.source,
+        "n": rec.n,
+        "l": rec.l,
+        "s": rec.s,
+        "diam": rec.diam,
+        "family_F": rec.family_F,
+        "k": {str(k): v for k, v in sorted(rec.per_k.items())},
+        "violations": rec.violations,
+    }
+    return json.dumps(payload, sort_keys=True)
+
+
+class TestMemos:
+    """The bounds suite runs once per key of what it reads, and the per-k
+    entries are shared read-only mappings whose stored JSON text the
+    record splices."""
+
+    def test_memoized_suite_matches_the_tree_reading_reference(self, monkeypatch):
+        import stariso.sweep
+
+        memo = {}
+        monkeypatch.setattr(stariso.sweep, "MEMO_SIZE", 10 ** 6)  # nothing evicted
+        lookups = fired = 0
+        for n in range(1, 11):
+            for t in enumerate_free_trees(n):
+                iota1 = iota_tree_dp(t, 1).size
+                strong = bool(t.strong_support_set)
+                for k in range(1, 5):
+                    forms = closed_forms(t, k)
+                    for iota in range(n + 1):
+                        got = _memoized(memo, _bounds_suite, forms, iota, iota1, strong,
+                                        t.max_degree >= k)
+                        want = reference_bounds_suite(t, k, iota, iota1)
+                        assert list(got) == want, (n, k, iota)
+                        lookups += 1
+                        fired += bool(want)
+        # one tree never repeats a key, so the hits came from other trees
+        assert 0 < len(memo) < lookups // 2
+        assert 0 < fired < lookups
+
+    def test_a_fresh_entry_is_not_served_another_entrys_verdict(self):
+        t = path_tree(6)
+        forms = closed_forms(t, 1)
+        memo = {}
+        real = _memoized(memo, _bounds_suite, forms, 3, 3, False, True)
+        assert "k=1: iota=3 exceeds order_plus_leaves=2" in real
+        edited = forms._replace(bounds={})
+        got = _memoized(memo, _bounds_suite, edited, 3, 3, False, True)
+        assert got == _bounds_suite(edited, 3, 3, False, True) != real
+        assert _memoized(memo, _bounds_suite, forms, 3, 3, False, True) is real
+        assert len(memo) == 2
+
+    def test_entries_are_shared_and_read_only(self):
+        cfg = SweepConfig(max_n=9, k_list=(1, 2, 3), bf_max=0)
+        by_content = {}
+        entries = 0
+        for n in range(1, 10):
+            for t in enumerate_free_trees(n):
+                for entry in check_tree(t, cfg).per_k.values():
+                    assert by_content.setdefault(json.dumps(entry, sort_keys=True),
+                                                 entry) is entry
+                    entries += 1
+        assert len(by_content) < entries
+        entry = check_tree(path_tree(8), cfg).per_k[2]
+        plain = json.loads(json.dumps(entry))
+        changes = [
+            lambda e: e.__setitem__("iota", 0),
+            lambda e: e.__delitem__("iota"),
+            lambda e: e.update(iota=0),
+            lambda e: e.setdefault("note", 0),
+            lambda e: e.pop("iota"),
+            lambda e: e.popitem(),
+            lambda e: e.clear(),
+            lambda e: e.__ior__({"iota": 0}),
+            lambda e: e["bounds"].__setitem__("caro_third", "1/1"),
+            lambda e: e["equality"].update(caro_third=True),
+        ]
+        for change in changes:
+            with pytest.raises(TypeError):
+                change(entry)
+        assert entry == plain and entry["tk_member"] is True
+        for other in (dict(entry), copy.deepcopy(entry), pickle.loads(pickle.dumps(entry))):
+            assert other == plain
+            other["iota"] = 0  # copies are plain dicts
+        assert entry == plain
+
+    def test_json_line_matches_the_reference(self, monkeypatch):
+        import stariso.sweep
+
+        real = stariso.sweep._to_line
+        seen = []
+
+        def checking(rec):
+            line = real(rec)
+            assert line.line == reference_json_line(rec)
+            seen.append(rec.source)
+            return line
+
+        monkeypatch.setattr(stariso.sweep, "_to_line", checking)
+        list(sweep_lines(SweepConfig(max_n=10, k_list=(1, 2, 3), seed=5)))
+        assert (seen.count("enumerated"), seen.count("generated")) == (201, 12)
+
+        cfg = SweepConfig(max_n=8, k_list=(3, 1, 2), bf_max=0)
+        rec = check_tree(path_tree(8), cfg, source="generated")
+        rec.violations.append('generated "member" not recognized: ℓ > n/3\n')
+        assert rec.to_json_line() == reference_json_line(rec)
+        rec.per_k[2] = dict(rec.per_k[2], iota=7)
+        rec.per_k[3] = json.loads(json.dumps(rec.per_k[3]))
+        rec.per_k[3]["bounds"]["caro_third"] = "9/1"
+        line = rec.to_json_line()
+        assert line == reference_json_line(rec)
+        record = json.loads(line)
+        assert record["k"]["2"]["iota"] == 7
+        assert record["k"]["3"]["bounds"]["caro_third"] == "9/1"
+
+    def test_memos_stay_within_their_cap(self):
+        import stariso.sweep
+
+        run_sweep(SweepConfig(max_n=12, k_list=(1, 2, 3), jobs=1))
+        for memo in (stariso.sweep._SUITE_MEMO, stariso.sweep._ENTRY_MEMO):
+            assert 0 < len(memo) <= MEMO_SIZE
+
+    def test_a_full_memo_is_refilled(self, monkeypatch):
+        import stariso.sweep
+
+        config = SweepConfig(max_n=9, k_list=(1, 2, 3), seed=1)
+        want = [line.line for line in sweep_lines(config)]
+        monkeypatch.setattr(stariso.sweep, "MEMO_SIZE", 16)
+        for memo in (stariso.sweep._SUITE_MEMO, stariso.sweep._ENTRY_MEMO):
+            memo.clear()
+        assert [line.line for line in sweep_lines(config)] == want
+        for memo in (stariso.sweep._SUITE_MEMO, stariso.sweep._ENTRY_MEMO):
+            assert 0 < len(memo) <= 16
+
+
 class TestCoronaPass:
     def test_k_free_pass_once_per_tree(self, monkeypatch):
         import stariso.sweep
@@ -398,6 +578,16 @@ class TestRunSweep:
             "bfd075ebb292dec06ca8826866d0d18954d5b5754abe3657a3e296d4b04bdfbe"
         )
         assert len(out.read_text().splitlines()) == len(summary)
+
+    def test_desk_sweep_matches_recorded_digest(self, tmp_path):
+        # the default desk verification: stariso sweep --max-n 12 --out ...
+        out = tmp_path / "r.jsonl"
+        summary, violations = run_sweep(SweepConfig(
+            max_n=12, k_list=(1, 2, 3), seed=0, bf_max=12, jobs=1, output_path=str(out)))
+        assert (len(summary), violations) == (999, 0)
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "38a28ca843397bdee1e4268755332244c899fc44343f197190277b6fac6e7520"
+        )
 
     def test_streams_order_by_order(self, monkeypatch):
         # the first record of order n is yielded before the worker has seen
