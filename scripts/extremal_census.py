@@ -8,30 +8,40 @@ the records of a sweep with no check suites enabled.
 
 Usage:
     python scripts/extremal_census.py [--max-n 12] [--k-list 1,2,3]
+
+Exit status 0, or 1 before any work if an argument is bad (a k list, an
+order out of range).
 """
 
 import argparse
 import json
+import sys
 from collections import defaultdict
 
-from stariso.sweep import SweepConfig, sweep_lines
+from stariso.sweep import SweepConfig, parse_k_list, sweep_lines
 
 NAMES = ("caro_trees", "order_minus_leaves", "order_plus_leaves", "star_bound")
 
 
-def main() -> None:
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--max-n", type=int, default=12)
     parser.add_argument("--k-list", default="1,2,3")
     args = parser.parse_args()
-    ks = [int(f) for f in args.k_list.split(",")]
+    try:
+        ks = parse_k_list(args.k_list)
+        config = SweepConfig(args.max_n, ks, checks=(), bf_max=0)
+        config.validate()
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
     # one streaming pass over the records; the per-k counts are keyed by (k, n)
     classes: dict[int, int] = defaultdict(int)
     zero: dict[tuple[int, int], int] = defaultdict(int)
     members: dict[tuple[int, int], int] = defaultdict(int)
     eq_counts: dict[tuple[int, int, str], int] = defaultdict(int)
-    for line in sweep_lines(SweepConfig(args.max_n, tuple(ks), checks=(), bf_max=0)):
+    for line in sweep_lines(config):
         rec = json.loads(line.line)
         n = rec["n"]
         classes[n] += 1
@@ -57,7 +67,8 @@ def main() -> None:
             print(" ".join(row))
     print("\nequality columns count isomorphism classes with iota equal to the bound;")
     print("the final column counts recognized extremal-family members.")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

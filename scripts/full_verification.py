@@ -14,15 +14,15 @@ Usage:
         [--extend-tk-n 13] [--out results.jsonl] [--jobs J] [--seed S]
 
 Exit status 0 only if every machine-checked statement holds on every
-instance, 2 if one fails; 1, before any work, if either order is out of
-range.
+instance, 2 if one fails; 1, before any work, if an argument is bad (a k
+list, an order out of range) or --out cannot be written.
 """
 
 import argparse
 import sys
 import time
 
-from stariso.sweep import SweepConfig, SweepSummary, run_sweep
+from stariso.sweep import SweepConfig, SweepSummary, parse_k_list, run_sweep
 
 
 def sweep_and_report(config: SweepConfig) -> tuple[SweepSummary, int]:
@@ -44,18 +44,18 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 
-    ks = tuple(int(f) for f in args.k_list.split(","))
-    config = SweepConfig(
-        max_n=args.max_n,
-        k_list=ks,
-        output_path=args.out,
-        jobs=args.jobs,
-        seed=args.seed,
-    )
     tk_config = SweepConfig(max_n=args.extend_tk_n, k_list=(2,),
                             checks=("tk-equality",), jobs=args.jobs, bf_max=0)
     extend = args.extend_tk_n > args.max_n
     try:
+        ks = parse_k_list(args.k_list)
+        config = SweepConfig(
+            max_n=args.max_n,
+            k_list=ks,
+            output_path=args.out,
+            jobs=args.jobs,
+            seed=args.seed,
+        )
         config.validate()
         if extend:
             tk_config.validate()
@@ -64,7 +64,12 @@ def main() -> int:
         return 1
 
     t0 = time.perf_counter()
-    summary, violations = sweep_and_report(config)
+    try:
+        # run_sweep opens the output before it checks any tree
+        summary, violations = sweep_and_report(config)
+    except OSError as exc:
+        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
+        return 1
     print(f"sweep: {summary.enumerated} trees (n <= {args.max_n}), k in {ks}, "
           f"{violations} violations  [{time.perf_counter() - t0:.1f}s]")
 

@@ -378,22 +378,18 @@ def generate(family: str, r: int, s: int, k: int, n: int | None, n0: int,
 def sweep(max_n: int, k_list: str, checks: str, output_path: str | None, jobs: int,
           seed: int, bf_max: int) -> int | None:
     """Machine-check every statement over all free trees up to --max-n."""
-    from .sweep import SweepConfig, run_sweep
+    from .sweep import SweepConfig, parse_k_list, run_sweep
 
     try:
-        ks = tuple(int(f) for f in k_list.split(","))
-    except ValueError:
-        raise CliError(f"bad k list {k_list!r}") from None
-    config = SweepConfig(
-        max_n=max_n,
-        k_list=ks,
-        checks=tuple(checks.split(",")),
-        output_path=output_path,
-        jobs=jobs,
-        seed=seed,
-        bf_max=bf_max,
-    )
-    try:
+        config = SweepConfig(
+            max_n=max_n,
+            k_list=parse_k_list(k_list),
+            checks=tuple(checks.split(",")),
+            output_path=output_path,
+            jobs=jobs,
+            seed=seed,
+            bf_max=bf_max,
+        )
         config.validate()
     except ValueError as exc:
         raise CliError(str(exc)) from exc

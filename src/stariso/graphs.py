@@ -403,9 +403,9 @@ def free_tree_levels(n: int) -> Iterator[tuple[int, ...]]:
     is the Wright-Richmond-Odlyzko-McKay generator (SIAM J. Comput. 15,
     1986): the Beyer-Hedetniemi successor walks rooted trees in decreasing
     lexicographic order of their level sequences, and a jump skips every
-    rooting that is not the canonical one of its free tree.  It starts from the path rooted at its center, and the
-    stream matches networkx's ``nonisomorphic_trees`` tree for tree and
-    label for label.
+    rooting that is not the canonical one of its free tree.  It starts
+    from the path rooted at its center, and the stream matches networkx's
+    ``nonisomorphic_trees`` tree for tree and label for label.
     """
     if not (1 <= n <= MAX_ENUMERATION_ORDER):
         raise GraphError(f"enumeration supports 1 <= n <= {MAX_ENUMERATION_ORDER}, got {n}")

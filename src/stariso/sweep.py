@@ -6,11 +6,14 @@ violations (empty on success).  Any nonempty violation list means a
 machine-checked statement failed on a concrete instance.
 
 The bounds suite and a record's per-k entry read only a few values of
-(tree, k): the bound-table entry, iota, and a handful of flags.  Each
-process therefore evaluates the suite once per such key, and builds each
-per-k entry once per key as a shared read-only mapping that carries its
-JSON text; ``SweepRecord.to_json_line`` splices those texts.  Both memos
-are bounded at ``MEMO_SIZE`` keys.
+(tree, k): the bound key (n, l, s, k and the two star flags), iota,
+iota_1, whether the tree has a strong support vertex, whether its max
+degree is at least k, and the two family-membership flags.  Each process
+computes both once per such key, in one ``functools.lru_cache``
+(``_per_k``) bounded at ``CACHE_SIZE`` (4,096) keys; a one-process sweep
+to max-n 14 at k 1, 2, 3 fills 1,072.  The entry is a shared read-only
+mapping that carries its JSON text, which ``SweepRecord.to_json_line``
+splices.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from collections import defaultdict
 from collections.abc import Iterable, Iterator
 from contextlib import ExitStack, contextmanager, nullcontext
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 from itertools import chain, groupby
 from json.encoder import encode_basestring_ascii as json_string
 from multiprocessing import Pool
@@ -35,8 +38,11 @@ from .bounds import (
     ORDER_PLUS_LEAVES,
     STAR_BOUND,
     SUPPORT_BOUND,
-    ClosedForms,
-    closed_forms,
+    BoundKey,
+    BoundReport,
+    bound_key,
+    bound_report,
+    row_violations,
 )
 from .families import (
     corona_certificate,
@@ -90,10 +96,18 @@ CHUNKSIZE = 32
 #: many violations: the CLI prints no more.
 REPORTED_VIOLATIONS = 50
 
-#: Keys in each per-process memo of ``check_tree`` (the bounds suite's
-#: violations, the per-k entries).  A one-process sweep to max-n 14 at
-#: k 1, 2, 3 fills 1,056 and 825; a full memo is emptied and refilled.
-MEMO_SIZE = 4096
+#: Keys in the per-process cache of ``check_tree``'s per-k work (``_per_k``).
+#: A one-process sweep to max-n 14 at k 1, 2, 3 fills 1,072 of them; past
+#: the bound the least recently used key goes first.
+CACHE_SIZE = 4096
+
+
+def parse_k_list(text: str) -> tuple[int, ...]:
+    """The k values of a comma list such as ``"1,2,3"``."""
+    try:
+        return tuple(int(f) for f in text.split(","))
+    except ValueError:
+        raise ValueError(f"bad k list {text!r}") from None
 
 
 @dataclass(frozen=True)
@@ -162,9 +176,9 @@ class _Entry(_ReadOnly):
 class SweepRecord:
     """One tree's checks.  ``per_k`` maps each k to an entry with
     ``iota``, ``regime``, ``bounds``, ``equality`` and, where computed,
-    ``tk_member`` and ``corona_char_member``.  ``check_tree`` shares each
-    entry, read-only, between the records with the same values; a caller
-    may put a plain dict in its place."""
+    ``tk_member`` and ``corona_char_member``.  ``check_tree`` takes each
+    entry from the sweep's cache, read-only and shared by the records of
+    one cache key; a caller may put a plain dict in its place."""
 
     tree_code: str
     source: str  # enumerated | generated
@@ -230,37 +244,21 @@ def _twin_leaf_member(t: Tree) -> bool:
     return recognize_F(_strip_to_single_leaves(t)) is not None
 
 
-_SUITE_MEMO: dict[tuple, tuple[ClosedForms, tuple[str, ...]]] = {}
-_ENTRY_MEMO: dict[tuple, tuple[ClosedForms, _Entry]] = {}
-
-
-def _memoized(memo: dict, build, forms: ClosedForms, *args):
-    """``build(forms, *args)``, computed once per key while ``memo`` holds
-    it.  The key is the entry's id with ``args``; the memo keeps the entry
-    itself, so no other entry can take that id while the key lives."""
-    key = (id(forms), *args)
-    hit = memo.get(key)
-    if hit is None:
-        if len(memo) >= MEMO_SIZE:
-            memo.clear()
-        hit = memo[key] = (forms, build(forms, *args))
-    return hit[1]
-
-
-def _bounds_suite(forms: ClosedForms, iota: int, iota1: int, strong: bool,
+def _bounds_suite(report: BoundReport, key: BoundKey, iota1: int, strong: bool,
                   wide: bool) -> tuple[str, ...]:
     """The bounds suite's violations at one (tree, k): a function of the
-    bound-table entry, whose key gives n, l, k and the star flags, of iota
-    and iota_1, of whether the tree has a strong support vertex and of
-    whether its max degree is at least k (``wide``)."""
-    n, l, _, k, _, star_k = forms.key
+    report, the bound key it was made from, iota_1, whether the tree has a
+    strong support vertex and whether its max degree is at least k
+    (``wide``)."""
+    n, l, _, k, _, star_k = key
+    iota = report.iota
     violations = [f"k={k}: iota={iota} exceeds {name}={value}"
-                  for name, value in forms.bounds.items()
+                  for name, value in report.bounds.items()
                   if iota * value.denominator > value.numerator]
-    violations.extend(f"k={k}: {v}" for v in forms.row_violations(iota))
-    if SUPPORT_BOUND in forms.bounds:
-        sb = forms.bounds[SUPPORT_BOUND]
-        opl = forms.bounds[ORDER_PLUS_LEAVES]
+    violations.extend(f"k={k}: {v}" for v in row_violations(key, iota))
+    if SUPPORT_BOUND in report.bounds:
+        sb = report.bounds[SUPPORT_BOUND]
+        opl = report.bounds[ORDER_PLUS_LEAVES]
         if sb > opl:
             violations.append(f"k={k}: support bound {sb} above (n+l)/4 {opl}")
         if (sb == opl) != (not strong):
@@ -279,15 +277,19 @@ def _bounds_suite(forms: ClosedForms, iota: int, iota1: int, strong: bool,
     return tuple(violations)
 
 
-def _per_k_entry(forms: ClosedForms, iota: int, tk_member: bool | None,
-                 corona_member: bool | None) -> _Entry:
-    """The record's entry at one k, its membership flags left out where
-    None; read-only, its mappings too, with its JSON text."""
+@lru_cache(maxsize=CACHE_SIZE)
+def _per_k(key: BoundKey, iota: int, iota1: int, strong: bool, wide: bool,
+           tk_member: bool | None, corona_member: bool | None) -> tuple[_Entry, tuple[str, ...]]:
+    """A record's entry at one k and the bounds suite's violations there,
+    from the values they read (``_bounds_suite``'s and the membership
+    flags).  The entry leaves out each flag that is None; it is read-only,
+    its mappings too, and carries its JSON text."""
+    report = bound_report(key, iota)
     entry = {
         "iota": iota,
-        "regime": forms.regime,
-        "bounds": _ReadOnly(forms.rendered),
-        "equality": _ReadOnly(forms.equality(iota)),
+        "regime": report.regime,
+        "bounds": _ReadOnly(report.to_json_dict()["bounds"]),
+        "equality": _ReadOnly(report.equality),
     }
     if tk_member is not None:
         entry["tk_member"] = tk_member
@@ -295,7 +297,7 @@ def _per_k_entry(forms: ClosedForms, iota: int, tk_member: bool | None,
         entry["corona_char_member"] = corona_member
     frozen = _Entry(entry)
     frozen.json = json.dumps(entry, sort_keys=True)
-    return frozen
+    return frozen, _bounds_suite(report, key, iota1, strong, wide)
 
 
 def check_tree(t: Tree, config: SweepConfig, source: str = "enumerated") -> SweepRecord:
@@ -322,12 +324,13 @@ def check_tree(t: Tree, config: SweepConfig, source: str = "enumerated") -> Swee
     for k in sorted(set(config.k_list)):
         sol = solutions[k]
         iota = sol.size
-        forms = closed_forms(t, k)
         tk_cert = recognize_Tk(t, k) if k >= 2 else None
         corona_cert = corona_certificate(g, corona, k) if corona_check else None
-        entry = _memoized(_ENTRY_MEMO, _per_k_entry, forms, iota,
-                          tk_cert is not None if k >= 2 else None,
-                          corona_cert is not None if corona_check else None)
+        entry, bound_violations = _per_k(
+            bound_key(t, k), iota, iota1, strong, t.max_degree >= k,
+            tk_cert is not None if k >= 2 else None,
+            corona_cert is not None if corona_check else None,
+        )
         equality = entry["equality"]
 
         if "oracle" in checks and n <= config.bf_max:
@@ -344,8 +347,7 @@ def check_tree(t: Tree, config: SweepConfig, source: str = "enumerated") -> Swee
                 violations.append(f"k={k}: dp={iota} != certificate={len(packing)}")
 
         if "bounds" in checks:
-            violations.extend(_memoized(_SUITE_MEMO, _bounds_suite, forms, iota, iota1,
-                                        strong, t.max_degree >= k))
+            violations.extend(bound_violations)
 
         if "f-equality" in checks and k == 1:
             eq = equality[ORDER_PLUS_LEAVES]

@@ -23,7 +23,6 @@ from stariso.bounds import (
 from stariso.families import gen_corona_extremal, gen_spider_gap
 from stariso.graphs import as_tree, build_graph, enumerate_free_trees, is_any_star, is_star
 from stariso.solver import iota_tree_dp
-from stariso.sweep import SweepConfig, sweep_lines
 
 
 def path_tree(n):
@@ -286,8 +285,8 @@ class TestIntegerComparisons:
 
 
 def fraction_evaluate_bounds(t, k, iota):
-    """evaluate_bounds as it was written before the bound table, with
-    Fraction equality flags: the reference."""
+    """evaluate_bounds written out per tree, with Fraction equality
+    flags: the reference."""
     n, l, s = t.n, t.leaf_order, t.support_count
     bounds = {}
     na = {}
@@ -345,7 +344,7 @@ def report_fields(report):
 
 
 class TestBoundTable:
-    """The per-process table gives the reports the Fraction code gave, and
+    """The bound report of a key is the report the Fraction code gave, and
     no report can change a later one."""
 
     def test_matches_the_fraction_reference(self):
@@ -396,25 +395,6 @@ class TestBoundTable:
             again.bounds[ORDER_PLUS_LEAVES] = Fraction(99)
             again.equality[ORDER_PLUS_LEAVES] = None
         assert set(evaluate_bounds(t, k, 1).to_json_dict()["bounds"]) == set(BOUND_NAMES)
-
-    def test_a_sweep_misses_once_per_key(self):
-        import stariso.bounds
-
-        table = stariso.bounds._closed_forms
-        config = SweepConfig(max_n=10, k_list=(1, 2, 3), jobs=1)
-        table.cache_clear()
-        keys = set()
-        records = 0
-        for line in sweep_lines(config):
-            record = json.loads(line.line)
-            n, l, s = record["n"], record["l"], record["s"]
-            records += 1
-            for k in config.k_list:
-                star = n == 2 or (n >= 3 and l == n - 1)
-                keys.add((n, l, s, k, n >= 3 and star, star and n == k + 1))
-        info = table.cache_info()
-        assert info.hits + info.misses == records * len(config.k_list)
-        assert info.misses <= len(keys) <= info.maxsize
 
 
 def direct_render(report):

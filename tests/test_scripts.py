@@ -100,3 +100,37 @@ def test_full_verification_rejects_orders_before_any_work(tmp_path, flag, order)
     assert proc.stdout == ""
     assert proc.stderr == f"error: max_n must be in 1..20, got {order}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("k_list, message", [
+    ("1,x", "bad k list '1,x'"),
+    ("1,25", "k values must be at most 20: (1, 25)"),
+])
+def test_full_verification_rejects_k_lists_before_any_work(tmp_path, k_list, message):
+    out = tmp_path / "results.jsonl"
+    proc = run_script("full_verification.py", "--k-list", k_list, "--out", str(out), timeout=20)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_full_verification_rejects_an_unwritable_out_before_any_work(tmp_path):
+    out = tmp_path / "missing" / "results.jsonl"
+    proc = run_script("full_verification.py", "--out", str(out), timeout=20)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith(f"error: cannot write {out}: ")
+    assert proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--k-list", "1,x", "bad k list '1,x'"),
+    ("--k-list", "1,25", "k values must be at most 20: (1, 25)"),
+    ("--max-n", "25", "max_n must be in 1..20, got 25"),
+])
+def test_extremal_census_rejects_arguments_before_any_work(flag, value, message):
+    proc = run_script("extremal_census.py", flag, value, timeout=20)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: {message}\n"

@@ -8,6 +8,7 @@ import pickle
 import subprocess
 import sys
 from dataclasses import replace
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
@@ -18,7 +19,8 @@ from stariso.bounds import (
     ORDER_PLUS_LEAVES,
     STAR_BOUND,
     SUPPORT_BOUND,
-    closed_forms,
+    bound_key,
+    bound_report,
     evaluate_bounds,
     regime_table_violations,
 )
@@ -33,15 +35,15 @@ from stariso.graphs import (
 )
 from stariso.solver import iota_tree_dp
 from stariso.sweep import (
+    CACHE_SIZE,
     CHECK_SUITES,
     CHUNKSIZE,
     MAX_SWEEP_N,
-    MEMO_SIZE,
     REPORTED_VIOLATIONS,
     SweepConfig,
     SweepLine,
     _bounds_suite,
-    _memoized,
+    _per_k,
     _strip_to_single_leaves,
     _twin_leaf_member,
     check_tree,
@@ -52,6 +54,15 @@ from stariso.sweep import (
 
 def path_tree(n):
     return as_tree(build_graph(n, [(i, i + 1) for i in range(n - 1)]))
+
+
+@pytest.fixture
+def fresh_cache():
+    """The sweep's per-k cache, emptied before the test and after it, so
+    that the test counts from zero and leaves nothing it planted."""
+    _per_k.cache_clear()
+    yield _per_k
+    _per_k.cache_clear()
 
 
 class TestConfig:
@@ -281,7 +292,8 @@ class TestRecordShape:
 
 class TestBoundTableReads:
     """check_tree reads each record's regime, bound strings and equality
-    flags from the bound table, and its equality clauses read the flags."""
+    flags from the bound report of its key, and its equality clauses read
+    the flags."""
 
     def test_per_k_entry_matches_the_report(self):
         cfg = SweepConfig(max_n=10, k_list=(1, 2, 3, 4), bf_max=0)
@@ -306,35 +318,36 @@ class TestBoundTableReads:
         (as_tree(gen_corona_extremal(2, 2, 8)), 2, ORDER_MINUS_LEAVES, None,
          "k=2: (n-l)/2 equality is False but corona membership is True"),
     ])
-    def test_a_flipped_flag_fires_its_clause(self, monkeypatch, t, k, name, whole, violation):
+    def test_a_flipped_flag_fires_its_clause(self, monkeypatch, fresh_cache, t, k, name, whole,
+                                             violation):
+        # ``whole`` stands in for the bound's value where it is a whole number
         import stariso.sweep
 
         cfg = SweepConfig(max_n=t.n, k_list=(k,), bf_max=0)
         assert check_tree(t, cfg).violations == []
-        real = stariso.sweep.closed_forms
 
-        def flipped(t, k):
-            forms = real(t, k)
-            return forms._replace(whole=tuple(
-                (key, whole if key == name else value) for key, value in forms.whole))
+        def flipped(key, iota):
+            report = bound_report(key, iota)
+            return report._replace(equality=dict(report.equality, **{name: whole == iota}))
 
-        monkeypatch.setattr(stariso.sweep, "closed_forms", flipped)
+        monkeypatch.setattr(stariso.sweep, "bound_report", flipped)
+        fresh_cache.cache_clear()
         assert check_tree(t, cfg).violations == [violation]
 
 
 def reference_bounds_suite(t, k, iota, iota1):
     """The bounds suite as check_tree ran it inline, reading the tree:
-    the reference for the memoized suite."""
-    forms = closed_forms(t, k)
+    the reference for the cached suite."""
+    report = evaluate_bounds(t, k, iota)
     n, l = t.n, t.leaf_order
     violations = []
-    for name, value in forms.bounds.items():
+    for name, value in report.bounds.items():
         if iota * value.denominator > value.numerator:
             violations.append(f"k={k}: iota={iota} exceeds {name}={value}")
     violations.extend(f"k={k}: {v}" for v in regime_table_violations(t, k, iota))
-    if SUPPORT_BOUND in forms.bounds:
-        sb = forms.bounds[SUPPORT_BOUND]
-        opl = forms.bounds[ORDER_PLUS_LEAVES]
+    if SUPPORT_BOUND in report.bounds:
+        sb = report.bounds[SUPPORT_BOUND]
+        opl = report.bounds[ORDER_PLUS_LEAVES]
         if sb > opl:
             violations.append(f"k={k}: support bound {sb} above (n+l)/4 {opl}")
         if (sb == opl) != (not t.strong_support_set):
@@ -371,56 +384,80 @@ def reference_json_line(rec):
 
 
 class TestMemos:
-    """The bounds suite runs once per key of what it reads, and the per-k
-    entries are shared read-only mappings whose stored JSON text the
-    record splices."""
+    """The sweep's one cache: the bounds suite runs and each per-k entry is
+    built once per key of what they read, and the entries are shared
+    read-only mappings whose stored JSON text the record splices."""
 
     def test_memoized_suite_matches_the_tree_reading_reference(self, monkeypatch):
         import stariso.sweep
 
-        memo = {}
-        monkeypatch.setattr(stariso.sweep, "MEMO_SIZE", 10 ** 6)  # nothing evicted
+        cache = lru_cache(maxsize=10 ** 6)(_per_k.__wrapped__)  # nothing evicted
+        monkeypatch.setattr(stariso.sweep, "_per_k", cache)
         lookups = fired = 0
         for n in range(1, 11):
             for t in enumerate_free_trees(n):
                 iota1 = iota_tree_dp(t, 1).size
                 strong = bool(t.strong_support_set)
                 for k in range(1, 5):
-                    forms = closed_forms(t, k)
+                    key = bound_key(t, k)
                     for iota in range(n + 1):
-                        got = _memoized(memo, _bounds_suite, forms, iota, iota1, strong,
-                                        t.max_degree >= k)
+                        _, got = cache(key, iota, iota1, strong, t.max_degree >= k, None, None)
                         want = reference_bounds_suite(t, k, iota, iota1)
                         assert list(got) == want, (n, k, iota)
                         lookups += 1
                         fired += bool(want)
         # one tree never repeats a key, so the hits came from other trees
-        assert 0 < len(memo) < lookups // 2
+        info = cache.cache_info()
+        assert 0 < info.misses < lookups // 2
+        assert info.hits + info.misses == lookups
         assert 0 < fired < lookups
 
-    def test_a_fresh_entry_is_not_served_another_entrys_verdict(self):
-        t = path_tree(6)
-        forms = closed_forms(t, 1)
-        memo = {}
-        real = _memoized(memo, _bounds_suite, forms, 3, 3, False, True)
-        assert "k=1: iota=3 exceeds order_plus_leaves=2" in real
-        edited = forms._replace(bounds={})
-        got = _memoized(memo, _bounds_suite, edited, 3, 3, False, True)
-        assert got == _bounds_suite(edited, 3, 3, False, True) != real
-        assert _memoized(memo, _bounds_suite, forms, 3, 3, False, True) is real
-        assert len(memo) == 2
+    def test_a_fresh_entry_is_not_served_another_entrys_verdict(self, fresh_cache):
+        key = bound_key(path_tree(6), 1)
+        real = _per_k(key, 3, 3, False, True, None, None)
+        assert "k=1: iota=3 exceeds order_plus_leaves=2" in real[1]
+        edited = key[:2] + (1,) + key[3:]  # s = 1, so no support bound
+        entry, got = _per_k(edited, 3, 3, False, True, None, None)
+        assert got == _bounds_suite(bound_report(edited, 3), edited, 3, False, True) != real[1]
+        assert entry["bounds"][SUPPORT_BOUND] == "N/A: requires s != 1"
+        assert _per_k(key, 3, 3, False, True, None, None) is real
+        assert fresh_cache.cache_info().currsize == 2
+
+    def test_a_sweep_misses_once_per_key(self, fresh_cache):
+        config = SweepConfig(max_n=10, k_list=(1, 2, 3), jobs=1)
+        keys = set()
+        records = 0
+        for line in sweep_lines(config):
+            assert line.violations == []
+            record = json.loads(line.line)
+            n, l, s = record["n"], record["l"], record["s"]
+            records += 1
+            star = n == 2 or (n >= 3 and l == n - 1)
+            for k in config.k_list:
+                entry = record["k"][str(k)]
+                # with no violations, iota = 0 exactly where the max degree is
+                # below k; a strong support vertex exists exactly where l > s
+                keys.add(((n, l, s, k, n >= 3 and star, star and n == k + 1),
+                          entry["iota"], record["k"]["1"]["iota"], l > s, entry["iota"] > 0,
+                          entry.get("tk_member"), entry.get("corona_char_member")))
+        info = fresh_cache.cache_info()
+        assert info.hits + info.misses == records * len(config.k_list)
+        assert info.misses <= len(keys) <= info.maxsize
 
     def test_entries_are_shared_and_read_only(self):
         cfg = SweepConfig(max_n=9, k_list=(1, 2, 3), bf_max=0)
-        by_content = {}
+        by_key = {}
         entries = 0
         for n in range(1, 10):
             for t in enumerate_free_trees(n):
-                for entry in check_tree(t, cfg).per_k.values():
-                    assert by_content.setdefault(json.dumps(entry, sort_keys=True),
-                                                 entry) is entry
+                per_k = check_tree(t, cfg).per_k
+                for k, entry in per_k.items():
+                    key = (bound_key(t, k), entry["iota"], per_k[1]["iota"],
+                           bool(t.strong_support_set), t.max_degree >= k,
+                           entry.get("tk_member"), entry.get("corona_char_member"))
+                    assert by_key.setdefault(key, entry) is entry
                     entries += 1
-        assert len(by_content) < entries
+        assert len(by_key) < entries
         entry = check_tree(path_tree(8), cfg).per_k[2]
         plain = json.loads(json.dumps(entry))
         changes = [
@@ -474,23 +511,20 @@ class TestMemos:
         assert record["k"]["3"]["bounds"]["caro_third"] == "9/1"
 
     def test_memos_stay_within_their_cap(self):
-        import stariso.sweep
-
         run_sweep(SweepConfig(max_n=12, k_list=(1, 2, 3), jobs=1))
-        for memo in (stariso.sweep._SUITE_MEMO, stariso.sweep._ENTRY_MEMO):
-            assert 0 < len(memo) <= MEMO_SIZE
+        info = _per_k.cache_info()
+        assert 0 < info.currsize <= info.maxsize == CACHE_SIZE
 
     def test_a_full_memo_is_refilled(self, monkeypatch):
         import stariso.sweep
 
         config = SweepConfig(max_n=9, k_list=(1, 2, 3), seed=1)
         want = [line.line for line in sweep_lines(config)]
-        monkeypatch.setattr(stariso.sweep, "MEMO_SIZE", 16)
-        for memo in (stariso.sweep._SUITE_MEMO, stariso.sweep._ENTRY_MEMO):
-            memo.clear()
+        small = lru_cache(maxsize=16)(_per_k.__wrapped__)
+        monkeypatch.setattr(stariso.sweep, "_per_k", small)
         assert [line.line for line in sweep_lines(config)] == want
-        for memo in (stariso.sweep._SUITE_MEMO, stariso.sweep._ENTRY_MEMO):
-            assert 0 < len(memo) <= 16
+        info = small.cache_info()
+        assert info.currsize == 16 < info.misses
 
 
 class TestCoronaPass:
