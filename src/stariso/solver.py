@@ -259,12 +259,17 @@ def machine(k: int) -> Machine:
     return _MACHINES[k]
 
 
-def _bottom_up(t: Tree, k: int, root: int) -> tuple[list, list[int], list[int], list[int], int]:
+def _bottom_up(t: Tree, k: int,
+               root: int) -> tuple[list, list[int], list[int], list[int], int] | None:
     """Finish every vertex of t rooted at root: the machine's shapes, the
-    rooted view, each vertex's shape id and the root's base."""
+    rooted view, each vertex's shape id and the root's base.  None when k
+    is above the max degree: t has no k-star, so iota is 0, and k's machine
+    is neither built nor run."""
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
     order, parent = t.rooted(root)
+    if k > t.max_degree:
+        return None
     m = machine(k)
     finished_shape, finished_low = m.finished_shape, m.finished_low
     acc = [m.start] * t.n
@@ -285,7 +290,10 @@ def _bottom_up(t: Tree, k: int, root: int) -> tuple[list, list[int], list[int], 
 def isolation_number(t: Tree, k: int) -> int:
     """iota(T, K_{1,k}): the bottom-up pass of ``iota_tree_dp`` alone,
     without a witness."""
-    costs, _, _, shape, base = _bottom_up(t, k, 0)
+    run = _bottom_up(t, k, 0)
+    if run is None:
+        return 0
+    costs, _, _, shape, base = run
     a, b, _, f, _ = costs[shape[0]]
     return base + min(a, b, f)
 
@@ -302,7 +310,10 @@ def iota_tree_dp(t: Tree, k: int, root: int = 0) -> IsolationSolution:
     in adjacency order.  The root choice cannot change the optimum; it only
     steers tie-breaks in the witness.
     """
-    costs, order, parent, shape, base = _bottom_up(t, k, root)
+    run = _bottom_up(t, k, root)
+    if run is None:
+        return IsolationSolution(k, frozenset(), 0, "tree_dp")
+    costs, order, parent, shape, base = run
     adj = t.graph.adjacency
     a, b, _, f, _ = costs[shape[root]]
     best_state, best = _IN, a

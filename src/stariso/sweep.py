@@ -10,10 +10,15 @@ The bounds suite and a record's per-k entry read only a few values of
 iota_1, whether the tree has a strong support vertex, whether its max
 degree is at least k, and the two family-membership flags.  Each process
 computes both once per such key, in one ``functools.lru_cache``
-(``_per_k``) bounded at ``CACHE_SIZE`` (4,096) keys; a one-process sweep
-to max-n 14 at k 1, 2, 3 fills 1,072.  The entry is a shared read-only
-mapping that carries its JSON text, which ``SweepRecord.to_json_line``
-splices.
+(``_per_k``) bounded at ``CACHE_SIZE`` keys.  The entry is a shared
+read-only mapping that carries its JSON text, which
+``SweepRecord.to_json_line`` splices.
+
+Each order is checked in one share per job, whose task claims the
+order's trees one at a time, so a worker that falls behind checks fewer.
+It writes their JSON lines, then their sorted keys, to its own temporary
+file; the caller merges an order's shares by key and reads each line
+back, so no line passes through a pipe.
 """
 
 from __future__ import annotations
@@ -23,15 +28,16 @@ import os
 import random
 import tempfile
 from collections import defaultdict
-from collections.abc import Iterable, Iterator
-from contextlib import ExitStack, contextmanager, nullcontext
+from collections.abc import Iterator
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
-from itertools import chain, groupby
+from heapq import merge
+from itertools import chain
 from json.encoder import encode_basestring_ascii as json_string
 from multiprocessing import Pool
-from operator import attrgetter, itemgetter
-from typing import IO, NamedTuple, TextIO
+from operator import attrgetter
+from typing import NamedTuple, TextIO
 
 from .bounds import (
     ORDER_MINUS_LEAVES,
@@ -75,22 +81,11 @@ from .solver import (
     normalize_no_leaves,
 )
 
-CHECK_SUITES = (
-    "oracle",
-    "bounds",
-    "f-equality",
-    "tk-equality",
-    "corona-char",
-    "normalizers",
-    "constructive",
-)
+CHECK_SUITES = ("oracle", "bounds", "f-equality", "tk-equality", "corona-char", "normalizers",
+                "constructive")
 
 #: The largest ``bf_max``: the brute-force oracle on every tree up to it.
 BRUTE_FORCE_FREE_N = 16
-
-#: Trees per task batch sent to a worker: large enough to amortize the
-#: pickling round trip, small enough to keep every worker busy at the end.
-CHUNKSIZE = 32
 
 #: A ``SweepSummary`` keeps the violating records until they hold this
 #: many violations: the CLI prints no more.
@@ -262,9 +257,7 @@ def _bounds_suite(report: BoundReport, key: BoundKey, iota1: int, strong: bool,
         if sb > opl:
             violations.append(f"k={k}: support bound {sb} above (n+l)/4 {opl}")
         if (sb == opl) != (not strong):
-            violations.append(
-                f"k={k}: support bound ties (n+l)/4 iff no strong support failed"
-            )
+            violations.append(f"k={k}: support bound ties (n+l)/4 iff no strong support failed")
     if k >= 2 and wide:
         if n + l < 2 * k + 1:
             violations.append(f"k={k}: n+l={n + l} below 2k+1")
@@ -441,17 +434,9 @@ def check_tree(t: Tree, config: SweepConfig, source: str = "enumerated") -> Swee
         if not failures and 2 * len(dominators) > n:
             violations.append(f"domination number {len(dominators)} above n/2")
 
-    return SweepRecord(
-        tree_code=centered_code(t, far).decode("ascii"),
-        source=source,
-        n=n,
-        l=l,
-        s=s,
-        diam=diam,
-        family_F=f_cert is not None,
-        per_k=per_k,
-        violations=violations,
-    )
+    return SweepRecord(tree_code=centered_code(t, far).decode("ascii"), source=source, n=n, l=l,
+                       s=s, diam=diam, family_F=f_cert is not None, per_k=per_k,
+                       violations=violations)
 
 
 def _constructive_records(config: SweepConfig) -> list[SweepRecord]:
@@ -486,56 +471,70 @@ def _worker(config: SweepConfig, levels: tuple[int, ...]) -> SweepLine:
     return _to_line(check_tree(level_tree(levels), config))
 
 
-def _sorted_order(spill: IO[bytes], n: int, lines: Iterable[SweepLine]) -> Iterator[SweepLine]:
-    """Yield one order's lines sorted by tree code and source, holding
-    only their keys: the lines wait in ``spill``, emptied at the end."""
-    keys = []
-    offset = 0
-    for line in lines:
-        data = line.line.encode()
-        spill.write(data)
-        keys.append((line.tree_code, line.source, line.violations, offset, len(data)))
-        offset += len(data)
-    spill.flush()
-    # stable: equal keys (only among generated records) keep their order
-    keys.sort(key=itemgetter(0, 1))
-    for tree_code, source, violations, offset, size in keys:
-        data = os.pread(spill.fileno(), size, offset)
-        yield SweepLine(n, tree_code, source, violations, data.decode())
-    spill.seek(0)
-    spill.truncate()
+def _check_share(config: SweepConfig, directory: str, task: tuple[int, int]) -> tuple[str, int]:
+    """For ``task = (n, i)``: check the trees of order n this task claims in
+    ``n.claims`` and write the file ``n.i`` in ``directory``: their lines,
+    then their sorted keys ``tree_code source offset size violations`` (a
+    JSON list), one a line.  Returns its path and where the keys start."""
+    n, share = task
+    keys, offset, claim = [], 0, -1
+    path = os.path.join(directory, f"{n}.{share}")
+    with open(path, "wb") as spill, \
+            open(os.path.join(directory, f"{n}.claims"), "ab", buffering=0) as claims:
+        for index, levels in enumerate(free_tree_levels(n)):
+            if index > claim:
+                # appends are atomic: this byte's index is a tree no one claimed
+                claims.write(b".")
+                claim = claims.tell() - 1
+            if index < claim:
+                continue
+            line = _worker(config, levels)
+            data = line.line.encode()
+            spill.write(data)
+            # sorted as bytes by code, then source: a space sorts below both
+            keys.append(f"{line.tree_code} {line.source} {offset} {len(data)} "
+                        f"[{', '.join(map(json_string, line.violations))}]\n".encode())
+            offset += len(data)
+        keys.sort()
+        spill.writelines(keys)
+    return path, offset
+
+
+def _share_lines(n: int, path: str, start: int) -> Iterator[SweepLine]:
+    """A share's lines in key order, from its file at ``path`` (deleted once
+    open), whose keys start at ``start``."""
+    with open(path, "rb") as share:
+        os.unlink(path)
+        share.seek(start)
+        for key in share:
+            tree_code, source, offset, size, violations = key.decode().split(" ", 4)
+            yield SweepLine(n, tree_code, source,
+                            [] if violations == "[]\n" else json.loads(violations),
+                            os.pread(share.fileno(), int(size), int(offset)).decode())
 
 
 def sweep_lines(config: SweepConfig) -> Iterator[SweepLine]:
     """Yield one ``SweepLine`` per record, sorted by order, tree code and
-    source.
-
-    The enumeration streams level sequences, order by order, to the
-    workers, which build and check each tree and return its JSON line.
-    The lines come back grouped by ascending order (``imap`` and ``map``
-    keep task order), so the parent appends each order's lines to a
-    temporary spill file, sorts that order's keys and yields its lines
-    read back from the spill before the next order starts: it holds one
-    order's keys, and the spill one order's lines.  The constructive
-    records are checked first; each joins its own order, and those above
-    ``max_n`` come last.
-    """
+    source, an order at a time: its shares run here for one job, and in a
+    ``Pool`` for more.  The constructive records are checked first, here;
+    each joins its own order, and those above ``max_n`` come last."""
     config.validate()
     generated: dict[int, list[SweepLine]] = defaultdict(list)
     if "constructive" in config.active_checks():
         for rec in _constructive_records(config):
             generated[rec.n].append(_to_line(rec))
-    tasks = (levels for n in range(1, config.max_n + 1) for levels in free_tree_levels(n))
-    worker = partial(_worker, config)
-    with ExitStack() as stack:
-        if config.jobs > 1:
-            pool = stack.enter_context(Pool(config.jobs))
-            lines = pool.imap(worker, tasks, chunksize=CHUNKSIZE)
-        else:
-            lines = map(worker, tasks)
-        spill = stack.enter_context(tempfile.TemporaryFile())
-        for n, order in groupby(lines, key=attrgetter("n")):
-            yield from _sorted_order(spill, n, chain(order, generated.pop(n, ())))
+    orders = range(1, config.max_n + 1)
+    tasks = ((n, share) for n in orders for share in range(config.jobs))
+    by_key = attrgetter("tree_code", "source")
+    # the pool's workers are gone before the directory is removed
+    with tempfile.TemporaryDirectory() as directory, \
+            Pool(config.jobs) if config.jobs > 1 else nullcontext() as pool:
+        check = partial(_check_share, config, directory)
+        written = map(check, tasks) if pool is None else pool.imap(check, tasks)
+        for n in orders:
+            shares = [_share_lines(n, *next(written)) for _ in range(config.jobs)]
+            # stable: equal keys (only among generated lines) keep their order
+            yield from merge(*shares, sorted(generated.pop(n, []), key=by_key), key=by_key)
     yield from sorted(chain.from_iterable(generated.values()),
                       key=attrgetter("n", "tree_code", "source"))
 

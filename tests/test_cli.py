@@ -60,6 +60,11 @@ class TestSolve:
         assert main(["solve", "--input", f, "--k", "2"]) == 0
         assert capsys.readouterr().out.strip() == "0"
 
+    def test_k_above_the_max_degree(self, tmp_path, capsys):
+        star = write(tmp_path, "k13.txt", "4\n0 1\n0 2\n0 3\n")
+        assert main(["solve", "--input", star, "--k", "1000000"]) == 0
+        assert capsys.readouterr().out == "0\n"
+
     def test_general_graph_falls_back_to_brute_force(self, tmp_path, capsys):
         c4 = write(tmp_path, "c4.txt", "4\n0 1\n1 2\n2 3\n0 3\n")
         assert main(["solve", "--input", c4, "--k", "1"]) == 0

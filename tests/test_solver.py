@@ -226,6 +226,17 @@ class TestTreeDp:
             iota_tree_dp(as_tree(path_graph(6)), 1, root=root)
         assert str(excinfo.value) == f"root {root} out of range for n=6"
 
+    def test_root_checked_before_the_k_above_max_degree_answer(self):
+        with pytest.raises(GraphError, match="root 6 out of range for n=6"):
+            iota_tree_dp(as_tree(path_graph(6)), 10, root=6)
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_checked_first(self, k):
+        t = as_tree(path_graph(6))
+        for run in (lambda: iota_tree_dp(t, k, root=6), lambda: isolation_number(t, k)):
+            with pytest.raises(ValueError, match=f"k must be positive, got {k}"):
+                run()
+
     @pytest.mark.parametrize("n", range(1, 10))
     def test_matches_brute_force_exhaustively(self, n):
         for t in enumerate_free_trees(n):
@@ -316,6 +327,23 @@ class TestMachine:
                 break
         assert seen == (accumulators, shapes)
         assert len(m) == accumulators * shapes
+
+    def test_k_above_the_max_degree_builds_no_machine(self):
+        import stariso.solver
+
+        t = as_tree(star_graph(200_000))
+        assert isolation_number(t, 10**6) == 0
+        assert iota_tree_dp(t, 10**6, root=1) == IsolationSolution(10**6, frozenset(), 0, "tree_dp")
+        assert 10**6 not in stariso.solver._MACHINES
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_one_above_the_max_degree_is_zero(self, n):
+        for t in enumerate_free_trees(n):
+            k = t.max_degree + 1
+            assert isolation_number(t, k) == 0
+            for root in range(n):
+                sol = iota_tree_dp(t, k, root)
+                assert (sol.size, sol.set) == (0, frozenset())
 
     @pytest.mark.parametrize("k", [2, 10**4 - 1])
     def test_hostile_star_degree(self, k):

@@ -7,8 +7,11 @@ import os
 import pickle
 import subprocess
 import sys
+import tempfile
+from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
-from functools import lru_cache
+from functools import lru_cache, partial
 from pathlib import Path
 
 import pytest
@@ -26,23 +29,25 @@ from stariso.bounds import (
 )
 from stariso.families import gen_corona_extremal, recognize_F
 from stariso.graphs import (
+    FREE_TREE_COUNTS,
     as_tree,
     build_graph,
     canonical_code,
     diameter_path,
     enumerate_free_trees,
+    free_tree_levels,
     is_star,
 )
 from stariso.solver import iota_tree_dp
 from stariso.sweep import (
     CACHE_SIZE,
     CHECK_SUITES,
-    CHUNKSIZE,
     MAX_SWEEP_N,
     REPORTED_VIOLATIONS,
     SweepConfig,
     SweepLine,
     _bounds_suite,
+    _check_share,
     _per_k,
     _strip_to_single_leaves,
     _twin_leaf_member,
@@ -587,13 +592,16 @@ class TestRunSweep:
         ))
         assert all(r.source == "enumerated" and not r.violations for r in records)
 
-    def test_parallel_matches_serial_across_chunks(self, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    @pytest.mark.parametrize("jobs", [2, 3])
+    def test_parallel_matches_serial_across_shares(self, monkeypatch, jobs):
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
         config = SweepConfig(max_n=9, k_list=(1, 2), seed=3)
-        assert 95 > 2 * CHUNKSIZE  # the 95 trees span several task batches
+        # orders of 11, 23 and 47 trees: uneven shares at 2 and 3 jobs
+        assert all(FREE_TREE_COUNTS[n - 1] % jobs for n in (7, 8, 9))
         serial = list(sweep_lines(config))
-        parallel = list(sweep_lines(replace(config, jobs=2)))
+        parallel = list(sweep_lines(replace(config, jobs=jobs)))
         assert [r.line for r in parallel] == [r.line for r in serial]
+        assert parallel == serial
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_output_matches_recorded_digest(self, monkeypatch, tmp_path, jobs):
@@ -612,6 +620,19 @@ class TestRunSweep:
             "bfd075ebb292dec06ca8826866d0d18954d5b5754abe3657a3e296d4b04bdfbe"
         )
         assert len(out.read_text().splitlines()) == len(summary)
+
+    @pytest.mark.slow
+    def test_scan_sweep_matches_recorded_digest(self, monkeypatch, tmp_path):
+        # the bench's sweep-scan configuration at seed 0, recorded before
+        # the sweep checked each order in shares
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        out = tmp_path / "r.jsonl"
+        summary, violations = run_sweep(SweepConfig(
+            max_n=14, k_list=(1, 2, 3), bf_max=0, jobs=2, seed=0, output_path=str(out)))
+        assert (len(summary), violations) == (5459, 0)
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "90991190a926c2d9ae5b34b7eb3d84730c736efaa1e78dcd2da4600052fbb0f4"
+        )
 
     def test_desk_sweep_matches_recorded_digest(self, tmp_path):
         # the default desk verification: stariso sweep --max-n 12 --out ...
@@ -677,6 +698,66 @@ class TestRunSweep:
             assert not out.exists()
         else:
             assert out.read_text() == older
+
+
+class TestShares:
+    """Each order is checked in one share per job, each in its own file
+    under the temporary directory; the shares claim the order's trees."""
+
+    @pytest.fixture
+    def tmpdir(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
+        (tmp_path / "tmp").mkdir()
+        return tmp_path / "tmp"
+
+    def test_every_tree_checked_once(self, tmpdir):
+        config = SweepConfig(max_n=10, k_list=(1, 2), checks=("bounds",), bf_max=0)
+        runs = {jobs: list(sweep_lines(replace(config, jobs=jobs))) for jobs in (1, 2, 3)}
+        counts = Counter(r.n for r in runs[1])
+        assert [counts[n] for n in range(1, 11)] == list(FREE_TREE_COUNTS[:10])
+        assert len({r.tree_code for r in runs[1]}) == len(runs[1])
+        assert runs[2] == runs[1] and runs[3] == runs[1]
+        assert list(tmpdir.iterdir()) == []
+
+    def test_crash_leaves_the_directory_empty(self, monkeypatch, tmpdir):
+        real = stariso.sweep._worker
+
+        def crashing(config, levels):
+            if len(levels) == 8:
+                raise RuntimeError("worker crashed")
+            return real(config, levels)
+
+        monkeypatch.setattr(stariso.sweep, "_worker", crashing)
+        with pytest.raises(RuntimeError, match="worker crashed"):
+            list(sweep_lines(SweepConfig(max_n=9, k_list=(1,), checks=("bounds",))))
+        assert list(tmpdir.iterdir()) == []
+
+    def test_concurrent_shares_claim_each_tree_once(self, monkeypatch, tmp_path):
+        # four claimants on two cores, switching threads every microsecond
+        def fake(config, levels):
+            return SweepLine(len(levels), "".join(map(str, levels)), "enumerated", [], "{}")
+
+        monkeypatch.setattr(stariso.sweep, "_worker", fake)
+        check = partial(_check_share, SweepConfig(max_n=12, k_list=(1,)), str(tmp_path))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                starts = list(pool.map(check, [(12, i) for i in range(4)], timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        codes = [key.split()[0].decode() for path, start in starts
+                 for key in Path(path).read_bytes()[start:].splitlines()]
+        assert sorted(codes) == sorted("".join(map(str, levels)) for levels in free_tree_levels(12))
+
+    def test_one_job_starts_no_process(self, monkeypatch, tmpdir):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was started")
+
+        monkeypatch.setattr(stariso.sweep, "Pool", no_pool)
+        lines = list(sweep_lines(SweepConfig(max_n=8, k_list=(1,), checks=("bounds",))))
+        assert len(lines) == sum(FREE_TREE_COUNTS[:8])
 
 
 def test_sweep_and_enumeration_never_import_networkx():
