@@ -11,9 +11,10 @@ Three families are covered, each with a certificate type whose
 * the corona-style graphs attaining (n - l)/2 (4-cycles or coronas with
   pendant leaves).
 
-The two tree recognizers label a tree in one bottom-up pass over it rooted
-at its smallest leaf; ``validate`` alone decides whether that labeling
-makes it a member.
+The two tree recognizers pass one cheap gate, then label the tree in one
+bottom-up pass over it rooted at its smallest leaf; ``validate`` alone
+decides whether that labeling makes it a member.  The corona pass reads
+core degrees off the graph and builds no subgraph.
 """
 
 from __future__ import annotations
@@ -266,49 +267,29 @@ def gen_family_F(
 def recognize_F(t: Tree) -> FCertificate | None:
     """Recover the A/B/C/X/Y labeling of t, or None.
 
-    The labeling is unique when it exists: leaves are C, their degree-2
-    supports are B and the supports' other neighbors are A.  The rest
-    splits into 4-path copies x - y - y' - x' whose y and y' have degree 2,
-    so rooted at a leaf each copy is a vertical chain below its upper x;
-    one bottom-up pass cuts the rest into such chains.  The certificate is
-    validated clause by clause before being returned.
+    The one gate: n >= 6, as many supports as leaves, and every support of
+    degree 2.  Then the labeling is forced: leaves are C, their supports
+    are B and each support's other neighbor is A (for n >= 6 that neighbor
+    is neither a leaf nor a support).  The rest splits into 4-path copies
+    x - y - y' - x' whose y and y' have degree 2, so rooted at a leaf each
+    copy is a vertical chain below its upper x; one bottom-up pass cuts
+    the rest into such chains.  ``FCertificate.validate`` decides.
     """
     g = t.graph
-    n = g.n
-    if n < 6:
+    n, adjacency, c_set = g.n, g.adjacency, t.leaf_set
+    if n < 6 or len(t.support_set) != len(c_set):
         return None
-    c_set = set(t.leaf_set)
-    b_set = set()
-    b_leaf = {}
-    for c in c_set:
-        b = g.adjacency[c][0]
-        if g.degree(b) != 2:
+    for b in t.support_set:
+        if len(adjacency[b]) != 2:
             return None
-        if b in b_leaf:
-            return None
-        b_set.add(b)
-        b_leaf[b] = c
-    a_set = set()
-    b_other = {}
-    for b in b_set:
-        others = [w for w in g.adjacency[b] if w not in c_set]
-        if len(others) != 1:
-            return None
-        a = others[0]
-        if a in b_set or a in c_set:
-            return None
-        a_set.add(a)
-        b_other[b] = a
-    if len(a_set) != len(b_set):
-        return None
-
-    rest = set(range(n)) - a_set - b_set - c_set
-    for v in rest:
-        if any(w in b_set or w in c_set for w in g.adjacency[v]):
-            return None
+    b_leaf = {adjacency[c][0]: c for c in c_set}
+    b_other = {b: w for b, c in b_leaf.items() for w in adjacency[b] if w != c}
+    a_set = frozenset(b_other.values())
+    rest = set(range(n)) - a_set - b_other.keys() - c_set
 
     # each rest vertex extends the one chain of height < 3 below it (two
-    # such chains reject) or starts a chain; height 3 closes a 4-path copy
+    # such chains leave the labeling undefined) or starts a chain; height 3
+    # closes a 4-path copy
     order, parent = bfs_order(g, min(c_set))
     below: dict[int, int] = {}
     height: dict[int, int] = {}
@@ -326,16 +307,14 @@ def recognize_F(t: Tree) -> FCertificate | None:
             if parent[v] in below:
                 return None
             below[parent[v]] = v
-    if 4 * len(p4) != len(rest):
-        return None
     x_set = {x for q in p4 for x in (q[0], q[3])}
     y_set = rest - x_set
 
-    p3 = tuple(sorted((b_other[b], b, b_leaf[b]) for b in b_set))
+    p3 = tuple(sorted((a, b, b_leaf[b]) for b, a in b_other.items()))
     cert = FCertificate(
-        a_set=frozenset(a_set),
-        b_set=frozenset(b_set),
-        c_set=frozenset(c_set),
+        a_set=a_set,
+        b_set=frozenset(b_other),
+        c_set=c_set,
         x_set=frozenset(x_set),
         y_set=frozenset(y_set),
         p3_copies=p3,
@@ -637,8 +616,6 @@ def recognize_Tk(t: Tree, k: int) -> TkCertificate | None:
         return frozenset(v for v in range(n) if kind[v] & kinds)
 
     a_set = labeled(_A_BRIDGED | _A_OPEN)
-    if not a_set:
-        return None
     cert = TkCertificate(
         k=k,
         a_set=a_set,
@@ -837,14 +814,13 @@ def gen_char_orderminusleaves(
     base_edges: list[tuple[int, int]] | None = None,
     base_n: int | None = None,
     w_leaf_counts: list[int] | None = None,
-    v_leaf_counts: list[int] | None = None,
 ) -> tuple[Graph, CoronaCertificate]:
     """Build an (n - l)/2 equality graph of the requested kind.
 
     kind "c4": a 4-cycle with ``leaf_counts[i]`` >= k leaves on vertex i.
-    kind "corona": a connected base graph, one pendant partner per base
-    vertex with ``w_leaf_counts[i]`` >= k leaves each, plus an optional
-    ``v_leaf_counts[i]`` >= 0 leaves on the base vertices themselves.
+    kind "corona": a connected base graph and one pendant partner per base
+    vertex, with ``w_leaf_counts[i]`` >= k leaves on partner i (k each by
+    default).
     """
     if kind == "c4":
         if leaf_counts is None or len(leaf_counts) != 4:
@@ -870,14 +846,11 @@ def gen_char_orderminusleaves(
             raise FamilyError("corona base graph must be connected")
         m = base_n
         w_counts = w_leaf_counts if w_leaf_counts is not None else [k] * m
-        v_counts = v_leaf_counts if v_leaf_counts is not None else [0] * m
-        if len(w_counts) != m or len(v_counts) != m:
-            raise FamilyError("leaf count lists must match the base order")
+        if len(w_counts) != m:
+            raise FamilyError("the leaf count list must match the base order")
         for i, cnt in enumerate(w_counts):
             if cnt < k:
                 raise FamilyError(f"corona leaf {i} gets {cnt} < k={k} leaves")
-        if any(cnt < 0 for cnt in v_counts):
-            raise FamilyError("negative leaf count")
         edges = list(base_edges)
         edges += [(i, m + i) for i in range(m)]
         nxt = 2 * m
@@ -886,12 +859,6 @@ def gen_char_orderminusleaves(
             assignment[m + i] = w_counts[i]
             for _ in range(w_counts[i]):
                 edges.append((m + i, nxt))
-                nxt += 1
-        for i in range(m):
-            if v_counts[i]:
-                assignment[i] = v_counts[i]
-            for _ in range(v_counts[i]):
-                edges.append((i, nxt))
                 nxt += 1
         g = build_graph(nxt, edges)
         cert = CoronaCertificate(
@@ -917,53 +884,48 @@ def corona_shape(g: Graph) -> tuple[CoronaCertificate, int] | None:
     The largest k is the fewest leaves on a vertex that needs them.
     Each accepted core has an even order (4 for the cycle, 2 for an
     edge, twice its inner vertices for a corona), so an odd core is
-    rejected before it is built.
+    rejected at once.  A core vertex's core degree is its degree minus
+    its leaves.  No subgraph is built: a leaf is never inside a path, so
+    the core of a connected graph is connected, and so are its inner
+    vertices (``CoronaCertificate.validate`` re-checks them).
     """
+    adjacency = g.adjacency
     leaves = {u for u in range(g.n) if g.degree(u) == 1}
     core_vertices = [u for u in range(g.n) if u not in leaves]
     if not core_vertices or len(core_vertices) % 2:
         return None
-    core, core_map = g.induced_subgraph(core_vertices)
-    attached = {
-        u: sum(1 for w in g.adjacency[u] if w in leaves) for u in core_vertices
-    }
+    attached = {u: sum(1 for w in adjacency[u] if w in leaves) for u in core_vertices}
+    core_degree = {u: g.degree(u) - attached[u] for u in core_vertices}
 
-    if core.n == 4 and core.edge_count == 4 and all(core.degree(i) == 2 for i in range(4)):
-        cycle = [core_map[0]]
-        prev = 0
-        cur = core.adjacency[0][0]
-        while cur != 0:
-            cycle.append(core_map[cur])
-            prev, cur = cur, next(w for w in core.adjacency[cur] if w != prev)
-        assignment = {u: attached[u] for u in core_vertices}
-        cert = CoronaCertificate("c4_leaves", tuple(cycle), assignment)
+    if len(core_vertices) == 4 and all(d == 2 for d in core_degree.values()):
+        first = core_vertices[0]
+        cycle = [first]
+        prev, cur = first, next(w for w in adjacency[first] if w not in leaves)
+        while cur != first:
+            cycle.append(cur)
+            prev, cur = cur, next(w for w in adjacency[cur] if w != prev and w not in leaves)
+        cert = CoronaCertificate("c4_leaves", tuple(cycle), attached)
         return cert, min(attached.values())
 
-    core_leaves = [i for i in range(core.n) if core.degree(i) == 1]
-    if core.n == 2 and core.edge_count == 1:
-        inner, pendant = 0, 1
-        pairs = [(core_map[inner], core_map[pendant])]
-        need_k = [core_map[0], core_map[1]]  # both core vertices are core leaves
+    core_leaves = {u for u in core_vertices if core_degree[u] == 1}
+    if len(core_vertices) == 2:
+        pairs = [tuple(core_vertices)]
     else:
-        inner_vertices = [i for i in range(core.n) if core.degree(i) > 1]
-        if len(core_leaves) != len(inner_vertices) or not inner_vertices:
+        inner = [u for u in core_vertices if core_degree[u] > 1]
+        if len(inner) != len(core_leaves):
             return None
         partner = {}
-        for i in inner_vertices:
-            pendants = [w for w in core.adjacency[i] if w in set(core_leaves)]
+        for u in inner:
+            pendants = [w for w in adjacency[u] if w in core_leaves]
             if len(pendants) != 1:
                 return None
-            partner[i] = pendants[0]
+            partner[u] = pendants[0]
         if len(set(partner.values())) != len(core_leaves):
             return None
-        sub, _ = core.induced_subgraph(inner_vertices)
-        if not sub.is_connected():
-            return None
-        pairs = [(core_map[i], core_map[w]) for i, w in sorted(partner.items())]
-        need_k = [core_map[w] for w in core_leaves]
+        pairs = sorted(partner.items())
     assignment = {u: attached[u] for u in core_vertices if attached[u] > 0}
     cert = CoronaCertificate("corona_with_leaves", tuple(pairs), assignment)
-    return cert, min(attached[u] for u in need_k)
+    return cert, min(attached[u] for u in core_leaves)
 
 
 def corona_certificate(

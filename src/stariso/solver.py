@@ -19,6 +19,7 @@ minimum from the packing by explicit checks.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations
 from typing import NamedTuple
 
@@ -249,14 +250,14 @@ class Machine(dict):
         return i
 
 
-_MACHINES: dict[int, Machine] = {}
+#: Machines kept per process: one for each k a sweep can use (1..20).
+MACHINE_CACHE_SIZE = 20
 
 
+@lru_cache(maxsize=MACHINE_CACHE_SIZE)
 def machine(k: int) -> Machine:
     """The machine for k, shared by every call in the process."""
-    if k not in _MACHINES:
-        _MACHINES[k] = Machine(k)
-    return _MACHINES[k]
+    return Machine(k)
 
 
 def _bottom_up(t: Tree, k: int,

@@ -29,13 +29,13 @@ import random
 import tempfile
 from collections import defaultdict
 from collections.abc import Iterator
+from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from heapq import merge
 from itertools import chain
 from json.encoder import encode_basestring_ascii as json_string
-from multiprocessing import Pool
 from operator import attrgetter
 from typing import NamedTuple, TextIO
 
@@ -228,10 +228,11 @@ def _strip_to_single_leaves(t: Tree) -> Tree:
 
 def _twin_leaf_member(t: Tree) -> bool:
     """``recognize_F(_strip_to_single_leaves(t)) is not None``, with no
-    rebuild where ``recognize_F`` rejects at its first tests.  The reduced
-    tree has n - l + s vertices, and recognize_F needs 6; it keeps one
-    leaf per support vertex, whose degree there must be 2, so the support
-    needs exactly one non-leaf neighbor in t."""
+    rebuild where the reduced tree fails ``recognize_F``'s gate (n >= 6,
+    as many supports as leaves, every support of degree 2).  The reduced
+    tree has n - l + s vertices; it keeps one leaf per support vertex, so
+    a support's degree there is one more than its non-leaf neighbors in
+    t."""
     adjacency, leaves = t.graph.adjacency, t.leaf_set
     if t.n - t.leaf_order + t.support_count < 6 or any(
             sum(w not in leaves for w in adjacency[v]) != 1 for v in t.support_set):
@@ -516,8 +517,11 @@ def _share_lines(n: int, path: str, start: int) -> Iterator[SweepLine]:
 def sweep_lines(config: SweepConfig) -> Iterator[SweepLine]:
     """Yield one ``SweepLine`` per record, sorted by order, tree code and
     source, an order at a time: its shares run here for one job, and in a
-    ``Pool`` for more.  The constructive records are checked first, here;
-    each joins its own order, and those above ``max_n`` come last."""
+    ``ProcessPoolExecutor`` for more.  The constructive records are checked
+    first, here; each joins its own order, and those above ``max_n`` come
+    last.  Leaving early (an error, or the generator closed) cancels the
+    shares not yet started and waits for the running ones: no busy worker
+    is killed, and none is left writing to the removed directory."""
     config.validate()
     generated: dict[int, list[SweepLine]] = defaultdict(list)
     if "constructive" in config.active_checks():
@@ -526,15 +530,18 @@ def sweep_lines(config: SweepConfig) -> Iterator[SweepLine]:
     orders = range(1, config.max_n + 1)
     tasks = ((n, share) for n in orders for share in range(config.jobs))
     by_key = attrgetter("tree_code", "source")
-    # the pool's workers are gone before the directory is removed
-    with tempfile.TemporaryDirectory() as directory, \
-            Pool(config.jobs) if config.jobs > 1 else nullcontext() as pool:
+    pool = ProcessPoolExecutor(config.jobs) if config.jobs > 1 else None
+    with tempfile.TemporaryDirectory() as directory:
         check = partial(_check_share, config, directory)
-        written = map(check, tasks) if pool is None else pool.imap(check, tasks)
-        for n in orders:
-            shares = [_share_lines(n, *next(written)) for _ in range(config.jobs)]
-            # stable: equal keys (only among generated lines) keep their order
-            yield from merge(*shares, sorted(generated.pop(n, []), key=by_key), key=by_key)
+        try:
+            written = map(check, tasks) if pool is None else pool.map(check, tasks)
+            for n in orders:
+                shares = [_share_lines(n, *next(written)) for _ in range(config.jobs)]
+                # stable: equal keys (only among generated lines) keep their order
+                yield from merge(*shares, sorted(generated.pop(n, []), key=by_key), key=by_key)
+        finally:
+            if pool is not None:
+                pool.shutdown(cancel_futures=True)
     yield from sorted(chain.from_iterable(generated.values()),
                       key=attrgetter("n", "tree_code", "source"))
 

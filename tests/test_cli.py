@@ -355,10 +355,10 @@ class TestSweepCommand:
         import stariso.sweep
 
         def no_pool(*args, **kwargs):
-            raise AssertionError("Pool must not be started")
+            raise AssertionError("a process pool must not be started")
 
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
-        monkeypatch.setattr(stariso.sweep, "Pool", no_pool)
+        monkeypatch.setattr(stariso.sweep, "ProcessPoolExecutor", no_pool)
         assert main(["sweep", "--max-n", "7", "--jobs", "100000"]) == 1
         assert "jobs must be <= 4 (the CPU count), got 100000" in capsys.readouterr().err
 
@@ -406,7 +406,7 @@ class TestSweepCommand:
         def never(*args, **kwargs):
             raise AssertionError("no tree may be checked")
 
-        monkeypatch.setattr(stariso.sweep, "Pool", never)
+        monkeypatch.setattr(stariso.sweep, "ProcessPoolExecutor", never)
         monkeypatch.setattr(stariso.sweep, "_worker", never)
         monkeypatch.setattr(stariso.sweep, "check_tree", never)
         assert main(["sweep", "--max-n", "3", "--k-list", "2000000"]) == 1
@@ -418,7 +418,7 @@ class TestSweepCommand:
         def never(*args, **kwargs):
             raise AssertionError("no tree may be checked")
 
-        monkeypatch.setattr(stariso.sweep, "Pool", never)
+        monkeypatch.setattr(stariso.sweep, "ProcessPoolExecutor", never)
         monkeypatch.setattr(stariso.sweep, "_worker", never)
         monkeypatch.setattr(stariso.sweep, "check_tree", never)
         out = tmp_path / "no" / "such" / "r.jsonl"

@@ -40,6 +40,14 @@ from stariso.solver import iota_bruteforce, iota_tree_dp, is_isolating
 from family_helpers import add_twin_leaves
 
 
+def shape_item(shape):
+    """What a digest records of ``corona_shape``'s answer."""
+    if shape is None:
+        return None
+    cert, most = shape
+    return (cert.kind, cert.core_vertices, tuple(cert.leaf_assignment.items()), most)
+
+
 def path_tree(n):
     return as_tree(build_graph(n, [(i, i + 1) for i in range(n - 1)]))
 
@@ -471,6 +479,29 @@ class TestRecognizerCertificates:
             "6d1d4de8686e783c2beb75a83b752e843ffd93f1e9f0f215f61cf0459e527e21"
         )
 
+    def test_free_trees_to_16_match_recorded_digest(self):
+        # recognize_F, recognize_Tk at k = 2, 3, 4 and corona_shape on every
+        # free tree with n <= 16; recorded before the recognizers dropped
+        # the membership tests that validate repeats or that cannot fire
+        digest = hashlib.sha256()
+        trees, accepted = 0, [0, 0, 0]
+        for n in range(1, 17):
+            for t in enumerate_free_trees(n):
+                trees += 1
+                f_cert = recognize_F(t)
+                tk_certs = [recognize_Tk(t, k) for k in (2, 3, 4)]
+                shape = corona_shape(t.graph) if n >= 3 else None
+                accepted[0] += f_cert is not None
+                accepted[1] += sum(c is not None for c in tk_certs)
+                accepted[2] += shape is not None
+                certs = [None if c is None else json.dumps(c.to_json_dict(), sort_keys=True)
+                         for c in [f_cert, *tk_certs]]
+                digest.update(repr((certs, shape_item(shape))).encode() + b"\n")
+        assert (trees, accepted) == (32508, [18, 9, 1895])
+        assert digest.hexdigest() == (
+            "04477dd681275d6aee405d2933d1ac8a4691c2fed4b6ed957e55a903171c3388"
+        )
+
     def test_relabelled_members_give_permuted_parts(self):
         rng = random.Random(31)
         for _ in range(20):
@@ -673,6 +704,25 @@ class TestCharOrderMinusLeaves:
         assert digest.hexdigest() == (
             "672fb441cfbeafadf0ed7e81ecafa2ea44b03f6536274064808c5926476b657a"
         )
+
+    def test_shapes_of_atlas_graphs_match_recorded_digest(self):
+        # corona_shape on every connected graph of the atlas (3 <= n <= 7);
+        # recorded before the pass stopped building core subgraphs
+        import networkx as nx
+
+        digest = hashlib.sha256()
+        graphs = accepted = 0
+        for h in nx.graph_atlas_g():
+            if h.number_of_nodes() >= 3 and nx.is_connected(h):
+                graphs += 1
+                shape = corona_shape(build_graph(h.number_of_nodes(), list(h.edges())))
+                accepted += shape is not None
+                digest.update(repr(shape_item(shape)).encode() + b"\n")
+        assert (graphs, accepted) == (994, 18)
+        assert digest.hexdigest() == (
+            "556689bf6fd1bd855bde260544440edf64899ccd3204b2ddd4fe283f6a60138d"
+        )
+
 
 class TestSpider:
     @pytest.mark.parametrize("k", [1, 2, 3])

@@ -28,6 +28,7 @@ from stariso.solver import (
     is_isolating,
     isolation_certificate,
     isolation_number,
+    machine,
     normalize_no_deg2_support,
     normalize_no_leaves,
     residual,
@@ -329,12 +330,11 @@ class TestMachine:
         assert len(m) == accumulators * shapes
 
     def test_k_above_the_max_degree_builds_no_machine(self):
-        import stariso.solver
-
         t = as_tree(star_graph(200_000))
+        misses = machine.cache_info().misses
         assert isolation_number(t, 10**6) == 0
         assert iota_tree_dp(t, 10**6, root=1) == IsolationSolution(10**6, frozenset(), 0, "tree_dp")
-        assert 10**6 not in stariso.solver._MACHINES
+        assert machine.cache_info().misses == misses
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_one_above_the_max_degree_is_zero(self, n):

@@ -720,7 +720,8 @@ class TestShares:
         assert runs[2] == runs[1] and runs[3] == runs[1]
         assert list(tmpdir.iterdir()) == []
 
-    def test_crash_leaves_the_directory_empty(self, monkeypatch, tmpdir):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_crash_leaves_the_directory_empty(self, monkeypatch, tmpdir, jobs):
         real = stariso.sweep._worker
 
         def crashing(config, levels):
@@ -730,7 +731,25 @@ class TestShares:
 
         monkeypatch.setattr(stariso.sweep, "_worker", crashing)
         with pytest.raises(RuntimeError, match="worker crashed"):
-            list(sweep_lines(SweepConfig(max_n=9, k_list=(1,), checks=("bounds",))))
+            list(sweep_lines(SweepConfig(max_n=9, k_list=(1,), checks=("bounds",), jobs=jobs)))
+        assert list(tmpdir.iterdir()) == []
+
+    def test_closing_early_cancels_the_shares_not_started(self, monkeypatch, tmpdir, tmp_path):
+        # the workers start with orders 1, 2, ...; closed after the first
+        # line, the sweep runs only the shares already started
+        real = stariso.sweep._worker
+        checked = tmp_path / "checked"
+
+        def counting(config, levels):
+            with open(checked, "ab") as log:
+                log.write(b".")
+            return real(config, levels)
+
+        monkeypatch.setattr(stariso.sweep, "_worker", counting)
+        lines = sweep_lines(SweepConfig(max_n=15, k_list=(1,), checks=("bounds",), jobs=2))
+        next(lines)
+        lines.close()
+        assert 0 < checked.stat().st_size < sum(FREE_TREE_COUNTS[:15]) // 4
         assert list(tmpdir.iterdir()) == []
 
     def test_concurrent_shares_claim_each_tree_once(self, monkeypatch, tmp_path):
@@ -755,7 +774,7 @@ class TestShares:
         def no_pool(*args, **kwargs):
             raise AssertionError("a process pool was started")
 
-        monkeypatch.setattr(stariso.sweep, "Pool", no_pool)
+        monkeypatch.setattr(stariso.sweep, "ProcessPoolExecutor", no_pool)
         lines = list(sweep_lines(SweepConfig(max_n=8, k_list=(1,), checks=("bounds",))))
         assert len(lines) == sum(FREE_TREE_COUNTS[:8])
 
