@@ -337,11 +337,9 @@ def generate(family: str, r: int, s: int, k: int, n: int | None, n0: int,
     cert = None
     try:
         if family == "F":
-            tree, cert = gen_family_F(r, s)
-            g = tree.graph
+            g, cert = gen_family_F(r, s)
         elif family == "Tk":
-            tree, cert = sample_family_Tk(random.Random(seed), k, n0, h)
-            g = tree.graph
+            g, cert = sample_family_Tk(random.Random(seed), k, n0, h)
         elif family == "corona-extremal":
             g = gen_corona_extremal(k, r, n)
         elif family == "corona-c4":
@@ -352,7 +350,7 @@ def generate(family: str, r: int, s: int, k: int, n: int | None, n0: int,
                 "corona", k, base_edges=base_edges, base_n=r
             )
         else:
-            g = gen_spider_gap(k).graph
+            g = gen_spider_gap(k)
     except (FamilyError, ValueError) as exc:
         raise CliError(str(exc)) from exc
     print(format_edgelist(g), end="")

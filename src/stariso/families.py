@@ -82,8 +82,7 @@ class FCertificate:
 
     def validate(self, t: Tree) -> list[str]:
         """Re-check every defining clause; empty list means valid."""
-        g = t.graph
-        n = g.n
+        n = t.n
         A, B, C = self.a_set, self.b_set, self.c_set
         X, Y = self.x_set, self.y_set
         v: list[str] = []
@@ -97,17 +96,17 @@ class FCertificate:
         if B != t.support_set:
             v.append("B is not exactly the support set")
         for b in B:
-            if g.degree(b) != 2:
-                v.append(f"support {b} has degree {g.degree(b)} != 2")
+            if t.degree(b) != 2:
+                v.append(f"support {b} has degree {t.degree(b)} != 2")
             else:
-                w1, w2 = g.adjacency[b]
+                w1, w2 = t.adjacency[b]
                 if not ((w1 in A and w2 in C) or (w1 in C and w2 in A)):
                     v.append(f"support {b} lacks one A-neighbor and one C-neighbor")
         for y in Y:
-            if g.degree(y) != 2:
-                v.append(f"Y vertex {y} has degree {g.degree(y)} != 2")
+            if t.degree(y) != 2:
+                v.append(f"Y vertex {y} has degree {t.degree(y)} != 2")
                 continue
-            w1, w2 = g.adjacency[y]
+            w1, w2 = t.adjacency[y]
             if not ((w1 in X and w2 in Y) or (w1 in Y and w2 in X)):
                 v.append(f"Y vertex {y} lacks one X-neighbor and one Y-neighbor")
         copy_of = {}
@@ -115,15 +114,15 @@ class FCertificate:
             for w in quad:
                 copy_of[w] = idx
         for x in X:
-            y_nbrs = [w for w in g.adjacency[x] if w in Y]
-            xa_nbrs = [w for w in g.adjacency[x] if w in X or w in A]
+            y_nbrs = [w for w in t.adjacency[x] if w in Y]
+            xa_nbrs = [w for w in t.adjacency[x] if w in X or w in A]
             if len(y_nbrs) != 1:
                 v.append(f"X vertex {x} has {len(y_nbrs)} Y-neighbors, want 1")
             if not xa_nbrs:
                 v.append(f"X vertex {x} has no neighbor in X u A")
-            if len(y_nbrs) + len(xa_nbrs) != g.degree(x):
+            if len(y_nbrs) + len(xa_nbrs) != t.degree(x):
                 v.append(f"X vertex {x} has a neighbor outside Y u X u A")
-            for w in g.adjacency[x]:
+            for w in t.adjacency[x]:
                 if w in X and copy_of.get(w) == copy_of.get(x):
                     v.append(f"X-X edge ({x}, {w}) inside one 4-path copy")
         if not (len(A) == len(B) == len(C)):
@@ -138,7 +137,7 @@ class FCertificate:
         if total % 4 != 0 or total // 4 != len(A) + len(X) // 2:
             v.append(f"(n+l)/4 = {Fraction(total, 4)} != |A| + |X|/2")
         for w in A | X:
-            if g.degree(w) < 2:
+            if t.degree(w) < 2:
                 v.append(f"vertex {w} in A u X is a leaf")
 
         if len(self.p3_copies) != len(A):
@@ -147,7 +146,7 @@ class FCertificate:
         for a, b, c in self.p3_copies:
             if not (a in A and b in B and c in C):
                 v.append(f"3-path copy ({a},{b},{c}) mislabeled")
-            if not (g.has_edge(a, b) and g.has_edge(b, c)):
+            if not (t.has_edge(a, b) and t.has_edge(b, c)):
                 v.append(f"3-path copy ({a},{b},{c}) is not a path")
             seen3.update((a, b, c))
         if seen3 != A | B | C:
@@ -158,7 +157,7 @@ class FCertificate:
         for x1, y1, y2, x2 in self.p4_copies:
             if not (x1 in X and x2 in X and y1 in Y and y2 in Y):
                 v.append(f"4-path copy ({x1},{y1},{y2},{x2}) mislabeled")
-            if not (g.has_edge(x1, y1) and g.has_edge(y1, y2) and g.has_edge(y2, x2)):
+            if not (t.has_edge(x1, y1) and t.has_edge(y1, y2) and t.has_edge(y2, x2)):
                 v.append(f"4-path copy ({x1},{y1},{y2},{x2}) is not a path")
             seen4.update((x1, y1, y2, x2))
         if seen4 != X | Y:
@@ -167,9 +166,9 @@ class FCertificate:
         # X u Y induces a forest whose components have order divisible by 4
         xy = X | Y
         edge_count = sum(
-            1 for u in xy for w in g.adjacency[u] if w in xy and u < w
+            1 for u in xy for w in t.adjacency[u] if w in xy and u < w
         )
-        comps = _components(set(xy), g) if xy else []
+        comps = _components(set(xy), t) if xy else []
         if len(xy) - edge_count != len(comps):
             v.append("X u Y does not induce a forest")
         for comp in comps:
@@ -256,7 +255,7 @@ def gen_family_F(
     except Exception as exc:
         raise FamilyError(f"wiring does not assemble a tree: {exc}") from exc
     for w in sorted(cert.a_set | cert.x_set):
-        if tree.graph.degree(w) < 2:
+        if tree.degree(w) < 2:
             raise FamilyError(f"wiring leaves vertex {w} of A u X a leaf")
     violations = cert.validate(tree)
     if violations:
@@ -275,8 +274,7 @@ def recognize_F(t: Tree) -> FCertificate | None:
     copy is a vertical chain below its upper x; one bottom-up pass cuts
     the rest into such chains.  ``FCertificate.validate`` decides.
     """
-    g = t.graph
-    n, adjacency, c_set = g.n, g.adjacency, t.leaf_set
+    n, adjacency, c_set = t.n, t.adjacency, t.leaf_set
     if n < 6 or len(t.support_set) != len(c_set):
         return None
     for b in t.support_set:
@@ -290,7 +288,7 @@ def recognize_F(t: Tree) -> FCertificate | None:
     # each rest vertex extends the one chain of height < 3 below it (two
     # such chains leave the labeling undefined) or starts a chain; height 3
     # closes a 4-path copy
-    order, parent = bfs_order(g, min(c_set))
+    order, parent = bfs_order(t, min(c_set))
     below: dict[int, int] = {}
     height: dict[int, int] = {}
     p4 = []
@@ -328,7 +326,7 @@ def min_iso_set_F(t: Tree, cert: FCertificate, root: int) -> IsolationSolution:
     vertex closer to the chosen root from each 4-path copy."""
     if root not in cert.a_set | cert.x_set:
         raise FamilyError(f"root {root} is not in A u X")
-    dist = bfs_distances(t.graph, [root])
+    dist = bfs_distances(t, [root])
     chosen = set(cert.a_set)
     for x1, _, _, x2 in cert.p4_copies:
         chosen.add(x1 if dist[x1] < dist[x2] else x2)
@@ -342,7 +340,7 @@ def _random_tree_edges(rng: random.Random, labels: list[int]) -> list[tuple[int,
         return []
     seq = [rng.randrange(m) for _ in range(m - 2)]
     t = prufer_decode(seq)
-    return [(labels[u], labels[v]) for u, v in t.graph.edges()]
+    return [(labels[u], labels[v]) for u, v in t.edges()]
 
 
 def sample_family_F(rng: random.Random, r: int, s: int) -> tuple[Tree, FCertificate]:
@@ -393,8 +391,7 @@ class TkCertificate:
 
     def validate(self, t: Tree) -> list[str]:
         """Re-check every defining clause; empty list means valid."""
-        g = t.graph
-        n = g.n
+        n = t.n
         k = self.k
         A, B, C, L = self.a_set, self.b_set, self.c_set, self.leaf_set
         v: list[str] = []
@@ -407,7 +404,7 @@ class TkCertificate:
             return v
         if L != t.leaf_set:
             v.append("L is not exactly the leaf set")
-        comps = _components(set(A), g)
+        comps = _components(set(A), t)
         if len(comps) != self.h or self.h < 1:
             v.append(f"A induces {len(comps)} components, certificate says h={self.h}")
         for comp in comps:
@@ -416,34 +413,34 @@ class TkCertificate:
         if len(A) != self.n0 or len(B) != self.n0:
             v.append(f"|A|={len(A)}, |B|={len(B)}, n0={self.n0} inconsistent")
         for a in A:
-            b_nbrs = [w for w in g.adjacency[a] if w in B]
+            b_nbrs = [w for w in t.adjacency[a] if w in B]
             if len(b_nbrs) != 1:
                 v.append(f"A vertex {a} has {len(b_nbrs)} B-neighbors, want 1")
-            if any(w not in A and w not in B for w in g.adjacency[a]):
+            if any(w not in A and w not in B for w in t.adjacency[a]):
                 v.append(f"A vertex {a} has a neighbor outside A u B")
         for b in B:
-            if g.degree(b) != 2:
-                v.append(f"B vertex {b} has degree {g.degree(b)} != 2")
+            if t.degree(b) != 2:
+                v.append(f"B vertex {b} has degree {t.degree(b)} != 2")
                 continue
-            w1, w2 = g.adjacency[b]
+            w1, w2 = t.adjacency[b]
             if not ((w1 in A and w2 in C) or (w1 in C and w2 in A)):
                 v.append(f"B vertex {b} lacks one A-neighbor and one C-neighbor")
         for c in C:
-            if g.degree(c) != k:
-                v.append(f"C vertex {c} has degree {g.degree(c)} != k={k}")
-            b_nbrs = [w for w in g.adjacency[c] if w in B]
+            if t.degree(c) != k:
+                v.append(f"C vertex {c} has degree {t.degree(c)} != k={k}")
+            b_nbrs = [w for w in t.adjacency[c] if w in B]
             if not b_nbrs:
                 v.append(f"C vertex {c} has no B-neighbor")
-            if any(w not in B and w not in L for w in g.adjacency[c]):
+            if any(w not in B and w not in L for w in t.adjacency[c]):
                 v.append(f"C vertex {c} has a neighbor outside B u L")
         for leaf in L:
-            if any(w not in C for w in g.adjacency[leaf]):
+            if any(w not in C for w in t.adjacency[leaf]):
                 v.append(f"leaf {leaf} is not attached to C")
         core = A | B | C
         core_edges = sum(
-            1 for u in core for w in g.adjacency[u] if w in core and u < w
+            1 for u in core for w in t.adjacency[u] if w in core and u < w
         )
-        if core_edges != len(core) - 1 or len(_components(set(core), g)) != 1:
+        if core_edges != len(core) - 1 or len(_components(set(core), t)) != 1:
             v.append("A u B u C does not induce a tree")
         h, n0 = self.h, self.n0
         if len(C) != n0 - (h - 1):
@@ -453,7 +450,7 @@ class TkCertificate:
         if n != (k + 2) * n0 - (k + 1) * (h - 1) or n < 2 * k + 4:
             v.append(f"n={n} != (k+2)n0-(k+1)(h-1) >= 2k+4")
         # implied by the clauses above, but kept as an explicit re-check
-        for (c1, c2), d in sorted(_close_hub_pairs(g, C).items()):
+        for (c1, c2), d in sorted(_close_hub_pairs(t, C).items()):
             v.append(f"C vertices {c1}, {c2} at distance {d} < 5")
         return v
 
@@ -591,11 +588,10 @@ def recognize_Tk(t: Tree, k: int) -> TkCertificate | None:
     """
     if k < 2:
         raise ValueError(f"the k >= 2 family needs k >= 2, got {k}")
-    g = t.graph
-    n = g.n
-    if n < 2 * k + 4 or any(g.degree(s) != k for s in t.support_set):
+    n = t.n
+    if n < 2 * k + 4 or any(t.degree(s) != k for s in t.support_set):
         return None
-    order, parent = bfs_order(g, min(t.leaf_set))
+    order, parent = bfs_order(t, min(t.leaf_set))
     kind = [_LEAF] * n
     below = [0] * n  # the kinds among each vertex's children
     for v in reversed(order[1:]):  # the root is a leaf
@@ -622,7 +618,7 @@ def recognize_Tk(t: Tree, k: int) -> TkCertificate | None:
         b_set=labeled(_BRIDGE_OVER_HUB | _BRIDGE_OVER_A),
         c_set=labeled(_HUB),
         leaf_set=t.leaf_set,
-        h=len(_components(set(a_set), g)),
+        h=len(_components(set(a_set), t)),
         n0=len(a_set),
     )
     return cert if not cert.validate(t) else None
@@ -636,8 +632,7 @@ def min_iso_set_Tk(t: Tree, cert: TkCertificate) -> IsolationSolution:
     contact vertex of each newly absorbed component.  The result has size
     |A| - (h - 1) = |C|.
     """
-    g = t.graph
-    comps = sorted(_components(set(cert.a_set), g), key=min)
+    comps = sorted(_components(set(cert.a_set), t), key=min)
     a_all = set(cert.a_set)
     comp_of = {}
     for idx, comp in enumerate(comps):
@@ -646,7 +641,7 @@ def min_iso_set_Tk(t: Tree, cert: TkCertificate) -> IsolationSolution:
     chosen = set(comps[0])
     absorbed = set(comps[0])
     while absorbed != a_all:
-        dist = bfs_distances(g, absorbed)
+        dist = bfs_distances(t, absorbed)
         contact = {u for u in a_all - absorbed if dist[u] == 4}
         if not contact:
             raise FamilyError("absorption procedure stalled: malformed certificate")

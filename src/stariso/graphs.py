@@ -3,9 +3,9 @@ distances, enumeration and canonical forms that the rest of the package
 consumes.
 
 Vertices are 0-based contiguous integers.  Graphs are simple and undirected;
-trees additionally cache leaf/support statistics and their rooted view at
-vertex 0 (BFS order and parent array) at construction.  Traversals live in
-two functions: ``bfs_order`` (single-source order and parents) and
+a Tree is a Graph that also caches leaf/support statistics and its rooted
+view at vertex 0 (BFS order and parent array) at construction.  Traversals
+live in two functions: ``bfs_order`` (single-source order and parents) and
 ``bfs_distances`` (multi-source distances).
 
 Free trees are enumerated here, without third-party code:
@@ -51,12 +51,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adjacency[v]
-
-    def max_degree(self) -> int:
-        return max((len(a) for a in self.adjacency), default=0)
-
     def edges(self) -> list[tuple[int, int]]:
         return [(u, v) for u in range(self.n) for v in self.adjacency[u] if u < v]
 
@@ -80,7 +74,7 @@ class Graph:
         return Graph(len(keep), adjacency), tuple(keep)
 
     def __repr__(self) -> str:
-        return f"Graph(n={self.n}, edges={self.edges()})"
+        return f"{type(self).__name__}(n={self.n}, edges={self.edges()})"
 
 
 @contextmanager
@@ -175,20 +169,22 @@ def _first_edge_fault(n: int, edges: list[tuple[int, int]]) -> str:
     raise RuntimeError(f"edge list on n={n} has no fault to report")
 
 
-class Tree:
+class Tree(Graph):
     """A validated tree: a connected acyclic Graph plus cached statistics.
 
-    A single vertex counts as a tree with no leaves (leaf order 0).
-    ``order`` and ``parent`` are ``bfs_order(graph, 0)``, the rooted view
-    that ``as_tree`` checks connectivity with and the DP walks.
+    A Tree is a Graph, sharing the adjacency of the graph it was built
+    from, so every graph-level function takes a tree as it is.  A single
+    vertex counts as a tree with no leaves (leaf order 0).  ``order`` and
+    ``parent`` are ``bfs_order(t, 0)``, the rooted view that ``as_tree``
+    checks connectivity with and the DP walks.
     """
 
-    __slots__ = ("graph", "leaf_set", "support_set", "strong_support_set", "max_degree",
+    __slots__ = ("leaf_set", "support_set", "strong_support_set", "max_degree",
                  "order", "parent")
 
     def __init__(self, graph: Graph):
-        self.graph = graph
-        adjacency = graph.adjacency
+        self.n, self.edge_count = graph.n, graph.edge_count
+        self.adjacency = adjacency = graph.adjacency
         leaves = [v for v, a in enumerate(adjacency) if len(a) == 1]
         # a support is a leaf's only neighbor; a strong one is reached twice
         support = set()
@@ -203,20 +199,16 @@ class Tree:
         self.support_set = frozenset(support)
         self.strong_support_set = frozenset(strong)
         self.max_degree = max(map(len, adjacency), default=0)
-        self.order, self.parent = bfs_order(graph, 0) if graph.n else ([], [])
+        self.order, self.parent = bfs_order(self, 0) if self.n else ([], [])
 
     def rooted(self, root: int) -> tuple[list[int], list[int]]:
-        """``bfs_order(graph, root)``: the stored view for root 0, computed
+        """``bfs_order(t, root)``: the stored view for root 0, computed
         afresh (not cached) for any other root."""
-        if not 0 <= root < self.graph.n:
-            raise GraphError(f"root {root} out of range for n={self.graph.n}")
+        if not 0 <= root < self.n:
+            raise GraphError(f"root {root} out of range for n={self.n}")
         if root == 0:
             return self.order, self.parent
-        return bfs_order(self.graph, root)
-
-    @property
-    def n(self) -> int:
-        return self.graph.n
+        return bfs_order(self, root)
 
     @property
     def leaf_order(self) -> int:
@@ -225,9 +217,6 @@ class Tree:
     @property
     def support_count(self) -> int:
         return len(self.support_set)
-
-    def __repr__(self) -> str:
-        return f"Tree(n={self.n}, edges={self.graph.edges()})"
 
 
 def as_tree(g: Graph) -> Tree:
@@ -275,25 +264,24 @@ def diameter_path(t: Tree) -> PathWitness:
     maximizes deg(u_1); ties break toward the smallest (u_0, u_d) endpoint
     pair.  Requires n >= 2.
     """
-    g = t.graph
-    if g.n < 2:
+    if t.n < 2:
         raise GraphError("diameter path needs at least 2 vertices")
     # the last vertex of a BFS order is farthest from its root, hence an
     # endpoint of some diametral path
     a = t.order[-1]
-    from_a = bfs_distances(g, [a])
+    from_a = bfs_distances(t, [a])
     b = from_a.index(max(from_a))
-    from_b = bfs_distances(g, [b])
+    from_b = bfs_distances(t, [b])
     diam = from_a[b]
     # in a tree ecc(x) = max(d(a, x), d(b, x)), so the diametral endpoints
     # are the vertices where that maximum reaches diam; they are leaves
     # (or n = 2), so u_1 is their only neighbor
-    adjacency = g.adjacency
+    adjacency = t.adjacency
     u = min(
-        (x for x in range(g.n) if max(from_a[x], from_b[x]) == diam),
+        (x for x in range(t.n) if max(from_a[x], from_b[x]) == diam),
         key=lambda x: (-len(adjacency[adjacency[x][0]]), x),
     )
-    from_u = bfs_distances(g, [u])
+    from_u = bfs_distances(t, [u])
     path = [from_u.index(diam)]
     for d in range(diam - 1, -1, -1):
         path.append(next(w for w in adjacency[path[-1]] if from_u[w] == d))
@@ -311,7 +299,7 @@ def far_path(t: Tree) -> list[int]:
     of a BFS from 0 and hence an end of some diametral path.  Its length,
     ``len(path) - 1``, is the diameter, and its middle holds the centers."""
     a = t.order[-1]
-    order, parent = bfs_order(t.graph, a)
+    order, parent = bfs_order(t, a)
     path = [order[-1]]
     while path[-1] != a:
         path.append(parent[path[-1]])
@@ -332,7 +320,7 @@ def tree_centers(t: Tree) -> list[int]:
 def _rooted_code(t: Tree, root: int) -> bytes:
     """AHU parenthesis code of the tree rooted at root (iterative)."""
     order, parent = t.rooted(root)
-    adjacency = t.graph.adjacency
+    adjacency = t.adjacency
     code = [b""] * t.n
     for u in reversed(order):
         p = parent[u]

@@ -315,7 +315,7 @@ def iota_tree_dp(t: Tree, k: int, root: int = 0) -> IsolationSolution:
     if run is None:
         return IsolationSolution(k, frozenset(), 0, "tree_dp")
     costs, order, parent, shape, base = run
-    adj = t.graph.adjacency
+    adj = t.adjacency
     a, b, _, f, _ = costs[shape[root]]
     best_state, best = _IN, a
     if b < best:
@@ -402,7 +402,7 @@ def isolation_certificate(t: Tree, k: int) -> tuple[frozenset[int], list[tuple[i
     """
     if k < 0:
         raise ValueError(f"k must be nonnegative, got {k}")
-    adj = t.graph.adjacency
+    adj = t.adjacency
     order, parent = t.order, t.parent
     root = order[0]
     dominated = bytearray(t.n)
@@ -501,12 +501,11 @@ def normalize_no_leaves(t: Tree, sol: IsolationSolution) -> IsolationSolution:
     """
     if t.n < 3:
         raise GraphError(f"normalization needs n >= 3, got {t.n}")
-    g = t.graph
-    _check_vertex_set(g, sol.set)
+    _check_vertex_set(t, sol.set)
     replaced = set()
     for v in sol.set:
-        if g.degree(v) == 1:
-            replaced.add(g.adjacency[v][0])
+        if t.degree(v) == 1:
+            replaced.add(t.adjacency[v][0])
         else:
             replaced.add(v)
     return IsolationSolution(sol.k, frozenset(replaced), len(replaced), sol.method)
@@ -527,11 +526,10 @@ def normalize_no_deg2_support(t: Tree, sol: IsolationSolution) -> IsolationSolut
     bad = sol.set & t.leaf_set
     if bad:
         raise ValueError(f"input solution contains leaves: {sorted(bad)}")
-    g = t.graph
     replaced = set()
     for v in sol.set:
-        if v in t.support_set and g.degree(v) == 2:
-            others = [w for w in g.adjacency[v] if w not in t.leaf_set]
+        if v in t.support_set and t.degree(v) == 2:
+            others = [w for w in t.adjacency[v] if w not in t.leaf_set]
             if len(others) != 1:
                 raise GraphError(
                     f"degree-2 support {v} has {len(others)} non-leaf neighbors, expected 1"

@@ -61,6 +61,7 @@ from .families import (
     sample_family_Tk,
 )
 from .graphs import (
+    FREE_TREE_COUNTS,
     MAX_ENUMERATION_ORDER as MAX_SWEEP_N,
     Tree,
     as_tree,
@@ -219,10 +220,10 @@ def _strip_to_single_leaves(t: Tree) -> Tree:
     inverse)."""
     drop = set()
     for v in sorted(t.support_set):
-        leaf_nbrs = sorted(w for w in t.graph.adjacency[v] if w in t.leaf_set)
+        leaf_nbrs = sorted(w for w in t.adjacency[v] if w in t.leaf_set)
         drop.update(leaf_nbrs[1:])
     keep = [v for v in range(t.n) if v not in drop]
-    sub, _ = t.graph.induced_subgraph(keep)
+    sub, _ = t.induced_subgraph(keep)
     return as_tree(sub)
 
 
@@ -233,7 +234,7 @@ def _twin_leaf_member(t: Tree) -> bool:
     tree has n - l + s vertices; it keeps one leaf per support vertex, so
     a support's degree there is one more than its non-leaf neighbors in
     t."""
-    adjacency, leaves = t.graph.adjacency, t.leaf_set
+    adjacency, leaves = t.adjacency, t.leaf_set
     if t.n - t.leaf_order + t.support_count < 6 or any(
             sum(w not in leaves for w in adjacency[v]) != 1 for v in t.support_set):
         return False
@@ -297,7 +298,6 @@ def _per_k(key: BoundKey, iota: int, iota1: int, strong: bool, wide: bool,
 def check_tree(t: Tree, config: SweepConfig, source: str = "enumerated") -> SweepRecord:
     """Run every enabled check suite on one tree and collect violations."""
     checks = config.active_checks()
-    g = t.graph
     n, l, s = t.n, t.leaf_order, t.support_count
     # one BFS gives the diameter here and the centers of the tree code
     far = far_path(t)
@@ -312,14 +312,14 @@ def check_tree(t: Tree, config: SweepConfig, source: str = "enumerated") -> Swee
 
     f_cert = recognize_F(t)
     corona_check = "corona-char" in checks and n >= 3
-    corona = corona_shape(g) if corona_check else None
+    corona = corona_shape(t) if corona_check else None
     strong = bool(t.strong_support_set)
 
     for k in sorted(set(config.k_list)):
         sol = solutions[k]
         iota = sol.size
         tk_cert = recognize_Tk(t, k) if k >= 2 else None
-        corona_cert = corona_certificate(g, corona, k) if corona_check else None
+        corona_cert = corona_certificate(t, corona, k) if corona_check else None
         entry, bound_violations = _per_k(
             bound_key(t, k), iota, iota1, strong, t.max_degree >= k,
             tk_cert is not None if k >= 2 else None,
@@ -328,46 +328,20 @@ def check_tree(t: Tree, config: SweepConfig, source: str = "enumerated") -> Swee
         equality = entry["equality"]
 
         if "oracle" in checks and n <= config.bf_max:
-            bf = iota_bruteforce(g, k)
+            bf = iota_bruteforce(t, k)
             if bf.size != iota:
                 violations.append(f"k={k}: dp={iota} != brute_force={bf.size}")
-            if not is_isolating(g, sol.set, k):
+            if not is_isolating(t, sol.set, k):
                 violations.append(f"k={k}: dp witness fails verification")
             cert_set, packing = isolation_certificate(t, k)
             violations.extend(
-                f"k={k}: {f}" for f in certificate_failures(g, k, cert_set, packing)
+                f"k={k}: {f}" for f in certificate_failures(t, k, cert_set, packing)
             )
             if len(packing) != iota:
                 violations.append(f"k={k}: dp={iota} != certificate={len(packing)}")
 
         if "bounds" in checks:
             violations.extend(bound_violations)
-
-        if "f-equality" in checks and k == 1:
-            eq = equality[ORDER_PLUS_LEAVES]
-            member = f_cert is not None
-            if eq != (member or n == 2):
-                violations.append(
-                    f"(n+l)/4 equality is {eq} but family membership is {member}"
-                )
-            if member:
-                root = min(f_cert.a_set | f_cert.x_set)
-                built = min_iso_set_F(t, f_cert, root)
-                if built.size != iota1 or not is_isolating(g, built.set, 1):
-                    violations.append("constructive family set is not a minimum witness")
-            if iota1 == 1 and (n >= 3) != (4 < n + l):
-                violations.append("iota=1 strictness iff n >= 3 failed")
-            if 2 <= diam <= 3 and iota1 != 1:
-                violations.append(f"diameter {diam} tree needs iota=1, got {iota1}")
-            if strong and n >= 3 and eq:
-                violations.append("strong support vertex on an (n+l)/4 equality tree")
-            if s >= 2 and n >= 3:
-                eq2 = equality[SUPPORT_BOUND]
-                member2 = _twin_leaf_member(t)
-                if eq2 != member2:
-                    violations.append(
-                        f"(n-l+2s)/4 equality is {eq2} but twin-leaf reduction membership is {member2}"
-                    )
 
         if "tk-equality" in checks and k >= 2:
             eq = equality[STAR_BOUND]
@@ -378,7 +352,7 @@ def check_tree(t: Tree, config: SweepConfig, source: str = "enumerated") -> Swee
                 )
             if tk_cert is not None:
                 built = min_iso_set_Tk(t, tk_cert)
-                if built.size != iota or not is_isolating(g, built.set, k):
+                if built.size != iota or not is_isolating(t, built.set, k):
                     violations.append(f"k={k}: constructive hub set is not a minimum witness")
                 if built.size != len(tk_cert.c_set) or n < 2 * k + 4:
                     violations.append(f"k={k}: hub count or order clause failed")
@@ -388,8 +362,8 @@ def check_tree(t: Tree, config: SweepConfig, source: str = "enumerated") -> Swee
                 violations.append(f"k={k}: non-star equality instance with diameter {diam}")
             if eq:  # a k-star exists, so n >= 3
                 u1 = diameter_path(t).vertices[1]
-                if g.degree(u1) != k:
-                    violations.append(f"k={k}: equality instance with deg(u1)={g.degree(u1)} != k")
+                if t.degree(u1) != k:
+                    violations.append(f"k={k}: equality instance with deg(u1)={t.degree(u1)} != k")
             if n >= 3 and k <= t.max_degree and n <= 2 * k + 1 and iota != 1:
                 violations.append(f"k={k}: small-order tree with iota={iota} != 1")
 
@@ -412,25 +386,54 @@ def check_tree(t: Tree, config: SweepConfig, source: str = "enumerated") -> Swee
 
         if "normalizers" in checks and n >= 3:
             norm = normalize_no_leaves(t, sol)
-            if norm.size != sol.size or not is_isolating(g, norm.set, k):
+            if norm.size != sol.size or not is_isolating(t, norm.set, k):
                 violations.append(f"k={k}: leaf normalization broke the witness")
             if norm.set & t.leaf_set:
                 violations.append(f"k={k}: leaf normalization left a leaf")
-            if k == 1 and n >= 5:
-                norm2 = normalize_no_deg2_support(t, norm)
-                if norm2.size != sol.size or not is_isolating(g, norm2.set, 1):
-                    violations.append("support normalization broke the witness")
-                if norm2.set & t.leaf_set:
-                    violations.append("support normalization left a leaf")
-                if any(v in t.support_set and g.degree(v) == 2 for v in norm2.set):
-                    violations.append("support normalization left a degree-2 support")
 
         per_k[k] = entry
+
+    # the k = 1 statements run once per tree, whether or not 1 is in the
+    # k list: iota_1 is always solved
+    if "f-equality" in checks:
+        entry = per_k[1] if 1 in per_k else _per_k(
+            bound_key(t, 1), iota1, iota1, strong, t.max_degree >= 1, None, None)[0]
+        eq = entry["equality"][ORDER_PLUS_LEAVES]
+        member = f_cert is not None
+        if eq != (member or n == 2):
+            violations.append(f"(n+l)/4 equality is {eq} but family membership is {member}")
+        if member:
+            root = min(f_cert.a_set | f_cert.x_set)
+            built = min_iso_set_F(t, f_cert, root)
+            if built.size != iota1 or not is_isolating(t, built.set, 1):
+                violations.append("constructive family set is not a minimum witness")
+        if iota1 == 1 and (n >= 3) != (4 < n + l):
+            violations.append("iota=1 strictness iff n >= 3 failed")
+        if 2 <= diam <= 3 and iota1 != 1:
+            violations.append(f"diameter {diam} tree needs iota=1, got {iota1}")
+        if strong and n >= 3 and eq:
+            violations.append("strong support vertex on an (n+l)/4 equality tree")
+        if s >= 2 and n >= 3:
+            eq2 = entry["equality"][SUPPORT_BOUND]
+            member2 = _twin_leaf_member(t)
+            if eq2 != member2:
+                violations.append(
+                    f"(n-l+2s)/4 equality is {eq2} but twin-leaf reduction membership is {member2}"
+                )
+
+    if "normalizers" in checks and n >= 5:
+        norm = normalize_no_deg2_support(t, normalize_no_leaves(t, solutions[1]))
+        if norm.size != iota1 or not is_isolating(t, norm.set, 1):
+            violations.append("support normalization broke the witness")
+        if norm.set & t.leaf_set:
+            violations.append("support normalization left a leaf")
+        if any(v in t.support_set and t.degree(v) == 2 for v in norm.set):
+            violations.append("support normalization left a degree-2 support")
 
     if "bounds" in checks and 2 <= n <= config.bf_max:
         # k = 0: a minimum dominating set, proved by a 2-packing
         dominators, packing = isolation_certificate(t, 0)
-        failures = certificate_failures(g, 0, dominators, packing)
+        failures = certificate_failures(t, 0, dominators, packing)
         violations.extend(f"k=0: {f}" for f in failures)
         if not failures and 2 * len(dominators) > n:
             violations.append(f"domination number {len(dominators)} above n/2")
@@ -478,6 +481,7 @@ def _check_share(config: SweepConfig, directory: str, task: tuple[int, int]) -> 
     then their sorted keys ``tree_code source offset size violations`` (a
     JSON list), one a line.  Returns its path and where the keys start."""
     n, share = task
+    count = FREE_TREE_COUNTS[n - 1]
     keys, offset, claim = [], 0, -1
     path = os.path.join(directory, f"{n}.{share}")
     with open(path, "wb") as spill, \
@@ -487,9 +491,17 @@ def _check_share(config: SweepConfig, directory: str, task: tuple[int, int]) -> 
                 # appends are atomic: this byte's index is a tree no one claimed
                 claims.write(b".")
                 claim = claims.tell() - 1
+                if claim >= count:
+                    break
             if index < claim:
                 continue
-            line = _worker(config, levels)
+            try:
+                line = _worker(config, levels)
+            except BaseException:
+                # every later claim now lies past the order's last tree, so
+                # the order's other shares stop instead of checking the rest
+                claims.write(b"." * count)
+                raise
             data = line.line.encode()
             spill.write(data)
             # sorted as bytes by code, then source: a space sorts below both

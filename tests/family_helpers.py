@@ -14,7 +14,7 @@ def add_twin_leaves(t: Tree, cert: FCertificate, multiplicities: dict[int, int])
             raise FamilyError(f"vertex {v} is not a support vertex of the family member")
         if extra < 0:
             raise FamilyError(f"negative multiplicity at {v}")
-    edges = t.graph.edges()
+    edges = t.edges()
     nxt = t.n
     for v in sorted(multiplicities):
         for _ in range(multiplicities[v]):

@@ -58,14 +58,14 @@ def test_acceptance_1_oracle_equivalence():
             count += 1
             for k in (1, 2, 3):
                 dp = iota_tree_dp(t, k)
-                bf = iota_bruteforce(t.graph, k)
+                bf = iota_bruteforce(t, k)
                 if dp.size != bf.size:
                     failures.append(
-                        f"n={n} k={k} {t.graph.edges()}: dp={dp.size} bf={bf.size}"
+                        f"n={n} k={k} {t.edges()}: dp={dp.size} bf={bf.size}"
                     )
-                if not is_isolating(t.graph, dp.set, k):
+                if not is_isolating(t, dp.set, k):
                     failures.append(f"n={n} k={k}: dp witness invalid")
-                if not is_isolating(t.graph, bf.set, k):
+                if not is_isolating(t, bf.set, k):
                     failures.append(f"n={n} k={k}: brute-force witness invalid")
         if count != FREE_TREE_COUNTS[n - 1]:
             failures.append(
@@ -127,13 +127,13 @@ def test_acceptance_4_family_characterization_k2():
     for n in range(1, 14):
         for t in enumerate_free_trees(n):
             iota = iota_tree_dp(t, k).size
-            if n <= 12 and iota != iota_bruteforce(t.graph, k).size:
+            if n <= 12 and iota != iota_bruteforce(t, k).size:
                 failures.append(f"n={n}: dp/bf mismatch at k=2")
             eq = Fraction(iota) == Fraction(t.n + t.leaf_order, 2 * k + 1)
             member = is_star(t, k) or recognize_Tk(t, k) is not None
             if eq != member:
                 failures.append(
-                    f"n={n} {t.graph.edges()}: equality={eq}, membership={member}"
+                    f"n={n} {t.edges()}: equality={eq}, membership={member}"
                 )
             if eq and t.n + t.leaf_order > 2 * k + 1 and t.n < 2 * k + 4:
                 failures.append(f"n={n}: equality inside the forbidden band")
@@ -150,7 +150,7 @@ def test_acceptance_5_constructive_sets():
         t, cert = sample_family_F(rng, r, s)
         root = rng.choice(sorted(cert.a_set | cert.x_set))
         sol = min_iso_set_F(t, cert, root)
-        if not is_isolating(t.graph, sol.set, 1):
+        if not is_isolating(t, sol.set, 1):
             failures.append(f"F #{i} (r={r}, s={s}): set not isolating")
         if sol.size != iota_tree_dp(t, 1).size:
             failures.append(f"F #{i} (r={r}, s={s}): size {sol.size} not optimal")
@@ -160,7 +160,7 @@ def test_acceptance_5_constructive_sets():
         n0 = rng.randint(2 * h, 6)
         t, cert = sample_family_Tk(rng, k, n0, h)
         sol = min_iso_set_Tk(t, cert)
-        if not is_isolating(t.graph, sol.set, k):
+        if not is_isolating(t, sol.set, k):
             failures.append(f"Tk #{i} (k={k}, n0={n0}, h={h}): set not isolating")
         if sol.size != iota_tree_dp(t, k).size:
             failures.append(f"Tk #{i} (k={k}, n0={n0}, h={h}): size {sol.size} not optimal")
@@ -202,7 +202,7 @@ def test_acceptance_6_extremal_generators():
         iota = iota_tree_dp(t2, 1).size
         if Fraction(iota) != expected:
             failures.append(f"twin-leaf #{i}: iota={iota} != {expected}")
-        if t2.n <= 14 and iota != iota_bruteforce(t2.graph, 1).size:
+        if t2.n <= 14 and iota != iota_bruteforce(t2, 1).size:
             failures.append(f"twin-leaf #{i}: dp/bf mismatch")
     _report(6, "extremal generators", failures)
 
@@ -216,9 +216,9 @@ def test_acceptance_7_small_order_corollaries():
             for t in enumerate_free_trees(n):
                 if t.max_degree < k:
                     continue
-                iota = iota_bruteforce(t.graph, k).size
+                iota = iota_bruteforce(t, k).size
                 if iota != 1:
-                    failures.append(f"k={k} n={n} {t.graph.edges()}: iota={iota}")
+                    failures.append(f"k={k} n={n} {t.edges()}: iota={iota}")
                 boundary = t.n + t.leaf_order == 2 * k + 1
                 if boundary != is_star(t, k):
                     failures.append(
@@ -237,7 +237,7 @@ def test_acceptance_8_normalizer_contracts():
             norm = normalize_no_leaves(t, sol)
             if norm.size != sol.size:
                 failures.append(f"n={n}: leaf normalization changed the size")
-            if not is_isolating(t.graph, norm.set, 1):
+            if not is_isolating(t, norm.set, 1):
                 failures.append(f"n={n}: leaf normalization broke the set")
             if norm.set & t.leaf_set:
                 failures.append(f"n={n}: leaf remains after normalization")
@@ -245,12 +245,12 @@ def test_acceptance_8_normalizer_contracts():
                 norm2 = normalize_no_deg2_support(t, norm)
                 if norm2.size != sol.size:
                     failures.append(f"n={n}: support normalization changed the size")
-                if not is_isolating(t.graph, norm2.set, 1):
+                if not is_isolating(t, norm2.set, 1):
                     failures.append(f"n={n}: support normalization broke the set")
                 if norm2.set & t.leaf_set:
                     failures.append(f"n={n}: leaf remains after support normalization")
                 if any(
-                    v in t.support_set and t.graph.degree(v) == 2 for v in norm2.set
+                    v in t.support_set and t.degree(v) == 2 for v in norm2.set
                 ):
                     failures.append(f"n={n}: degree-2 support remains")
     _report(8, "normalizer contracts", failures)

@@ -63,20 +63,19 @@ def star_tree(k):
 def oracle_member_F(t: Tree) -> bool:
     """Try every X/Y split of the undetermined vertices; the A/B/C layers
     are forced by the leaf structure."""
-    g = t.graph
     if t.n < 6:
         return False
     c_set = set(t.leaf_set)
     b_set, a_set = set(), set()
     b_leaf, b_other = {}, {}
     for c in c_set:
-        b = g.adjacency[c][0]
-        if g.degree(b) != 2 or b in b_leaf:
+        b = t.adjacency[c][0]
+        if t.degree(b) != 2 or b in b_leaf:
             return False
         b_set.add(b)
         b_leaf[b] = c
     for b in b_set:
-        others = [w for w in g.adjacency[b] if w not in c_set]
+        others = [w for w in t.adjacency[b] if w not in c_set]
         if len(others) != 1 or others[0] in b_set or others[0] in c_set:
             return False
         a_set.add(others[0])
@@ -106,20 +105,19 @@ def oracle_member_F(t: Tree) -> bool:
 
 
 def _recover_quads(t, x_set, y_set):
-    g = t.graph
     quads = []
     seen = set()
     for y in sorted(y_set):
         if y in seen:
             continue
-        partners = [w for w in g.adjacency[y] if w in y_set]
-        x_nbrs = [w for w in g.adjacency[y] if w in x_set]
+        partners = [w for w in t.adjacency[y] if w in y_set]
+        x_nbrs = [w for w in t.adjacency[y] if w in x_set]
         if len(partners) != 1 or len(x_nbrs) != 1:
             return None
         y2 = partners[0]
         if y2 in seen:
             return None
-        x_nbrs2 = [w for w in g.adjacency[y2] if w in x_set]
+        x_nbrs2 = [w for w in t.adjacency[y2] if w in x_set]
         if len(x_nbrs2) != 1:
             return None
         x1, x2 = x_nbrs[0], x_nbrs2[0]
@@ -135,27 +133,26 @@ def _recover_quads(t, x_set, y_set):
 def oracle_member_Tk(t: Tree, k: int) -> bool:
     """Try every extension of the forced hub set over the degree-k
     candidates; B and A are then determined."""
-    g = t.graph
     leaves = set(t.leaf_set)
     base_hubs = set(t.support_set)
-    if any(g.degree(c) != k for c in base_hubs):
+    if any(t.degree(c) != k for c in base_hubs):
         return False
     candidates = sorted(
         v for v in range(t.n)
-        if v not in leaves and v not in base_hubs and g.degree(v) == k
+        if v not in leaves and v not in base_hubs and t.degree(v) == k
     )
     for r in range(len(candidates) + 1):
         for extra in itertools.combinations(candidates, r):
             c_set = base_hubs | set(extra)
             b_set = {
-                w for c in c_set for w in g.adjacency[c] if w not in leaves
+                w for c in c_set for w in t.adjacency[c] if w not in leaves
             }
             if b_set & c_set:
                 continue
             a_set = set(range(t.n)) - leaves - c_set - b_set
             if not a_set:
                 continue
-            comps = _component_count(g, a_set)
+            comps = _component_count(t, a_set)
             cert = TkCertificate(
                 k=k,
                 a_set=frozenset(a_set),
@@ -199,12 +196,12 @@ class TestGenFamilyF:
     def test_with_one_quad(self):
         t, cert = gen_family_F(2, 1)
         assert t.n == 10
-        assert iota_bruteforce(t.graph, 1).size == 3 == len(cert.a_set) + 1
+        assert iota_bruteforce(t, 1).size == 3 == len(cert.a_set) + 1
 
     def test_three_triples(self):
         t, _ = gen_family_F(3, 0)
         assert t.n == 9
-        assert iota_bruteforce(t.graph, 1).size == 3 == (9 + 3) // 4
+        assert iota_bruteforce(t, 1).size == 3 == (9 + 3) // 4
 
     def test_rejects_small_r(self):
         with pytest.raises(FamilyError, match="r >= 2"):
@@ -261,7 +258,7 @@ class TestRecognizeF:
         t = as_tree(build_graph(7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (1, 6)]))
         assert t.strong_support_set
         assert recognize_F(t) is None
-        assert Fraction(iota_bruteforce(t.graph, 1).size) < Fraction(t.n + t.leaf_order, 4)
+        assert Fraction(iota_bruteforce(t, 1).size) < Fraction(t.n + t.leaf_order, 4)
 
     def test_degree_two_bridge_pattern_excluded(self):
         # a 4-path glued by its inner vertex onto a tree
@@ -269,7 +266,7 @@ class TestRecognizeF:
         extra = [(6, 7), (7, 8), (8, 9), (7, 2)]         # 4-path 6-7-8-9 at 7
         t = as_tree(build_graph(10, base + extra))
         assert recognize_F(t) is None
-        assert Fraction(iota_bruteforce(t.graph, 1).size) < Fraction(t.n + t.leaf_order, 4)
+        assert Fraction(iota_bruteforce(t, 1).size) < Fraction(t.n + t.leaf_order, 4)
 
     def test_five_path_support_bridge_excluded(self):
         # a 5-path glued by a support vertex onto a tree
@@ -277,7 +274,7 @@ class TestRecognizeF:
         extra = [(6, 7), (7, 8), (8, 9), (9, 10), (7, 2)]
         t = as_tree(build_graph(11, base + extra))
         assert recognize_F(t) is None
-        assert Fraction(iota_bruteforce(t.graph, 1).size) < Fraction(t.n + t.leaf_order, 4)
+        assert Fraction(iota_bruteforce(t, 1).size) < Fraction(t.n + t.leaf_order, 4)
 
 
 class TestMinIsoSetF:
@@ -286,14 +283,14 @@ class TestMinIsoSetF:
         for root in sorted(cert.a_set):
             sol = min_iso_set_F(t, cert, root)
             assert sol.set == cert.a_set
-            assert is_isolating(t.graph, sol.set, 1)
+            assert is_isolating(t, sol.set, 1)
 
     def test_with_quads_takes_nearer_endpoints(self):
         t, cert = gen_family_F(2, 1)
         root = min(cert.a_set)
         sol = min_iso_set_F(t, cert, root)
-        assert sol.size == 3 == iota_bruteforce(t.graph, 1).size
-        assert is_isolating(t.graph, sol.set, 1)
+        assert sol.size == 3 == iota_bruteforce(t, 1).size
+        assert is_isolating(t, sol.set, 1)
 
     def test_no_quads_gives_exactly_a(self):
         t, cert = gen_family_F(3, 0)
@@ -313,7 +310,7 @@ class TestMinIsoSetF:
         for root in sorted(cert.a_set | cert.x_set):
             sol = min_iso_set_F(t, cert, root)
             assert sol.size == expect
-            assert is_isolating(t.graph, sol.set, 1)
+            assert is_isolating(t, sol.set, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +326,7 @@ class TestGenFamilyTk:
     def test_k4_twelve_vertices(self):
         t, cert = gen_family_Tk(4, 2, [(0, 1)], [0, 1])
         assert t.n == 12
-        assert iota_bruteforce(t.graph, 4).size == 2 == len(cert.c_set)
+        assert iota_bruteforce(t, 4).size == 2 == len(cert.c_set)
 
     def test_trivial_component_rejected(self):
         with pytest.raises(FamilyError, match="trivial"):
@@ -438,7 +435,7 @@ class TestSampleFamilyTk:
 
 
 def relabelled(t, perm):
-    return as_tree(build_graph(t.n, [(perm[u], perm[v]) for u, v in t.graph.edges()]))
+    return as_tree(build_graph(t.n, [(perm[u], perm[v]) for u, v in t.edges()]))
 
 
 def random_permutation(rng, n):
@@ -490,7 +487,7 @@ class TestRecognizerCertificates:
                 trees += 1
                 f_cert = recognize_F(t)
                 tk_certs = [recognize_Tk(t, k) for k in (2, 3, 4)]
-                shape = corona_shape(t.graph) if n >= 3 else None
+                shape = corona_shape(t) if n >= 3 else None
                 accepted[0] += f_cert is not None
                 accepted[1] += sum(c is not None for c in tk_certs)
                 accepted[2] += shape is not None
@@ -550,7 +547,7 @@ class TestMinIsoSetTk:
         cert = recognize_Tk(path_tree(8), 2)
         sol = min_iso_set_Tk(path_tree(8), cert)
         assert sol.size == 2 == len(cert.c_set)
-        assert is_isolating(path_tree(8).graph, sol.set, 2)
+        assert is_isolating(path_tree(8), sol.set, 2)
 
     def test_single_component_takes_all_of_a(self):
         t, cert = gen_family_Tk(3, 3, [(0, 1), (1, 2)], [0, 1, 2])
@@ -562,7 +559,7 @@ class TestMinIsoSetTk:
         t, cert = sample_family_Tk(rng, 3, 4, 2)
         sol = min_iso_set_Tk(t, cert)
         assert sol.size == 3 == len(cert.a_set) - 1
-        assert is_isolating(t.graph, sol.set, 3)
+        assert is_isolating(t, sol.set, 3)
         assert sol.size == iota_tree_dp(t, 3).size
 
 
@@ -625,18 +622,18 @@ class TestCharOrderMinusLeaves:
     @pytest.mark.parametrize("k", [0, -3])
     def test_k_below_one_rejected(self, k):
         with pytest.raises(FamilyError, match=f"need k >= 1, got {k}"):
-            recognize_char_orderminusleaves(path_tree(6).graph, k)
+            recognize_char_orderminusleaves(path_tree(6), k)
 
     def test_five_path_not_recognized(self):
-        assert recognize_char_orderminusleaves(path_tree(5).graph, 1) is None
+        assert recognize_char_orderminusleaves(path_tree(5), 1) is None
 
     def test_star_not_recognized(self):
-        assert recognize_char_orderminusleaves(star_tree(5).graph, 1) is None
+        assert recognize_char_orderminusleaves(star_tree(5), 1) is None
 
     def test_six_path_is_a_corona_with_leaves(self):
-        cert = recognize_char_orderminusleaves(path_tree(6).graph, 1)
+        cert = recognize_char_orderminusleaves(path_tree(6), 1)
         assert cert is not None and cert.kind == "corona_with_leaves"
-        assert iota_bruteforce(path_tree(6).graph, 1).size == 2
+        assert iota_bruteforce(path_tree(6), 1).size == 2
 
     def test_equivalence_on_all_small_connected_graphs(self):
         # ground truth by brute force over every connected graph, n <= 5;
@@ -653,14 +650,14 @@ class TestCharOrderMinusLeaves:
                     eq = Fraction(iota_bruteforce(g, k).size) == Fraction(n - l, 2)
                     member = recognize_char_orderminusleaves(g, k) is not None
                     if k >= 2 and n - l == 2:
-                        assert eq == (g.max_degree() >= k), (n, edges, k)
+                        assert eq == any(g.degree(v) >= k for v in range(n)), (n, edges, k)
                     else:
                         assert eq == member, (n, edges, k)
 
     def test_double_star_band_at_k2(self):
         # P4 attains (n-l)/2 at k=2 without satisfying the per-support
         # leaf condition: the recognizer stays strict, equality holds
-        g = path_tree(4).graph
+        g = path_tree(4)
         assert Fraction(iota_bruteforce(g, 2).size) == Fraction(g.n - leaf_order(g), 2)
         assert recognize_char_orderminusleaves(g, 2) is None
 
@@ -670,7 +667,7 @@ class TestCharOrderMinusLeaves:
         odd = [t for n in range(3, 13) for t in enumerate_free_trees(n)
                if (t.n - t.leaf_order) % 2]
         assert len(odd) == 494
-        assert all(corona_shape(t.graph) is None for t in odd)
+        assert all(corona_shape(t) is None for t in odd)
 
     def test_disconnected_graph_raises(self):
         g = build_graph(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
@@ -684,7 +681,7 @@ class TestCharOrderMinusLeaves:
         # per-k step
         import networkx as nx
 
-        graphs = [t.graph for n in range(3, 13) for t in enumerate_free_trees(n)]
+        graphs = [t for n in range(3, 13) for t in enumerate_free_trees(n)]
         graphs += [build_graph(h.number_of_nodes(), list(h.edges()))
                    for h in nx.graph_atlas_g()
                    if 3 <= h.number_of_nodes() <= 6 and nx.is_connected(h)]
@@ -730,13 +727,13 @@ class TestSpider:
         t = gen_spider_gap(k)
         assert t.n == 2 * k + 3
         assert t.leaf_order == 2 * k + 1
-        assert iota_bruteforce(t.graph, 1).size == 1
+        assert iota_bruteforce(t, 1).size == 1
 
     def test_heavy_vertex_leads_longest_paths(self):
         t = gen_spider_gap(2)
         w = diameter_path(t)
         assert w.length == 3
-        assert t.graph.degree(w.vertices[1]) == t.max_degree
+        assert t.degree(w.vertices[1]) == t.max_degree
 
 
 class TestTwinLeaves:
@@ -745,7 +742,7 @@ class TestTwinLeaves:
         t2 = add_twin_leaves(t, cert, {min(cert.b_set): 1})
         assert t2.n == 7
         expected = Fraction(t2.n - t2.leaf_order + 2 * t2.support_count, 4)
-        assert Fraction(iota_bruteforce(t2.graph, 1).size) == expected == 2
+        assert Fraction(iota_bruteforce(t2, 1).size) == expected == 2
 
     def test_zero_multiplicities_identity(self):
         t, cert = gen_family_F(2, 0)

@@ -12,9 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stariso.families import corona_shape, recognize_char_orderminusleaves
 from stariso.formats import format_edgelist, parse_edgelist, parse_graph6
 from stariso.graphs import (
     FREE_TREE_COUNTS,
+    Graph,
     GraphError,
     Tree,
     as_tree,
@@ -32,6 +34,13 @@ from stariso.graphs import (
     level_tree,
     prufer_decode,
     tree_centers,
+)
+from stariso.solver import (
+    certificate_failures,
+    iota_bruteforce,
+    is_isolating,
+    isolation_certificate,
+    residual_degrees,
 )
 
 
@@ -222,20 +231,19 @@ class TestAsTree:
     @given(random_trees(max_n=12))
     @settings(max_examples=80, deadline=None)
     def test_statistics_match_definitions(self, t):
-        g = t.graph
-        leaves = {v for v in range(t.n) if g.degree(v) == 1}
-        leaf_neighbors = [sum(1 for w in g.neighbors(v) if w in leaves) for v in range(t.n)]
+        leaves = {v for v in range(t.n) if t.degree(v) == 1}
+        leaf_neighbors = [sum(1 for w in t.adjacency[v] if w in leaves) for v in range(t.n)]
         assert t.leaf_set == leaves
         assert t.support_set == {v for v in range(t.n) if leaf_neighbors[v] >= 1}
         assert t.strong_support_set == {v for v in range(t.n) if leaf_neighbors[v] >= 2}
-        assert t.max_degree == g.max_degree()
+        assert t.max_degree == max(t.degree(v) for v in range(t.n))
 
     @given(random_trees(max_n=12))
     @settings(max_examples=80, deadline=None)
     def test_leaf_count_identity(self, t):
         # l = 2 + sum over degrees i >= 3 of n_i (i - 2), for any tree n >= 2
         expected = 2 + sum(
-            t.graph.degree(v) - 2 for v in range(t.n) if t.graph.degree(v) >= 3
+            t.degree(v) - 2 for v in range(t.n) if t.degree(v) >= 3
         )
         assert t.leaf_order == expected
         assert t.leaf_order >= 2
@@ -275,38 +283,37 @@ class TestDiameterPath:
         w = diameter_path(t)
         assert w.length == 3
         assert w.vertices[1] == 1
-        assert t.graph.degree(w.vertices[1]) == 5
+        assert t.degree(w.vertices[1]) == 5
 
     @given(random_trees(max_n=12))
     @settings(max_examples=60, deadline=None)
     def test_length_is_max_eccentricity(self, t):
         ecc = max(
-            max(bfs_distances(t.graph, [v])) for v in range(t.n)
+            max(bfs_distances(t, [v])) for v in range(t.n)
         )
         w = diameter_path(t)
         assert w.length == ecc
         # witness really is a path
         for u, v in zip(w.vertices, w.vertices[1:]):
-            assert t.graph.has_edge(u, v)
+            assert t.has_edge(u, v)
         assert len(set(w.vertices)) == len(w.vertices)
 
     def test_matches_all_pairs_rule(self):
         # reference: over every ordered diametral pair (u, v), the path
         # minimizing (-deg(u_1), u, v), found from all-pairs BFS rows
         def reference(t):
-            g = t.graph
-            rows = [bfs_distances(g, [v]) for v in range(t.n)]
+            rows = [bfs_distances(t, [v]) for v in range(t.n)]
             diam = max(map(max, rows))
 
             def path(u, v):
                 p = [u]
                 while p[-1] != v:
-                    p.append(next(w for w in g.adjacency[p[-1]]
+                    p.append(next(w for w in t.adjacency[p[-1]]
                                   if rows[w][v] == rows[p[-1]][v] - 1))
                 return tuple(p)
 
             _, u, v = min(
-                (-g.degree(path(u, v)[1]), u, v)
+                (-t.degree(path(u, v)[1]), u, v)
                 for u in range(t.n) for v in range(t.n) if rows[u][v] == diam
             )
             return path(u, v), diam
@@ -319,7 +326,7 @@ class TestDiameterPath:
 
 
 def relabel(t, perm):
-    edges = [(perm[u], perm[v]) for u, v in t.graph.edges()]
+    edges = [(perm[u], perm[v]) for u, v in t.edges()]
     return as_tree(build_graph(t.n, edges))
 
 
@@ -340,9 +347,9 @@ class TestRootedView:
 
         for n in range(1, 10):
             for t in enumerate_free_trees(n):
-                assert (t.order, t.parent) == reference(t.graph, 0)
+                assert (t.order, t.parent) == reference(t, 0)
                 for r in range(n):
-                    assert t.rooted(r) == reference(t.graph, r)
+                    assert t.rooted(r) == reference(t, r)
 
     @given(random_trees(max_n=12), st.integers(0, 11))
     @settings(max_examples=80, deadline=None)
@@ -353,12 +360,12 @@ class TestRootedView:
         assert parent[order[0]] == order[0]
         for v in order[1:]:
             assert position[parent[v]] < position[v]
-            assert t.graph.has_edge(parent[v], v)
+            assert t.has_edge(parent[v], v)
 
     def test_disconnected_tree_object_keeps_minus_one_off_component(self):
         t = Tree(build_graph(5, [(0, 1), (1, 2), (3, 4)]))
         assert (t.order, t.parent) == ([0, 1, 2], [0, 0, 1, -1, -1])
-        assert bfs_order(t.graph, 3) == ([3, 4], [-1, -1, -1, 3, 3])
+        assert bfs_order(t, 3) == ([3, 4], [-1, -1, -1, 3, 3])
 
     def test_empty_tree_object_has_an_empty_view(self):
         empty = Tree(build_graph(0, []))
@@ -374,8 +381,8 @@ class TestRootedView:
     @settings(max_examples=80, deadline=None)
     def test_multi_source_distances_are_the_pointwise_minimum(self, t, data):
         sources = data.draw(st.sets(st.integers(0, t.n - 1), min_size=1))
-        rows = [bfs_distances(t.graph, [s]) for s in sources]
-        assert bfs_distances(t.graph, sources) == [min(col) for col in zip(*rows)]
+        rows = [bfs_distances(t, [s]) for s in sources]
+        assert bfs_distances(t, sources) == [min(col) for col in zip(*rows)]
 
     def test_distances_unreached_stay_minus_one(self):
         g = build_graph(5, [(0, 1), (1, 2), (3, 4)])
@@ -404,18 +411,17 @@ class TestCanonicalCode:
 
     def test_centers_match_leaf_peeling(self):
         def peel(t):
-            g = t.graph
-            n = g.n
+            n = t.n
             if n <= 2:
                 return list(range(n))
-            deg = [g.degree(v) for v in range(n)]
+            deg = [t.degree(v) for v in range(n)]
             layer = [v for v in range(n) if deg[v] == 1]
             removed = len(layer)
             while removed < n:
                 nxt = []
                 for u in layer:
                     deg[u] = 0
-                    for v in g.adjacency[u]:
+                    for v in t.adjacency[u]:
                         if deg[v] > 0:
                             deg[v] -= 1
                             if deg[v] == 1:
@@ -458,9 +464,9 @@ class TestCanonicalCode:
     def test_agrees_with_permutation_isomorphism(self):
         # ground-truth isomorphism by trying all vertex bijections
         def isomorphic(t1, t2):
-            e2 = {frozenset(e) for e in t2.graph.edges()}
+            e2 = {frozenset(e) for e in t2.edges()}
             for perm in itertools.permutations(range(t1.n)):
-                if all(frozenset((perm[u], perm[v])) in e2 for u, v in t1.graph.edges()):
+                if all(frozenset((perm[u], perm[v])) in e2 for u, v in t1.edges()):
                     return True
             return False
 
@@ -505,7 +511,7 @@ class TestEnumeration:
         # same trees, same order, same labels: witnesses keyed by
         # enumeration index and sweep output depend on all three
         expected = [build_graph(n, list(g.edges())).adjacency for g in nx.nonisomorphic_trees(n)]
-        assert [t.graph.adjacency for t in enumerate_free_trees(n)] == expected
+        assert [t.adjacency for t in enumerate_free_trees(n)] == expected
 
     def test_order_out_of_range(self):
         with pytest.raises(GraphError):
@@ -531,8 +537,44 @@ class TestEnumeration:
 
 
 def tree_fields(t):
-    return (t.graph.n, t.graph.adjacency, t.graph.edge_count, t.order, t.parent,
+    return (t.n, t.adjacency, t.edge_count, t.order, t.parent,
             t.leaf_set, t.support_set, t.strong_support_set, t.max_degree)
+
+
+class TestTreeIsAGraph:
+    """A Tree is a Graph: every graph-level function gives the same answer
+    on a tree as on the plain graph with its edges."""
+
+    def test_subclass_shares_the_adjacency(self):
+        g = path_graph(5)
+        t = as_tree(g)
+        assert issubclass(Tree, Graph) and isinstance(t, Graph)
+        assert t.adjacency is g.adjacency
+        assert repr(t) == "Tree(n=5, edges=[(0, 1), (1, 2), (2, 3), (3, 4)])"
+        assert repr(g) == "Graph(n=5, edges=[(0, 1), (1, 2), (2, 3), (3, 4)])"
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_graph_functions_agree_on_every_small_tree(self, n):
+        for t in enumerate_free_trees(n):
+            g = build_graph(t.n, t.edges())
+            assert format_edgelist(t) == format_edgelist(g)
+            assert bfs_order(t, n - 1) == bfs_order(g, n - 1)
+            assert bfs_distances(t, [0, n - 1]) == bfs_distances(g, [0, n - 1])
+            for dominators in ({0}, set(range(0, n, 3)), set(t.support_set)):
+                assert residual_degrees(t, dominators) == residual_degrees(g, dominators)
+                for k in (1, 2):
+                    assert is_isolating(t, dominators, k) == is_isolating(g, dominators, k)
+            for k in (0, 1, 2):
+                if k:
+                    assert iota_bruteforce(t, k) == iota_bruteforce(g, k)
+                dominators, packing = isolation_certificate(t, k)
+                for cert in ((dominators, packing), (dominators, packing[1:])):
+                    assert certificate_failures(t, k, *cert) == certificate_failures(g, k, *cert)
+            if n >= 3:
+                assert corona_shape(t) == corona_shape(g)
+                for k in (1, 2):
+                    assert (recognize_char_orderminusleaves(t, k)
+                            == recognize_char_orderminusleaves(g, k))
 
 
 class TestLevelTree:
@@ -561,12 +603,12 @@ class TestLevelTree:
 class TestPrufer:
     def test_empty_sequence_is_single_edge(self):
         t = prufer_decode([])
-        assert t.n == 2 and t.graph.edge_count == 1
+        assert t.n == 2 and t.edge_count == 1
 
     def test_repeated_center(self):
         t = prufer_decode([0, 0])
-        assert t.graph.degree(0) == 3
-        assert sorted(t.graph.edges()) == [(0, 1), (0, 2), (0, 3)]
+        assert t.degree(0) == 3
+        assert sorted(t.edges()) == [(0, 1), (0, 2), (0, 3)]
 
     def test_out_of_range_entry(self):
         with pytest.raises(GraphError, match="out of range"):
@@ -574,14 +616,14 @@ class TestPrufer:
 
     def test_all_length_two_sequences(self):
         trees = [prufer_decode(seq) for seq in itertools.product(range(4), repeat=2)]
-        labeled = {frozenset(frozenset(e) for e in t.graph.edges()) for t in trees}
+        labeled = {frozenset(frozenset(e) for e in t.edges()) for t in trees}
         assert len(labeled) == 16
         assert len({canonical_code(t) for t in trees}) == 2
 
     @pytest.mark.parametrize("n", range(3, 7))
     def test_bijection_on_all_sequences(self, n):
         labeled = {
-            frozenset(frozenset(e) for e in prufer_decode(seq).graph.edges())
+            frozenset(frozenset(e) for e in prufer_decode(seq).edges())
             for seq in itertools.product(range(n), repeat=n - 2)
         }
         assert len(labeled) == n ** (n - 2)

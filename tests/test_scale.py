@@ -21,9 +21,9 @@ def test_family_F_at_eighty_thousand_vertices():
     expected = Fraction(t.n + t.leaf_order, 4)
     sol = iota_tree_dp(t, 1)
     assert sol.size == expected
-    assert is_isolating(t.graph, sol.set, 1)
+    assert is_isolating(t, sol.set, 1)
     dominators, packing = isolation_certificate(t, 1)
-    assert certificate_failures(t.graph, 1, dominators, packing) == []
+    assert certificate_failures(t, 1, dominators, packing) == []
     assert len(packing) == expected
 
 
@@ -34,9 +34,9 @@ def test_family_Tk_at_ten_thousand_vertices():
     expected = Fraction(t.n + t.leaf_order, 2 * k + 1)
     sol = iota_tree_dp(t, k)
     assert sol.size == expected
-    assert is_isolating(t.graph, sol.set, k)
+    assert is_isolating(t, sol.set, k)
     dominators, packing = isolation_certificate(t, k)
-    assert certificate_failures(t.graph, k, dominators, packing) == []
+    assert certificate_failures(t, k, dominators, packing) == []
     assert len(packing) == expected
     got = recognize_Tk(t, k)
     assert got is not None

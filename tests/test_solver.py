@@ -90,7 +90,7 @@ class TestResidualDegrees:
         sub, vertices = residual(g, dominators)
         expected = {vertices[i]: sub.degree(i) for i in range(sub.n)}
         assert residual_degrees(g, dominators) == expected
-        assert is_isolating(g, dominators, k) == (sub.max_degree() < k)
+        assert is_isolating(g, dominators, k) == all(sub.degree(i) < k for i in range(sub.n))
 
     def test_out_of_range_vertex(self):
         with pytest.raises(GraphError):
@@ -143,13 +143,12 @@ class TestIsIsolating:
         outcomes = set()
         for n in range(1, 10):
             for t in enumerate_free_trees(n):
-                g = t.graph
                 sets = [set(c) for size in range(3) for c in itertools.combinations(range(n), size)]
                 sets += [set(rng.sample(range(n), rng.randint(0, n))) for _ in range(8)]
                 for k in (1, 2, 3):
                     for dominators in sets:
-                        expected = max(residual_degrees(g, dominators).values(), default=0) < k
-                        assert is_isolating(g, dominators, k) == expected, (n, k, dominators)
+                        expected = max(residual_degrees(t, dominators).values(), default=0) < k
+                        assert is_isolating(t, dominators, k) == expected, (n, k, dominators)
                         outcomes.add(expected)
         assert outcomes == {True, False}
 
@@ -189,7 +188,7 @@ class TestBruteForce:
         recorded while gamma_bruteforce still had a search of its own: every
         free tree with n <= 10, the cycles C3..C10 and K4, iota for k = 1..3
         on those with n <= 9."""
-        graphs = [t.graph for n in range(1, 11) for t in enumerate_free_trees(n)]
+        graphs = [t for n in range(1, 11) for t in enumerate_free_trees(n)]
         graphs += [build_graph(n, [(i, (i + 1) % n) for i in range(n)]) for n in range(3, 11)]
         graphs.append(build_graph(4, list(itertools.combinations(range(4), 2))))
         assert len(graphs) == 210
@@ -210,7 +209,7 @@ class TestTreeDp:
         sol = iota_tree_dp(t, 2)
         assert sol.size == 2
         assert sol.method == "tree_dp"
-        assert is_isolating(t.graph, sol.set, 2)
+        assert is_isolating(t, sol.set, 2)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 5])
     def test_star_needs_one(self, k):
@@ -243,15 +242,15 @@ class TestTreeDp:
         for t in enumerate_free_trees(n):
             for k in (1, 2, 3):
                 dp = iota_tree_dp(t, k)
-                assert dp.size == iota_bruteforce(t.graph, k).size
-                assert is_isolating(t.graph, dp.set, k)
+                assert dp.size == iota_bruteforce(t, k).size
+                assert is_isolating(t, dp.set, k)
 
     @given(random_trees(max_n=9), st.integers(1, 4))
     @settings(max_examples=120, deadline=None)
     def test_matches_brute_force_random(self, t, k):
         dp = iota_tree_dp(t, k)
-        assert dp.size == iota_bruteforce(t.graph, k).size
-        assert is_isolating(t.graph, dp.set, k)
+        assert dp.size == iota_bruteforce(t, k).size
+        assert is_isolating(t, dp.set, k)
 
     @given(random_trees(max_n=8), st.integers(1, 3))
     @settings(max_examples=60, deadline=None)
@@ -353,13 +352,13 @@ class TestMachine:
         for root in (0, 1):
             sol = iota_tree_dp(t, k, root)
             assert sol.size == 1
-            assert is_isolating(t.graph, sol.set, k)
+            assert is_isolating(t, sol.set, k)
 
 
 def certified_size(t, k):
     """Size of the packing certificate, which must prove itself."""
     dominators, packing = isolation_certificate(t, k)
-    assert certificate_failures(t.graph, k, dominators, packing) == []
+    assert certificate_failures(t, k, dominators, packing) == []
     return len(packing)
 
 
@@ -387,7 +386,7 @@ class TestIsolationCertificate:
     @pytest.mark.parametrize("n", range(1, 13))
     def test_k0_is_the_domination_number(self, n):
         for t in enumerate_free_trees(n):
-            assert certified_size(t, 0) == gamma_bruteforce(t.graph).size
+            assert certified_size(t, 0) == gamma_bruteforce(t).size
 
     @given(random_trees(min_n=2, max_n=200), st.integers(0, 5))
     @settings(max_examples=200, deadline=None)
@@ -462,14 +461,14 @@ class TestDomination:
         shapes = [path_graph(n) for n in range(1, 8)]
         shapes += [star_graph(k) for k in range(2, 6)]
         shapes.append(build_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)]))
-        shapes.extend(t.graph for t in enumerate_free_trees(7))
+        shapes.extend(enumerate_free_trees(7))
         for g in shapes:
             assert gamma_bruteforce(g).size == min_k1_isolating_size(g)
 
     def test_half_order_bound(self):
         for n in range(2, 10):
             for t in enumerate_free_trees(n):
-                assert 2 * gamma_bruteforce(t.graph).size <= n
+                assert 2 * gamma_bruteforce(t).size <= n
 
 
 class TestNormalizeNoLeaves:
@@ -480,7 +479,7 @@ class TestNormalizeNoLeaves:
 
     def test_interior_vertex_unchanged(self):
         t = as_tree(path_graph(5))
-        sol = iota_bruteforce(t.graph, 1)
+        sol = iota_bruteforce(t, 1)
         assert sol.set == frozenset({2})
         assert normalize_no_leaves(t, sol).set == frozenset({2})
 
@@ -509,12 +508,12 @@ class TestNormalizeNoDeg2Support:
     def test_spider_minimum_already_clean(self):
         # 4-path with one extra leaf at vertex 1; {1} is the optimum
         t = as_tree(build_graph(5, [(0, 1), (1, 2), (2, 3), (1, 4)]))
-        sol = iota_bruteforce(t.graph, 1)
+        sol = iota_bruteforce(t, 1)
         assert sol.set == frozenset({1})
         out = normalize_no_deg2_support(t, sol)
         assert out.set == frozenset({1})
         assert not out.set & t.leaf_set
-        assert not any(v in t.support_set and t.graph.degree(v) == 2 for v in out.set)
+        assert not any(v in t.support_set and t.degree(v) == 2 for v in out.set)
 
     def test_rejects_leafy_input(self):
         t = as_tree(path_graph(5))
@@ -548,13 +547,13 @@ class TestNormalizerContracts:
                 sol = iota_tree_dp(t, k)
                 out = normalize_no_leaves(t, sol)
                 assert out.size == sol.size
-                assert is_isolating(t.graph, out.set, k)
+                assert is_isolating(t, out.set, k)
                 assert not out.set & t.leaf_set
                 if k == 1 and n >= 5:
                     out2 = normalize_no_deg2_support(t, out)
                     assert out2.size == sol.size
-                    assert is_isolating(t.graph, out2.set, 1)
+                    assert is_isolating(t, out2.set, 1)
                     assert not out2.set & t.leaf_set
                     assert not any(
-                        v in t.support_set and t.graph.degree(v) == 2 for v in out2.set
+                        v in t.support_set and t.degree(v) == 2 for v in out2.set
                     )

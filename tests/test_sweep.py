@@ -140,7 +140,7 @@ class TestStripToSingleLeaves:
                     assert member == (recognize_F(reduced) is not None)
                     counts[member] += 1
                     first_tests = reduced.n >= 6 and all(
-                        reduced.graph.degree(reduced.graph.adjacency[c][0]) == 2
+                        reduced.degree(reduced.adjacency[c][0]) == 2
                         for c in reduced.leaf_set)
                     assert first_tests == bool(rebuilt)
                     rebuilt.clear()
@@ -173,6 +173,30 @@ class TestCheckTree:
             "tree_code", "source", "n", "l", "s", "diam", "family_F", "k",
             "violations",
         }
+
+
+    @pytest.mark.parametrize("k_list", [(1,), (2,), (2, 3), (3, 1)])
+    def test_k1_statements_run_whatever_the_k_list(self, monkeypatch, k_list):
+        # P6 is in F: with recognize_F blinded, both (n+l)/4-type equalities
+        # lose their membership, and a do-nothing support normalization
+        # keeps P6's degree-2 supports, whether or not 1 is in the k list
+        normalized = []
+
+        def recording(t, sol):
+            normalized.append(sol.k)
+            return sol
+
+        monkeypatch.setattr(stariso.sweep, "recognize_F", lambda t: None)
+        monkeypatch.setattr(stariso.sweep, "normalize_no_deg2_support", recording)
+        cfg = SweepConfig(max_n=6, k_list=k_list, checks=("f-equality", "normalizers"))
+        rec = check_tree(path_tree(6), cfg)
+        assert rec.violations == [
+            "(n+l)/4 equality is True but family membership is False",
+            "(n-l+2s)/4 equality is True but twin-leaf reduction membership is False",
+            "support normalization left a degree-2 support",
+        ]
+        assert normalized == [1]
+        assert sorted(rec.per_k) == sorted(k_list)
 
 
 class TestDpCalls:
@@ -732,6 +756,28 @@ class TestShares:
         monkeypatch.setattr(stariso.sweep, "_worker", crashing)
         with pytest.raises(RuntimeError, match="worker crashed"):
             list(sweep_lines(SweepConfig(max_n=9, k_list=(1,), checks=("bounds",), jobs=jobs)))
+        assert list(tmpdir.iterdir()) == []
+
+    def test_a_failing_share_stops_the_other_shares(self, monkeypatch, tmpdir, tmp_path):
+        # the share that claims order 12's first tree fails on it; the
+        # other share stops at its next claim instead of checking the rest
+        real = stariso.sweep._worker
+        first = next(free_tree_levels(12))
+        checked = tmp_path / "checked"
+        checked.touch()
+
+        def failing(config, levels):
+            if levels == first:
+                raise RuntimeError("worker crashed")
+            if len(levels) == 12:
+                with open(checked, "ab") as log:
+                    log.write(b".")
+            return real(config, levels)
+
+        monkeypatch.setattr(stariso.sweep, "_worker", failing)
+        with pytest.raises(RuntimeError, match="worker crashed"):
+            list(sweep_lines(SweepConfig(max_n=12, k_list=(1,), checks=("bounds",), jobs=2)))
+        assert checked.stat().st_size < FREE_TREE_COUNTS[11] // 10
         assert list(tmpdir.iterdir()) == []
 
     def test_closing_early_cancels_the_shares_not_started(self, monkeypatch, tmpdir, tmp_path):
