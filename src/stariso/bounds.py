@@ -13,7 +13,7 @@ forms read only the bound key of (t, k), ``bound_key(t, k)``: n, l, s, k,
 whether the tree is a star and whether it is the k-star.
 ``bound_report(key, iota)`` evaluates them from the key alone and
 ``row_violations(key, iota)`` checks the regime row from it;
-``evaluate_bounds`` and ``regime_table_violations`` apply them to a tree.
+``evaluate_bounds`` applies the closed forms to a tree.
 A caller that meets the same key many times may cache on it, as the
 sweep does.
 """
@@ -179,12 +179,6 @@ def bound_report(key: BoundKey, iota: int) -> BoundReport:
         bounds=bounds, not_applicable=na,
         equality={name: value == iota for name, value in bounds.items()}, notes=notes,
     )
-
-
-def regime_table_violations(t: Tree, k: int, iota: int) -> list[str]:
-    """Check the active piecewise-table row for (t, k) exactly:
-    ``row_violations`` of the tree's bound key."""
-    return row_violations(bound_key(t, k), iota)
 
 
 def row_violations(key: BoundKey, iota: int) -> list[str]:

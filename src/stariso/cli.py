@@ -81,13 +81,12 @@ class Command:
         self.callback = callback
         self.options = options
 
-    def add_parser(self, subparsers, with_options: bool = True) -> argparse.ArgumentParser:
+    def add_parser(self, subparsers) -> argparse.ArgumentParser:
         doc = self.callback.__doc__
         parser = _new_parser(partial(subparsers.add_parser, self.name),
                              help=doc, description=doc)
-        if with_options:
-            for flags, kwargs in self.options:
-                parser.add_argument(*flags, **kwargs)
+        for flags, kwargs in self.options:
+            parser.add_argument(*flags, **kwargs)
         return parser
 
 
@@ -105,16 +104,12 @@ class Group:
             return command
         return register
 
-    def parser(self, argv: list[str]) -> argparse.ArgumentParser:
-        """The parser for argv: every subcommand with its help, and the
-        options of the one that argv names."""
+    def parser(self) -> argparse.ArgumentParser:
+        """The parser of every subcommand, with its help and options."""
         parser = _new_parser(_Parser, prog="stariso", description=self.doc)
         subparsers = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
-        # the group's only option is --help, so the command is argv's first
-        # argument that is not an option
-        named = next((arg for arg in argv if not arg.startswith("-")), None)
         for command in self.commands.values():
-            command.add_parser(subparsers, with_options=command.name == named)
+            command.add_parser(subparsers)
         return parser
 
 
@@ -412,7 +407,7 @@ def main(argv: list[str] | None = None) -> int:
         argv = sys.argv[1:]
     try:
         try:
-            args = vars(cli.parser(argv).parse_args(argv))
+            args = vars(cli.parser().parse_args(argv))
         except SystemExit:  # only --help exits: _Parser.error raises CliError
             return 0
         command = cli.commands[args.pop("command")]

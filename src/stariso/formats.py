@@ -7,6 +7,9 @@ after a ``#`` is a comment; blank lines are skipped.
 
 from __future__ import annotations
 
+import re
+from math import isqrt
+
 from .graphs import Graph, GraphError, build_graph, gc_paused
 
 
@@ -58,41 +61,44 @@ def format_edgelist(g: Graph) -> str:
 
 
 def parse_graph6(text: str) -> Graph:
-    """Decode one graph6 string (standard printable-ASCII encoding)."""
+    """Decode one graph6 string (standard printable-ASCII encoding).
+
+    Only the data bytes with a bit set are visited, so time and memory are
+    linear in the input and the edges, not in the n(n-1)/2 bits it codes.
+    """
     s = text.strip()
     if s.startswith(">>graph6<<"):
         s = s[len(">>graph6<<"):]
     if not s:
         raise GraphError("empty graph6 input")
-    data = [ord(c) - 63 for c in s]
-    if any(b < 0 or b > 63 for b in data):
+    if re.search(r"[^?-~]", s):  # graph6 uses chr(63) to chr(126) only
         raise GraphError("graph6: byte out of printable range")
+    data = s.encode("ascii")
 
-    if data[0] < 63:
-        n = data[0]
-        body = data[1:]
-    elif len(data) >= 4 and data[1] < 63:
-        n = (data[1] << 12) | (data[2] << 6) | data[3]
-        body = data[4:]
+    if data[0] < 126:
+        n, start = data[0] - 63, 1
+    elif len(data) >= 4 and data[1] < 126:
+        n, start = (data[1] - 63) << 12 | (data[2] - 63) << 6 | (data[3] - 63), 4
     else:
         raise GraphError("graph6: unsupported long-form order encoding")
 
     need_bits = n * (n - 1) // 2
-    if len(body) != (need_bits + 5) // 6:
+    if len(data) - start != (need_bits + 5) // 6:
         raise GraphError(
-            f"graph6: expected {(need_bits + 5) // 6} data bytes for n={n}, got {len(body)}"
+            f"graph6: expected {(need_bits + 5) // 6} data bytes for n={n}, "
+            f"got {len(data) - start}"
         )
-    bits = []
-    for b in body:
-        for shift in range(5, -1, -1):
-            bits.append(b >> shift & 1)
+    # bit p, in column order, is the pair (u, v) with p = v(v-1)/2 + u
+    # and u < v; the bits past the last pair pad the last byte.  The
+    # pattern matches a byte with a bit set ("?" codes none).
     edges = []
-    idx = 0
-    for v in range(1, n):
-        for u in range(v):
-            if bits[idx]:
-                edges.append((u, v))
-            idx += 1
+    for byte in re.compile(rb"[^?]").finditer(data, start):
+        i = byte.start()
+        bits = data[i] - 63
+        for p in range(6 * (i - start), min(6 * (i - start + 1), need_bits)):
+            if bits >> (5 - p % 6) & 1:
+                v = (1 + isqrt(8 * p + 1)) // 2
+                edges.append((p - v * (v - 1) // 2, v))
     return build_graph(n, edges)
 
 

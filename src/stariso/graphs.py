@@ -306,17 +306,6 @@ def far_path(t: Tree) -> list[int]:
     return path
 
 
-def _middle(path: list[int]) -> list[int]:
-    """The 1 or 2 middle vertices of a path, sorted."""
-    d = len(path) - 1
-    return sorted(path[d // 2:(d + 1) // 2 + 1])
-
-
-def tree_centers(t: Tree) -> list[int]:
-    """The 1 or 2 centers of a tree: the middle of ``far_path(t)``."""
-    return _middle(far_path(t))
-
-
 def _rooted_code(t: Tree, root: int) -> bytes:
     """AHU parenthesis code of the tree rooted at root (iterative)."""
     order, parent = t.rooted(root)
@@ -346,8 +335,9 @@ def canonical_code(t: Tree) -> bytes:
 def centered_code(t: Tree, path: list[int]) -> bytes:
     """``canonical_code(t)`` from a diametral path of t that the caller
     already holds, such as ``far_path(t)``: every diametral path has the
-    centers in its middle."""
-    return min(_rooted_code(t, c) for c in _middle(path))
+    centers in its middle, one or two vertices."""
+    d = len(path) - 1
+    return min(_rooted_code(t, c) for c in path[d // 2:(d + 1) // 2 + 1])
 
 
 # ---------------------------------------------------------------------------

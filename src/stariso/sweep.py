@@ -10,8 +10,8 @@ The bounds suite and a record's per-k entry read only a few values of
 iota_1, whether the tree has a strong support vertex, whether its max
 degree is at least k, and the two family-membership flags.  Each process
 computes both once per such key, in one ``functools.lru_cache``
-(``_per_k``) bounded at ``CACHE_SIZE`` keys.  The entry is a shared
-read-only mapping that carries its JSON text, which
+(``_per_k``) bounded at ``CACHE_SIZE`` keys.  The entry is its JSON text,
+one ``str`` shared by the records of its key, which
 ``SweepRecord.to_json_line`` splices.
 
 Each order is checked in one share per job, whose task claims the
@@ -136,7 +136,7 @@ class SweepConfig:
             raise ValueError(
                 f"brute-force cross-checks capped at n={BRUTE_FORCE_FREE_N}, got {self.bf_max}"
             )
-        unknown = self.active_checks() - set(CHECK_SUITES)
+        unknown = set(self.checks) - {*CHECK_SUITES, "all"}
         if unknown:
             raise ValueError(f"unknown check suites: {sorted(unknown)}")
         if self.jobs < 1:
@@ -146,35 +146,13 @@ class SweepConfig:
             raise ValueError(f"jobs must be <= {cpus} (the CPU count), got {self.jobs}")
 
 
-class _ReadOnly(dict):
-    """A dict that refuses every change, so that records can share it.
-    Its copies and pickles are plain dicts."""
-
-    __slots__ = ()
-
-    def _refuse(self, *args, **kwargs):
-        raise TypeError("a sweep record's per-k entry is read-only")
-
-    __setitem__ = __delitem__ = __ior__ = _refuse
-    clear = pop = popitem = setdefault = update = _refuse
-
-    def __reduce__(self):
-        return dict, (dict(self),)
-
-
-class _Entry(_ReadOnly):
-    """A per-k entry of a ``SweepRecord``, with its JSON text."""
-
-    __slots__ = ("json",)
-
-
 @dataclass
 class SweepRecord:
-    """One tree's checks.  ``per_k`` maps each k to an entry with
-    ``iota``, ``regime``, ``bounds``, ``equality`` and, where computed,
-    ``tk_member`` and ``corona_char_member``.  ``check_tree`` takes each
-    entry from the sweep's cache, read-only and shared by the records of
-    one cache key; a caller may put a plain dict in its place."""
+    """One tree's checks.  ``per_k`` maps each k to the JSON text of an
+    object with ``iota``, ``regime``, ``bounds``, ``equality`` and, where
+    computed, ``tk_member`` and ``corona_char_member``.  ``check_tree``
+    takes each text from the sweep's cache, shared by the records of one
+    cache key."""
 
     tree_code: str
     source: str  # enumerated | generated
@@ -183,16 +161,15 @@ class SweepRecord:
     s: int
     diam: int
     family_F: bool
-    per_k: dict[int, dict]
+    per_k: dict[int, str]
     violations: list[str] = field(default_factory=list)
 
     def to_json_line(self) -> str:
         """``json.dumps`` of the record with sorted keys, the k keys as
-        strings, for fields of their declared types: each shared per-k
-        entry's stored text is spliced in, any other entry is encoded."""
-        per_k = ", ".join(
-            f'"{k}": {v.json if type(v) is _Entry else json.dumps(v, sort_keys=True)}'
-            for k, v in sorted(self.per_k.items(), key=lambda item: str(item[0])))
+        strings and each per-k text spliced in, for fields of their
+        declared types."""
+        per_k = ", ".join(f'"{k}": {text}' for k, text in
+                          sorted(self.per_k.items(), key=lambda item: str(item[0])))
         return (f'{{"diam": {self.diam}, "family_F": {"true" if self.family_F else "false"}, '
                 f'"k": {{{per_k}}}, "l": {self.l}, "n": {self.n}, "s": {self.s}, '
                 f'"source": {json_string(self.source)}, '
@@ -274,25 +251,26 @@ def _bounds_suite(report: BoundReport, key: BoundKey, iota1: int, strong: bool,
 
 @lru_cache(maxsize=CACHE_SIZE)
 def _per_k(key: BoundKey, iota: int, iota1: int, strong: bool, wide: bool,
-           tk_member: bool | None, corona_member: bool | None) -> tuple[_Entry, tuple[str, ...]]:
-    """A record's entry at one k and the bounds suite's violations there,
-    from the values they read (``_bounds_suite``'s and the membership
-    flags).  The entry leaves out each flag that is None; it is read-only,
-    its mappings too, and carries its JSON text."""
+           tk_member: bool | None, corona_member: bool | None
+           ) -> tuple[str, frozenset[str], tuple[str, ...]]:
+    """A record's entry at one k as its JSON text, the names of the bounds
+    iota attains there and the bounds suite's violations, from the values
+    they read (``_bounds_suite``'s and the membership flags).  The entry
+    leaves out each flag that is None."""
     report = bound_report(key, iota)
     entry = {
         "iota": iota,
         "regime": report.regime,
-        "bounds": _ReadOnly(report.to_json_dict()["bounds"]),
-        "equality": _ReadOnly(report.equality),
+        "bounds": report.to_json_dict()["bounds"],
+        "equality": report.equality,
     }
     if tk_member is not None:
         entry["tk_member"] = tk_member
     if corona_member is not None:
         entry["corona_char_member"] = corona_member
-    frozen = _Entry(entry)
-    frozen.json = json.dumps(entry, sort_keys=True)
-    return frozen, _bounds_suite(report, key, iota1, strong, wide)
+    equal = frozenset(name for name, eq in report.equality.items() if eq)
+    violations = _bounds_suite(report, key, iota1, strong, wide)
+    return json.dumps(entry, sort_keys=True), equal, violations
 
 
 def check_tree(t: Tree, config: SweepConfig, source: str = "enumerated") -> SweepRecord:
@@ -303,7 +281,8 @@ def check_tree(t: Tree, config: SweepConfig, source: str = "enumerated") -> Swee
     far = far_path(t)
     diam = len(far) - 1
     violations: list[str] = []
-    per_k: dict[int, dict] = {}
+    per_k: dict[int, str] = {}
+    equal1 = None  # the bounds attained at k = 1, where 1 is in the k list
 
     # one DP solution per k, shared by the bound checks, the oracle's
     # witness check and the normalizers
@@ -320,12 +299,13 @@ def check_tree(t: Tree, config: SweepConfig, source: str = "enumerated") -> Swee
         iota = sol.size
         tk_cert = recognize_Tk(t, k) if k >= 2 else None
         corona_cert = corona_certificate(t, corona, k) if corona_check else None
-        entry, bound_violations = _per_k(
+        text, equal, bound_violations = _per_k(
             bound_key(t, k), iota, iota1, strong, t.max_degree >= k,
             tk_cert is not None if k >= 2 else None,
             corona_cert is not None if corona_check else None,
         )
-        equality = entry["equality"]
+        if k == 1:
+            equal1 = equal
 
         if "oracle" in checks and n <= config.bf_max:
             bf = iota_bruteforce(t, k)
@@ -344,7 +324,7 @@ def check_tree(t: Tree, config: SweepConfig, source: str = "enumerated") -> Swee
             violations.extend(bound_violations)
 
         if "tk-equality" in checks and k >= 2:
-            eq = equality[STAR_BOUND]
+            eq = STAR_BOUND in equal
             member = is_star(t, k) or tk_cert is not None
             if eq != member:
                 violations.append(
@@ -369,7 +349,7 @@ def check_tree(t: Tree, config: SweepConfig, source: str = "enumerated") -> Swee
 
         if corona_check:
             # N/A, so False, on stars, where n - l = 1
-            eq = equality.get(ORDER_MINUS_LEAVES, False)
+            eq = ORDER_MINUS_LEAVES in equal
             if k >= 2 and n - l == 2:
                 # double-star core: equality holds exactly when a k-star
                 # exists at all, regardless of the per-support leaf counts
@@ -391,14 +371,15 @@ def check_tree(t: Tree, config: SweepConfig, source: str = "enumerated") -> Swee
             if norm.set & t.leaf_set:
                 violations.append(f"k={k}: leaf normalization left a leaf")
 
-        per_k[k] = entry
+        per_k[k] = text
 
     # the k = 1 statements run once per tree, whether or not 1 is in the
     # k list: iota_1 is always solved
     if "f-equality" in checks:
-        entry = per_k[1] if 1 in per_k else _per_k(
-            bound_key(t, 1), iota1, iota1, strong, t.max_degree >= 1, None, None)[0]
-        eq = entry["equality"][ORDER_PLUS_LEAVES]
+        if equal1 is None:
+            equal1 = _per_k(bound_key(t, 1), iota1, iota1, strong, t.max_degree >= 1, None,
+                            None)[1]
+        eq = ORDER_PLUS_LEAVES in equal1
         member = f_cert is not None
         if eq != (member or n == 2):
             violations.append(f"(n+l)/4 equality is {eq} but family membership is {member}")
@@ -414,7 +395,7 @@ def check_tree(t: Tree, config: SweepConfig, source: str = "enumerated") -> Swee
         if strong and n >= 3 and eq:
             violations.append("strong support vertex on an (n+l)/4 equality tree")
         if s >= 2 and n >= 3:
-            eq2 = entry["equality"][SUPPORT_BOUND]
+            eq2 = SUPPORT_BOUND in equal1
             member2 = _twin_leaf_member(t)
             if eq2 != member2:
                 violations.append(

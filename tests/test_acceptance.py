@@ -12,7 +12,7 @@ it is asked for; see the notes shipped alongside the repository.
 import random
 from fractions import Fraction
 
-from stariso.bounds import evaluate_bounds, regime_table_violations
+from stariso.bounds import bound_key, evaluate_bounds, row_violations
 from stariso.families import (
     gen_corona_extremal,
     gen_spider_gap,
@@ -86,7 +86,7 @@ def test_acceptance_2_bound_suite():
                         failures.append(
                             f"n={n} k={k} {name}: iota={report.iota} > {value}"
                         )
-                for violation in regime_table_violations(t, k, report.iota):
+                for violation in row_violations(bound_key(t, k), report.iota):
                     failures.append(f"n={n} k={k}: {violation}")
     _report(2, "bound suite, exact rational", failures)
 

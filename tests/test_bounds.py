@@ -16,9 +16,10 @@ from stariso.bounds import (
     STAR_BOUND,
     SUPPORT_BOUND,
     BoundReport,
+    bound_key,
     evaluate_bounds,
     regime_classify,
-    regime_table_violations,
+    row_violations,
 )
 from stariso.families import gen_corona_extremal, gen_spider_gap
 from stariso.graphs import as_tree, build_graph, enumerate_free_trees, is_any_star, is_star
@@ -144,7 +145,7 @@ class TestSweptInvariants:
                     report = evaluate_bounds(t, k, iota_tree_dp(t, k).size)
                     for name, value in report.bounds.items():
                         assert Fraction(report.iota) <= value, (n, k, name)
-                    assert not regime_table_violations(t, k, report.iota)
+                    assert not row_violations(bound_key(t, k), report.iota)
 
     def test_support_bound_below_leaf_bound(self):
         for n in range(3, 11):
@@ -202,7 +203,7 @@ def fraction_regime(n, l, k):
 
 
 def fraction_table_violations(n, l, k, iota, regime):
-    """regime_table_violations as it was written with Fractions, given the
+    """row_violations as it was written with Fractions, given the
     regime: the reference for the message texts."""
     io = Fraction(iota)
     plus4 = Fraction(n + l, 4)
@@ -278,7 +279,7 @@ class TestIntegerComparisons:
                 for n in range(3, 13):
                     for l in range(n + 1):
                         for iota in range(n + 1):
-                            got = regime_table_violations(FakeTree(n, l), k, iota)
+                            got = row_violations(bound_key(FakeTree(n, l), k), iota)
                             assert got == fraction_table_violations(n, l, k, iota, regime)
                             templates.update(re.sub(r"=[\d/]+", "=#", v) for v in got)
         assert len(templates) == 15  # 2 + 2 + 2 checks at k = 1, 2 + 2 + 1 + 2 + 2 above

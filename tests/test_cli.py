@@ -351,6 +351,17 @@ class TestSweepCommand:
         assert main(["sweep", "--max-n", "7", "--bf-max", "17"]) == 1
         assert main(["sweep", "--max-n", "25"]) == 1
 
+    def test_a_misspelt_suite_beside_all_exits_1(self, monkeypatch, capsys):
+        import stariso.sweep
+
+        def no_sweep(config):
+            raise AssertionError("a bad --checks must stop the sweep before it runs")
+
+        monkeypatch.setattr(stariso.sweep, "run_sweep", no_sweep)
+        assert main(["sweep", "--max-n", "3", "--checks", "all,orcale"]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "Error: unknown check suites: ['orcale']\n")
+
     def test_jobs_above_the_cpu_count_start_no_process(self, monkeypatch, capsys):
         import stariso.sweep
 
@@ -426,16 +437,6 @@ class TestSweepCommand:
         assert f"cannot write {out}: " in capsys.readouterr().err
         assert not out.parent.exists()
 
-    def test_checks_help_lists_every_suite(self):
-        import argparse
-
-        from stariso.cli import sweep
-        from stariso.sweep import CHECK_SUITES
-
-        parser = sweep.add_parser(argparse.ArgumentParser().add_subparsers())
-        (checks,) = [a for a in parser._actions if a.dest == "checks"]
-        assert checks.help == f"Comma list from {', '.join(CHECK_SUITES)} or 'all'."
-
 
 def python_env():
     src = str(Path(stariso.__file__).resolve().parents[1])
@@ -496,15 +497,21 @@ def test_package_rejects_unknown_names():
 COMMANDS = ["solve", "bounds", "verify-set", "recognize", "generate", "sweep"]
 
 
-def test_parser_adds_only_the_named_commands_options():
+def test_parser_adds_every_commands_options():
     from stariso.cli import cli
 
-    parser = cli.parser(["bounds", "--k", "2"])
+    parser = cli.parser()
     (subparsers,) = [a for a in parser._actions if a.dest == "command"]
     options = {name: [a.dest for a in sub._actions] for name, sub in subparsers.choices.items()}
     assert list(options) == COMMANDS
-    assert options.pop("bounds") == ["help", "path", "k", "as_json", "graph6"]
-    assert set(map(tuple, options.values())) == {("help",)}
+    assert options == {
+        "solve": ["help", "path", "k", "witness", "graph6"],
+        "bounds": ["help", "path", "k", "as_json", "graph6"],
+        "verify-set": ["help", "path", "k", "set_text", "graph6"],
+        "recognize": ["help", "family", "path", "k", "graph6"],
+        "generate": ["help", "family", "r", "s", "k", "n", "n0", "h", "seed", "leaf_counts"],
+        "sweep": ["help", "max_n", "k_list", "checks", "output_path", "jobs", "seed", "bf_max"],
+    }
 
 
 class TestUsageErrors:

@@ -5,6 +5,7 @@ import gc
 import hashlib
 import itertools
 import random
+import tracemalloc
 from collections import deque
 
 import networkx as nx
@@ -27,13 +28,13 @@ from stariso.graphs import (
     closed_neighborhood,
     diameter_path,
     enumerate_free_trees,
+    far_path,
     free_tree_levels,
     is_any_star,
     is_star,
     level_edges,
     level_tree,
     prufer_decode,
-    tree_centers,
 )
 from stariso.solver import (
     certificate_failures,
@@ -50,6 +51,13 @@ def path_graph(n):
 
 def star_graph(k):
     return build_graph(k + 1, [(0, i) for i in range(1, k + 1)])
+
+
+def tree_centers(t):
+    """The 1 or 2 centers of a tree, sorted: the middle of ``far_path(t)``."""
+    path = far_path(t)
+    d = len(path) - 1
+    return sorted(path[d // 2:(d + 1) // 2 + 1])
 
 
 @st.composite
@@ -726,3 +734,31 @@ class TestGraph6:
         good = nx.to_graph6_bytes(nx.path_graph(8), header=False).decode("ascii").strip()
         with pytest.raises(GraphError):
             parse_graph6(good[:-1])
+
+    def test_memory_is_linear_in_the_input_not_the_bits(self):
+        # 4,000 vertices code 7,998,000 bits in 1.3 MB: a list of the bits
+        # alone would take about 64 MB
+        n = 4000  # the long form: "~", then n in three 6-bit bytes
+        header = "~" + "".join(chr(63 + (n >> shift & 63)) for shift in (12, 6, 0))
+        text = header + "?" * ((n * (n - 1) // 2 + 5) // 6) + "\n"
+        tracemalloc.start()
+        try:
+            g = parse_graph6(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (g.n, g.edge_count) == (4000, 0)
+        assert peak < 4 * len(text)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 7, 13])
+    def test_each_pair_alone_and_the_padding_bits(self, n):
+        for u, v in itertools.combinations(range(n), 2):
+            gnx = nx.empty_graph(n)
+            gnx.add_edge(u, v)
+            text = nx.to_graph6_bytes(gnx, header=False).decode("ascii")
+            assert list(parse_graph6(text).edges()) == [(u, v)]
+        # the last byte's bits past the last pair are ignored, set or not
+        padding = -(n * (n - 1) // 2) % 6
+        text = nx.to_graph6_bytes(nx.empty_graph(n), header=False).decode("ascii").strip()
+        padded = text[:-1] + chr(ord(text[-1]) + (1 << padding) - 1)
+        assert parse_graph6(padded).edge_count == 0

@@ -25,7 +25,7 @@ from stariso.bounds import (
     bound_key,
     bound_report,
     evaluate_bounds,
-    regime_table_violations,
+    row_violations,
 )
 from stariso.families import gen_corona_extremal, recognize_F
 from stariso.graphs import (
@@ -86,6 +86,13 @@ class TestConfig:
             SweepConfig(max_n=5, k_list=(1,), checks=("bogus",)).validate()
         with pytest.raises(ValueError, match="jobs"):
             SweepConfig(max_n=5, k_list=(1,), jobs=0).validate()
+
+    @pytest.mark.parametrize("checks", [("all", "orcale"), ("orcale", "all"),
+                                        ("bounds", "orcale")])
+    def test_every_unknown_suite_is_named_even_beside_all(self, checks):
+        with pytest.raises(ValueError) as excinfo:
+            SweepConfig(max_n=5, k_list=(1,), checks=checks).validate()
+        assert str(excinfo.value) == "unknown check suites: ['orcale']"
 
     def test_k_bounded_by_the_largest_order(self):
         SweepConfig(max_n=5, k_list=(1, MAX_SWEEP_N)).validate()
@@ -153,16 +160,17 @@ class TestCheckTree:
         rec = check_tree(path_tree(6), cfg)
         assert rec.n == 6 and rec.l == 2 and rec.s == 2 and rec.diam == 5
         assert rec.family_F is True
-        assert rec.per_k[1]["iota"] == 2
-        assert rec.per_k[1]["equality"]["order_plus_leaves"] is True
-        assert rec.per_k[2]["iota"] == 1
-        assert rec.per_k[2]["tk_member"] is False
+        k1, k2 = json.loads(rec.per_k[1]), json.loads(rec.per_k[2])
+        assert k1["iota"] == 2
+        assert k1["equality"]["order_plus_leaves"] is True
+        assert k2["iota"] == 1
+        assert k2["tk_member"] is False
         assert rec.violations == []
 
     def test_eight_path_is_a_hub_family_member(self):
         cfg = SweepConfig(max_n=8, k_list=(2,))
         rec = check_tree(path_tree(8), cfg)
-        assert rec.per_k[2]["tk_member"] is True
+        assert json.loads(rec.per_k[2])["tk_member"] is True
         assert rec.violations == []
 
     def test_json_line_stable_keys(self):
@@ -301,7 +309,7 @@ class TestRecordShape:
                 assert rec.violations == []
                 assert rec.diam == (diameter_path(t).length if n >= 2 else 0)
                 assert rec.tree_code == canonical_code(t).decode("ascii")
-                expected += sum((2 * k + 1) * rec.per_k[k]["iota"] == n + rec.l
+                expected += sum((2 * k + 1) * json.loads(rec.per_k[k])["iota"] == n + rec.l
                                 for k in (2, 3))
         assert 0 < expected == len(calls)
 
@@ -331,9 +339,10 @@ class TestBoundTableReads:
                 rec = check_tree(t, cfg)
                 assert rec.violations == []
                 for k in cfg.k_list:
-                    want = evaluate_bounds(t, k, rec.per_k[k]["iota"]).to_json_dict()
+                    entry = json.loads(rec.per_k[k])
+                    want = evaluate_bounds(t, k, entry["iota"]).to_json_dict()
                     for key in ("regime", "bounds", "equality"):
-                        assert rec.per_k[k][key] == want[key], (n, k, key)
+                        assert entry[key] == want[key], (n, k, key)
 
     @pytest.mark.parametrize("t, k, name, whole, violation", [
         (path_tree(6), 1, ORDER_PLUS_LEAVES, None,
@@ -373,7 +382,7 @@ def reference_bounds_suite(t, k, iota, iota1):
     for name, value in report.bounds.items():
         if iota * value.denominator > value.numerator:
             violations.append(f"k={k}: iota={iota} exceeds {name}={value}")
-    violations.extend(f"k={k}: {v}" for v in regime_table_violations(t, k, iota))
+    violations.extend(f"k={k}: {v}" for v in row_violations(bound_key(t, k), iota))
     if SUPPORT_BOUND in report.bounds:
         sb = report.bounds[SUPPORT_BOUND]
         opl = report.bounds[ORDER_PLUS_LEAVES]
@@ -406,7 +415,7 @@ def reference_json_line(rec):
         "s": rec.s,
         "diam": rec.diam,
         "family_F": rec.family_F,
-        "k": {str(k): v for k, v in sorted(rec.per_k.items())},
+        "k": {str(k): json.loads(text) for k, text in sorted(rec.per_k.items())},
         "violations": rec.violations,
     }
     return json.dumps(payload, sort_keys=True)
@@ -414,8 +423,8 @@ def reference_json_line(rec):
 
 class TestMemos:
     """The sweep's one cache: the bounds suite runs and each per-k entry is
-    built once per key of what they read, and the entries are shared
-    read-only mappings whose stored JSON text the record splices."""
+    built once per key of what they read, and each entry is its JSON text,
+    shared by the records of its key and spliced into their lines."""
 
     def test_memoized_suite_matches_the_tree_reading_reference(self, monkeypatch):
         import stariso.sweep
@@ -430,7 +439,7 @@ class TestMemos:
                 for k in range(1, 5):
                     key = bound_key(t, k)
                     for iota in range(n + 1):
-                        _, got = cache(key, iota, iota1, strong, t.max_degree >= k, None, None)
+                        *_, got = cache(key, iota, iota1, strong, t.max_degree >= k, None, None)
                         want = reference_bounds_suite(t, k, iota, iota1)
                         assert list(got) == want, (n, k, iota)
                         lookups += 1
@@ -444,11 +453,11 @@ class TestMemos:
     def test_a_fresh_entry_is_not_served_another_entrys_verdict(self, fresh_cache):
         key = bound_key(path_tree(6), 1)
         real = _per_k(key, 3, 3, False, True, None, None)
-        assert "k=1: iota=3 exceeds order_plus_leaves=2" in real[1]
+        assert "k=1: iota=3 exceeds order_plus_leaves=2" in real[2]
         edited = key[:2] + (1,) + key[3:]  # s = 1, so no support bound
-        entry, got = _per_k(edited, 3, 3, False, True, None, None)
-        assert got == _bounds_suite(bound_report(edited, 3), edited, 3, False, True) != real[1]
-        assert entry["bounds"][SUPPORT_BOUND] == "N/A: requires s != 1"
+        text, _, got = _per_k(edited, 3, 3, False, True, None, None)
+        assert got == _bounds_suite(bound_report(edited, 3), edited, 3, False, True) != real[2]
+        assert json.loads(text)["bounds"][SUPPORT_BOUND] == "N/A: requires s != 1"
         assert _per_k(key, 3, 3, False, True, None, None) is real
         assert fresh_cache.cache_info().currsize == 2
 
@@ -480,35 +489,22 @@ class TestMemos:
         for n in range(1, 10):
             for t in enumerate_free_trees(n):
                 per_k = check_tree(t, cfg).per_k
-                for k, entry in per_k.items():
-                    key = (bound_key(t, k), entry["iota"], per_k[1]["iota"],
+                iota1 = json.loads(per_k[1])["iota"]
+                for k, text in per_k.items():
+                    entry = json.loads(text)
+                    key = (bound_key(t, k), entry["iota"], iota1,
                            bool(t.strong_support_set), t.max_degree >= k,
                            entry.get("tk_member"), entry.get("corona_char_member"))
-                    assert by_key.setdefault(key, entry) is entry
+                    assert by_key.setdefault(key, text) is text
                     entries += 1
         assert len(by_key) < entries
+        # a str cannot be changed, so no record can alter a shared entry
         entry = check_tree(path_tree(8), cfg).per_k[2]
-        plain = json.loads(json.dumps(entry))
-        changes = [
-            lambda e: e.__setitem__("iota", 0),
-            lambda e: e.__delitem__("iota"),
-            lambda e: e.update(iota=0),
-            lambda e: e.setdefault("note", 0),
-            lambda e: e.pop("iota"),
-            lambda e: e.popitem(),
-            lambda e: e.clear(),
-            lambda e: e.__ior__({"iota": 0}),
-            lambda e: e["bounds"].__setitem__("caro_third", "1/1"),
-            lambda e: e["equality"].update(caro_third=True),
-        ]
-        for change in changes:
-            with pytest.raises(TypeError):
-                change(entry)
-        assert entry == plain and entry["tk_member"] is True
-        for other in (dict(entry), copy.deepcopy(entry), pickle.loads(pickle.dumps(entry))):
-            assert other == plain
-            other["iota"] = 0  # copies are plain dicts
-        assert entry == plain
+        assert type(entry) is str
+        plain = json.loads(entry)
+        assert plain["tk_member"] is True
+        for other in (copy.deepcopy(entry), pickle.loads(pickle.dumps(entry))):
+            assert other == entry and json.loads(other) == plain
 
     def test_json_line_matches_the_reference(self, monkeypatch):
         import stariso.sweep
@@ -530,9 +526,10 @@ class TestMemos:
         rec = check_tree(path_tree(8), cfg, source="generated")
         rec.violations.append('generated "member" not recognized: ℓ > n/3\n')
         assert rec.to_json_line() == reference_json_line(rec)
-        rec.per_k[2] = dict(rec.per_k[2], iota=7)
-        rec.per_k[3] = json.loads(json.dumps(rec.per_k[3]))
-        rec.per_k[3]["bounds"]["caro_third"] = "9/1"
+        rec.per_k[2] = json.dumps(dict(json.loads(rec.per_k[2]), iota=7), sort_keys=True)
+        entry = json.loads(rec.per_k[3])
+        entry["bounds"]["caro_third"] = "9/1"
+        rec.per_k[3] = json.dumps(entry, sort_keys=True)
         line = rec.to_json_line()
         assert line == reference_json_line(rec)
         record = json.loads(line)

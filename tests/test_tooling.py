@@ -1,11 +1,12 @@
 """Every name the benchmark's span tracer (``bench/spans.py``) wraps still
 exists in the package, so deleting or renaming one fails here; no stariso
-module imports another one's private names; and every cache in the
-package is bounded."""
+module imports another one's private names; every cache in the package is
+bounded; and the CLI's copy of the sweep's suite names matches the sweep."""
 
 import ast
 import importlib
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
@@ -133,3 +134,14 @@ def test_the_scan_sees_unbounded_caches(tmp_path):
         "line 12: functools.cache",
         "line 14: lru_cache without a finite maxsize",
     ]
+
+
+def test_sweep_help_names_every_check_suite_in_order(capsys):
+    # cli.py spells the suite names out, so that the sweep stays unloaded
+    from stariso.cli import main
+    from stariso.sweep import CHECK_SUITES
+
+    assert main(["sweep", "--help"]) == 0
+    help_text = " ".join(capsys.readouterr().out.split())
+    (listed,) = re.findall(r"--checks CHECKS Comma list from (.*?) or 'all'\.", help_text)
+    assert listed.split(", ") == list(CHECK_SUITES)
