@@ -12,10 +12,11 @@ The functions here are pure and the module holds no state.  The closed
 forms read only the bound key of (t, k), ``bound_key(t, k)``: n, l, s, k,
 whether the tree is a star and whether it is the k-star.
 ``bound_report(key, iota)`` evaluates them from the key alone and
-``row_violations(key, iota)`` checks the regime row from it;
-``evaluate_bounds`` applies the closed forms to a tree.
+``evaluate_bounds`` applies them to a tree.
 A caller that meets the same key many times may cache on it, as the
-sweep does.
+sweep does.  The sweep checks iota against every applicable bound and
+labels the regime; a regime's row reads only bounds in the report, so it
+asks nothing more.
 """
 
 from __future__ import annotations
@@ -180,62 +181,3 @@ def bound_report(key: BoundKey, iota: int) -> BoundReport:
         equality={name: value == iota for name, value in bounds.items()}, notes=notes,
     )
 
-
-def row_violations(key: BoundKey, iota: int) -> list[str]:
-    """Check the active piecewise-table row for a tree of bound key ``key``
-    with isolation number iota.
-
-    Applies to n >= 3 and non-star trees (stars sit outside the rows that
-    rest on leaf removal).  Returns human-readable violations; empty means
-    the row holds.
-    """
-    n, l, _, k, star_any, _ = key
-    if n < 3 or star_any:
-        return []
-    regime = regime_classify(n, l, k)
-    violations: list[str] = []
-
-    def check(cond: bool, template: str) -> None:
-        # the Fractions are built only to render a failure
-        if not cond:
-            text = template.format(
-                iota=iota,
-                plus4=Fraction(n + l, 4),
-                minus2=Fraction(n - l, 2),
-                third=Fraction(n, 3),
-                star=Fraction(n + l, 2 * k + 1),
-                caro=Fraction(n, k + 2),
-            )
-            violations.append(f"[{regime}] {text}")
-
-    if k == 1:
-        if regime == "ℓ < n/3":
-            check(4 * iota <= n + l, "iota={iota} > (n+l)/4={plus4}")
-            check(3 * (n + l) < 4 * n, "(n+l)/4={plus4} not < n/3={third}")
-        elif regime == "ℓ = n/3":
-            check(n + l == 2 * (n - l) and 3 * (n - l) == 2 * n,
-                  "(n+l)/4={plus4}, (n-l)/2={minus2}, n/3={third} differ")
-            check(3 * iota <= n, "iota={iota} > n/3={third}")
-        else:
-            check(2 * iota <= n - l, "iota={iota} > (n-l)/2={minus2}")
-            check(3 * (n - l) < 2 * n, "(n-l)/2={minus2} not < n/3={third}")
-        return violations
-
-    # star = (n+l)/(2k+1), caro = n/(k+2), minus2 = (n-l)/2
-    star_vs_caro = (k + 2) * (n + l) - (2 * k + 1) * n  # sign of star - caro
-    minus2_vs_caro = (k + 2) * (n - l) - 2 * n          # sign of minus2 - caro
-    if regime == "ℓ < (k-1)n/(k+2)":
-        check((2 * k + 1) * iota <= n + l, "iota={iota} > (n+l)/(2k+1)={star}")
-        check(star_vs_caro < 0, "(n+l)/(2k+1)={star} not < n/(k+2)={caro}")
-    elif regime == "ℓ = (k-1)n/(k+2)":
-        check(star_vs_caro == 0, "(n+l)/(2k+1)={star} != n/(k+2)={caro}")
-        check((2 * k + 1) * iota <= n + l, "iota={iota} > (n+l)/(2k+1)={star}")
-    elif regime == "(k-1)n/(k+2) < ℓ < kn/(k+2)":
-        check((k + 2) * iota <= n, "iota={iota} > n/(k+2)={caro}")
-    elif regime == "ℓ = kn/(k+2)":
-        check(minus2_vs_caro == 0, "(n-l)/2={minus2} != n/(k+2)={caro}")
-        check(2 * iota <= n - l, "iota={iota} > (n-l)/2={minus2}")
-    else:
-        check(2 * iota <= n - l, "iota={iota} > (n-l)/2={minus2}")
-        check(minus2_vs_caro < 0, "(n-l)/2={minus2} not < n/(k+2)={caro}")
-    return violations

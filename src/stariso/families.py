@@ -163,15 +163,9 @@ class FCertificate:
         if seen4 != X | Y:
             v.append("4-path copies do not partition X u Y")
 
-        # X u Y induces a forest whose components have order divisible by 4
-        xy = X | Y
-        edge_count = sum(
-            1 for u in xy for w in t.adjacency[u] if w in xy and u < w
-        )
-        comps = _components(set(xy), t) if xy else []
-        if len(xy) - edge_count != len(comps):
-            v.append("X u Y does not induce a forest")
-        for comp in comps:
+        # X u Y induces a forest (t is a tree) whose components have order
+        # divisible by 4
+        for comp in _components(set(X | Y), t):
             if len(comp) % 4 != 0:
                 v.append(f"X u Y component of order {len(comp)} not divisible by 4")
         return v
@@ -189,7 +183,12 @@ class FCertificate:
 
 
 def _f_layout(r: int, s: int) -> tuple[list[tuple[int, int]], FCertificate]:
-    """Copy-internal edges and the part labeling for r 3-paths + s 4-paths."""
+    """Copy-internal edges and the part labeling for r >= 2 3-paths and
+    s >= 0 4-paths."""
+    if r < 2:
+        raise FamilyError(f"need r >= 2 copies of the 3-path, got {r}")
+    if s < 0:
+        raise FamilyError(f"need s >= 0 copies of the 4-path, got {s}")
     edges = []
     p3 = []
     for i in range(r):
@@ -225,10 +224,6 @@ def gen_family_F(
     between the A vertices; a custom wiring is any edge list inside A u X
     that forms a tree and leaves no A u X vertex of degree 1.
     """
-    if r < 2:
-        raise FamilyError(f"need r >= 2 copies of the 3-path, got {r}")
-    if s < 0:
-        raise FamilyError(f"need s >= 0 copies of the 4-path, got {s}")
     base_edges, cert = _f_layout(r, s)
     a_ids = sorted(cert.a_set)
     if wiring == "default":
@@ -334,17 +329,17 @@ def min_iso_set_F(t: Tree, cert: FCertificate, root: int) -> IsolationSolution:
 
 
 def _random_tree_edges(rng: random.Random, labels: list[int]) -> list[tuple[int, int]]:
-    """A uniformly random labeled tree on the given vertex labels."""
+    """A uniformly random labeled tree on the given (at least 2) vertex
+    labels."""
     m = len(labels)
-    if m == 1:
-        return []
     seq = [rng.randrange(m) for _ in range(m - 2)]
     t = prufer_decode(seq)
     return [(labels[u], labels[v]) for u, v in t.edges()]
 
 
 def sample_family_F(rng: random.Random, r: int, s: int) -> tuple[Tree, FCertificate]:
-    """A random valid wiring for the given copy counts (adversarial tests)."""
+    """A random valid wiring for the given copy counts (adversarial tests);
+    r < 2 and s < 0 are rejected before any draw."""
     base_edges, cert = _f_layout(r, s)
     a_ids = sorted(cert.a_set)
     rng.shuffle(a_ids)
@@ -440,7 +435,7 @@ class TkCertificate:
         core_edges = sum(
             1 for u in core for w in t.adjacency[u] if w in core and u < w
         )
-        if core_edges != len(core) - 1 or len(_components(set(core), t)) != 1:
+        if core_edges != len(core) - 1:  # in a tree, |core| - 1 edges: one component
             v.append("A u B u C does not induce a tree")
         h, n0 = self.h, self.n0
         if len(C) != n0 - (h - 1):
@@ -909,14 +904,12 @@ def corona_shape(g: Graph) -> tuple[CoronaCertificate, int] | None:
         inner = [u for u in core_vertices if core_degree[u] > 1]
         if len(inner) != len(core_leaves):
             return None
-        partner = {}
+        partner = {}  # one-to-one: a core leaf has one core neighbor
         for u in inner:
             pendants = [w for w in adjacency[u] if w in core_leaves]
             if len(pendants) != 1:
                 return None
             partner[u] = pendants[0]
-        if len(set(partner.values())) != len(core_leaves):
-            return None
         pairs = sorted(partner.items())
     assignment = {u: attached[u] for u in core_vertices if attached[u] > 0}
     cert = CoronaCertificate("corona_with_leaves", tuple(pairs), assignment)

@@ -12,6 +12,10 @@ from math import isqrt
 
 from .graphs import Graph, GraphError, build_graph, gc_paused
 
+#: The most edges a graph6 input may code.  graph6 codes up to six edges a
+#: byte, so without a limit a 33 MB file builds about 2 * 10^8 edges.
+MAX_GRAPH6_EDGES = 10**6
+
 
 def parse_edgelist(text: str) -> Graph:
     """Parse the edge-list text format into a Graph.
@@ -65,6 +69,8 @@ def parse_graph6(text: str) -> Graph:
 
     Only the data bytes with a bit set are visited, so time and memory are
     linear in the input and the edges, not in the n(n-1)/2 bits it codes.
+    The coded edges are counted before any is decoded, and an input that
+    codes more than ``MAX_GRAPH6_EDGES`` is rejected.
     """
     s = text.strip()
     if s.startswith(">>graph6<<"):
@@ -90,9 +96,18 @@ def parse_graph6(text: str) -> Graph:
         )
     # bit p, in column order, is the pair (u, v) with p = v(v-1)/2 + u
     # and u < v; the bits past the last pair pad the last byte.  The
-    # pattern matches a byte with a bit set ("?" codes none).
+    # pattern matches a byte with a bit set ("?" codes none).  Where six
+    # edges a byte could pass the limit, the set bits, less the padding,
+    # are counted first, so an input over the limit decodes no edge.
+    set_byte = re.compile(rb"[^?]")
+    if 6 * (len(data) - start - data.count(63, start)) > MAX_GRAPH6_EDGES:
+        coded = -((data[-1] - 63) & ((1 << -need_bits % 6) - 1)).bit_count()
+        for byte in set_byte.finditer(data, start):
+            coded += (data[byte.start()] - 63).bit_count()
+            if coded > MAX_GRAPH6_EDGES:
+                raise GraphError(f"graph6: more than the limit of {MAX_GRAPH6_EDGES} edges")
     edges = []
-    for byte in re.compile(rb"[^?]").finditer(data, start):
+    for byte in set_byte.finditer(data, start):
         i = byte.start()
         bits = data[i] - 63
         for p in range(6 * (i - start), min(6 * (i - start + 1), need_bits)):

@@ -48,7 +48,6 @@ from .bounds import (
     BoundReport,
     bound_key,
     bound_report,
-    row_violations,
 )
 from .families import (
     corona_certificate,
@@ -229,7 +228,6 @@ def _bounds_suite(report: BoundReport, key: BoundKey, iota1: int, strong: bool,
     violations = [f"k={k}: iota={iota} exceeds {name}={value}"
                   for name, value in report.bounds.items()
                   if iota * value.denominator > value.numerator]
-    violations.extend(f"k={k}: {v}" for v in row_violations(key, iota))
     if SUPPORT_BOUND in report.bounds:
         sb = report.bounds[SUPPORT_BOUND]
         opl = report.bounds[ORDER_PLUS_LEAVES]

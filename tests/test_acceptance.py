@@ -12,7 +12,7 @@ it is asked for; see the notes shipped alongside the repository.
 import random
 from fractions import Fraction
 
-from stariso.bounds import bound_key, evaluate_bounds, row_violations
+from stariso.bounds import evaluate_bounds
 from stariso.families import (
     gen_corona_extremal,
     gen_spider_gap,
@@ -28,6 +28,7 @@ from stariso.graphs import (
     as_tree,
     canonical_code,
     enumerate_free_trees,
+    is_any_star,
     is_star,
 )
 from stariso.solver import (
@@ -38,6 +39,7 @@ from stariso.solver import (
     normalize_no_leaves,
 )
 
+from bound_helpers import fraction_table_violations
 from family_helpers import add_twin_leaves
 
 
@@ -86,7 +88,10 @@ def test_acceptance_2_bound_suite():
                         failures.append(
                             f"n={n} k={k} {name}: iota={report.iota} > {value}"
                         )
-                for violation in row_violations(bound_key(t, k), report.iota):
+                if n < 3 or is_any_star(t):
+                    continue
+                for violation in fraction_table_violations(
+                        n, t.leaf_order, k, report.iota, report.regime):
                     failures.append(f"n={n} k={k}: {violation}")
     _report(2, "bound suite, exact rational", failures)
 

@@ -1,7 +1,6 @@
 """Bound evaluation, regime classification and equality reporting."""
 
 import json
-import re
 from fractions import Fraction
 
 import pytest
@@ -16,14 +15,14 @@ from stariso.bounds import (
     STAR_BOUND,
     SUPPORT_BOUND,
     BoundReport,
-    bound_key,
     evaluate_bounds,
     regime_classify,
-    row_violations,
 )
 from stariso.families import gen_corona_extremal, gen_spider_gap
 from stariso.graphs import as_tree, build_graph, enumerate_free_trees, is_any_star, is_star
 from stariso.solver import iota_tree_dp
+
+from bound_helpers import fraction_table_violations
 
 
 def path_tree(n):
@@ -145,7 +144,9 @@ class TestSweptInvariants:
                     report = evaluate_bounds(t, k, iota_tree_dp(t, k).size)
                     for name, value in report.bounds.items():
                         assert Fraction(report.iota) <= value, (n, k, name)
-                    assert not row_violations(bound_key(t, k), report.iota)
+                    if t.n >= 3 and not is_any_star(t):
+                        assert not fraction_table_violations(
+                            t.n, t.leaf_order, k, report.iota, report.regime), (n, k)
 
     def test_support_bound_below_leaf_bound(self):
         for n in range(3, 11):
@@ -202,55 +203,6 @@ def fraction_regime(n, l, k):
     return "ℓ > kn/(k+2)"
 
 
-def fraction_table_violations(n, l, k, iota, regime):
-    """row_violations as it was written with Fractions, given the
-    regime: the reference for the message texts."""
-    io = Fraction(iota)
-    plus4 = Fraction(n + l, 4)
-    minus2 = Fraction(n - l, 2)
-    violations = []
-
-    def check(cond, text):
-        if not cond:
-            violations.append(f"[{regime}] {text}")
-
-    if k == 1:
-        third = Fraction(n, 3)
-        if regime == "ℓ < n/3":
-            check(io <= plus4, f"iota={iota} > (n+l)/4={plus4}")
-            check(plus4 < third, f"(n+l)/4={plus4} not < n/3={third}")
-        elif regime == "ℓ = n/3":
-            check(plus4 == minus2 == third, f"(n+l)/4={plus4}, (n-l)/2={minus2}, n/3={third} differ")
-            check(io <= third, f"iota={iota} > n/3={third}")
-        else:
-            check(io <= minus2, f"iota={iota} > (n-l)/2={minus2}")
-            check(minus2 < third, f"(n-l)/2={minus2} not < n/3={third}")
-        return violations
-
-    star = Fraction(n + l, 2 * k + 1)
-    caro = Fraction(n, k + 2)
-    if regime == "ℓ < (k-1)n/(k+2)":
-        check(io <= star, f"iota={iota} > (n+l)/(2k+1)={star}")
-        check(star < caro, f"(n+l)/(2k+1)={star} not < n/(k+2)={caro}")
-    elif regime == "ℓ = (k-1)n/(k+2)":
-        check(star == caro, f"(n+l)/(2k+1)={star} != n/(k+2)={caro}")
-        check(io <= star, f"iota={iota} > (n+l)/(2k+1)={star}")
-    elif regime == "(k-1)n/(k+2) < ℓ < kn/(k+2)":
-        check(io <= caro, f"iota={iota} > n/(k+2)={caro}")
-    elif regime == "ℓ = kn/(k+2)":
-        check(minus2 == caro, f"(n-l)/2={minus2} != n/(k+2)={caro}")
-        check(io <= minus2, f"iota={iota} > (n-l)/2={minus2}")
-    else:
-        check(io <= minus2, f"iota={iota} > (n-l)/2={minus2}")
-        check(minus2 < caro, f"(n-l)/2={minus2} not < n/(k+2)={caro}")
-    return violations
-
-
-REGIMES_K1 = ("ℓ < n/3", "ℓ = n/3", "ℓ > n/3")
-REGIMES_K2 = ("ℓ < (k-1)n/(k+2)", "ℓ = (k-1)n/(k+2)", "(k-1)n/(k+2) < ℓ < kn/(k+2)",
-              "ℓ = kn/(k+2)", "ℓ > kn/(k+2)")
-
-
 class TestIntegerComparisons:
     """The integer cross-multiplications agree with the Fraction reference."""
 
@@ -267,22 +219,6 @@ class TestIntegerComparisons:
                         assert report.equality == {
                             name: Fraction(iota) == value for name, value in report.bounds.items()
                         }, (n, l, k, iota)
-
-    def test_table_messages_match_fractions(self, monkeypatch):
-        # every regime label forced onto every (n, l) fires every failure branch
-        import stariso.bounds
-
-        templates = set()
-        for k in (1, 2, 3):
-            for regime in REGIMES_K1 if k == 1 else REGIMES_K2:
-                monkeypatch.setattr(stariso.bounds, "regime_classify", lambda n, l, k, r=regime: r)
-                for n in range(3, 13):
-                    for l in range(n + 1):
-                        for iota in range(n + 1):
-                            got = row_violations(bound_key(FakeTree(n, l), k), iota)
-                            assert got == fraction_table_violations(n, l, k, iota, regime)
-                            templates.update(re.sub(r"=[\d/]+", "=#", v) for v in got)
-        assert len(templates) == 15  # 2 + 2 + 2 checks at k = 1, 2 + 2 + 1 + 2 + 2 above
 
 
 def fraction_evaluate_bounds(t, k, iota):

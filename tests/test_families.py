@@ -5,11 +5,13 @@ import hashlib
 import itertools
 import json
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from stariso.families import (
+    CoronaCertificate,
     FamilyError,
     FCertificate,
     TkCertificate,
@@ -398,6 +400,18 @@ class NoDraws:
         raise AssertionError(f"rng.{name} used")
 
 
+class TestSampleFamilyF:
+    @pytest.mark.parametrize("r, s, message", [
+        (0, 0, "need r >= 2 copies of the 3-path, got 0"),
+        (0, 2, "need r >= 2 copies of the 3-path, got 0"),
+        (1, 1, "need r >= 2 copies of the 3-path, got 1"),
+        (2, -1, "need s >= 0 copies of the 4-path, got -1"),
+    ])
+    def test_bad_parameters_rejected_before_any_draw(self, r, s, message):
+        with pytest.raises(FamilyError, match=f"^{message}$"):
+            sample_family_F(NoDraws(), r, s)
+
+
 class TestSampleFamilyTk:
     def test_every_seed_gives_a_member(self):
         for seed in range(10):
@@ -540,6 +554,147 @@ class TestTkCertificateValidate:
         assert "C vertices 5, 6 at distance 4 < 5" in violations
         # hub 7 is at distance 5 from both others
         assert not any("C vertices" in v and "7" in v for v in violations)
+
+
+# ---------------------------------------------------------------------------
+# Certificate corruptions: each row starts from a generated member and its
+# certificate, changes one thing, and names a clause ``validate`` must report
+# ---------------------------------------------------------------------------
+
+def moved(v, src, dst):
+    """Move vertex v from one part of the certificate to another."""
+    return lambda g, cert: (g, replace(cert, **{src: getattr(cert, src) - {v},
+                                                 dst: getattr(cert, dst) | {v}}))
+
+
+def swapped(p, q):
+    """Exchange two parts of the certificate."""
+    return lambda g, cert: (g, replace(cert, **{p: getattr(cert, q), q: getattr(cert, p)}))
+
+
+def field(**values):
+    """Overwrite certificate fields."""
+    return lambda g, cert: (g, replace(cert, **values))
+
+
+def rewired(drop, add):
+    """The same certificate against the graph with edge ``drop`` (if any)
+    replaced by edge ``add``."""
+    def change(g, cert):
+        graph = build_graph(g.n, [e for e in g.edges() if e != drop] + [add])
+        return (as_tree(graph) if isinstance(g, Tree) else graph), cert
+    return change
+
+
+# gen_family_F(3, 2): 2-1-0-9-10-11-12-13-14-15-16, then 16-3-4-5 and 16-6-7-8;
+# A = {0, 3, 6}, B = {1, 4, 7}, C = {2, 5, 8}, X = {9, 12, 13, 16}, Y = {10, 11, 14, 15}
+F_CORRUPTIONS = [
+    (field(a_set=frozenset({3, 6})), "parts do not partition the vertex set"),
+    (swapped("b_set", "c_set"), "C is not exactly the leaf set"),
+    (swapped("a_set", "b_set"), "B is not exactly the support set"),
+    (rewired((0, 9), (1, 9)), "support 1 has degree 3 != 2"),
+    (moved(0, "a_set", "b_set"), "support 1 lacks one A-neighbor and one C-neighbor"),
+    (moved(16, "x_set", "y_set"), "Y vertex 16 has degree 3 != 2"),
+    (moved(10, "y_set", "x_set"), "Y vertex 11 lacks one X-neighbor and one Y-neighbor"),
+    (moved(10, "y_set", "x_set"), "X vertex 9 has 0 Y-neighbors, want 1"),
+    (rewired((0, 9), (0, 10)), "X vertex 9 has no neighbor in X u A"),
+    (moved(0, "a_set", "b_set"), "X vertex 9 has a neighbor outside Y u X u A"),
+    (field(p4_copies=((12, 10, 11, 13), (9, 14, 15, 16))),
+     "X-X edge (12, 13) inside one 4-path copy"),
+    (moved(2, "c_set", "b_set"), "|A|=3, |B|=4, |C|=2 not all equal"),
+    (field(a_set=frozenset({0}), x_set=frozenset({3, 6, 9, 12, 13, 16})), "|A|=1 < 2"),
+    (moved(10, "y_set", "x_set"), "|X|=5, |Y|=3 must be equal and even"),
+    (moved(0, "a_set", "y_set"), "n=17 != 3|A| + 2|X| >= 6"),
+    (moved(0, "a_set", "y_set"), "(n+l)/4 = 5 != |A| + |X|/2"),
+    (swapped("a_set", "c_set"), "vertex 2 in A u X is a leaf"),
+    (field(p3_copies=((0, 1, 2), (3, 4, 5))), "wrong number of 3-path copies"),
+    (field(p3_copies=((2, 1, 0), (3, 4, 5), (6, 7, 8))), "3-path copy (2,1,0) mislabeled"),
+    (field(p3_copies=((0, 1, 5), (3, 4, 2), (6, 7, 8))), "3-path copy (0,1,5) is not a path"),
+    (field(p3_copies=((0, 1, 2), (0, 1, 2), (6, 7, 8))),
+     "3-path copies do not partition A u B u C"),
+    (field(p4_copies=((9, 10, 11, 12),)), "wrong number of 4-path copies"),
+    (field(p4_copies=((10, 9, 11, 12), (13, 14, 15, 16))), "4-path copy (10,9,11,12) mislabeled"),
+    (field(p4_copies=((9, 11, 10, 12), (13, 14, 15, 16))),
+     "4-path copy (9,11,10,12) is not a path"),
+    (field(p4_copies=((9, 10, 11, 12), (9, 10, 11, 12))),
+     "4-path copies do not partition X u Y"),
+    (moved(0, "a_set", "x_set"), "X u Y component of order 9 not divisible by 4"),
+]
+
+# gen_family_Tk(3, 4, [(0, 1), (2, 3)], [0, 1, 1, 2]): A = {0, 1, 2, 3} in two
+# components, bridge 4 + i on A vertex i, hubs 8 (bridge 4), 9 (bridges 5, 6)
+# and 10 (bridge 7), leaves 11, 12 on 8, 13 on 9, 14, 15 on 10
+TK_CORRUPTIONS = [
+    (field(k=1), "k=1 < 2"),
+    (field(a_set=frozenset({0, 1, 2})), "parts do not partition the vertex set"),
+    (swapped("c_set", "leaf_set"), "L is not exactly the leaf set"),
+    (field(h=1), "A induces 2 components, certificate says h=1"),
+    (moved(1, "a_set", "b_set"), "A component [0] is trivial"),
+    (field(n0=5), "|A|=4, |B|=4, n0=5 inconsistent"),
+    (moved(4, "b_set", "a_set"), "A vertex 0 has 0 B-neighbors, want 1"),
+    (moved(1, "a_set", "c_set"), "A vertex 0 has a neighbor outside A u B"),
+    (moved(9, "c_set", "b_set"), "B vertex 9 has degree 3 != 2"),
+    (moved(8, "c_set", "a_set"), "B vertex 4 lacks one A-neighbor and one C-neighbor"),
+    (field(k=4), "C vertex 8 has degree 3 != k=4"),
+    (moved(11, "leaf_set", "c_set"), "C vertex 11 has no B-neighbor"),
+    (moved(11, "leaf_set", "c_set"), "C vertex 8 has a neighbor outside B u L"),
+    (moved(8, "c_set", "b_set"), "leaf 11 is not attached to C"),
+    (moved(9, "c_set", "leaf_set"), "A u B u C does not induce a tree"),
+    (moved(9, "c_set", "leaf_set"), "|C|=2 != n0-(h-1)=3"),
+    (moved(9, "c_set", "leaf_set"), "|L|=6 != (k-1)n0-k(h-1)=5"),
+    (field(n0=5), "n=16 != (k+2)n0-(k+1)(h-1) >= 2k+4"),
+    (moved(1, "a_set", "c_set"), "C vertices 1, 8 at distance 3 < 5"),
+]
+
+# "c4": the 4-cycle 0-1-2-3 with leaf 4 + i on vertex i; "corona": the path
+# 0-1-2 with partner 3 + i on vertex i and leaf 6 + i on partner 3 + i
+CORONA_CORRUPTIONS = [
+    ("c4", field(core_vertices=(0, 1, 2, 2)), 1, "core is not 4 distinct vertices"),
+    ("c4", field(core_vertices=(0, 2, 1, 3)), 1, "missing cycle edge (0, 2)"),
+    ("c4", rewired(None, (0, 2)), 1, "core has a chord"),
+    ("c4", rewired(None, (4, 5)), 1, "a non-core vertex is not a leaf"),
+    ("c4", field(), 2, "cycle vertex 0 has 1 < k=2 leaves"),
+    ("c4", field(leaf_assignment={0: 2, 1: 1, 2: 1, 3: 1}), 1, "leaf assignment wrong at 0"),
+    ("corona", field(kind="corona"), 1, "unknown kind 'corona'"),
+    ("corona", field(core_vertices=((0, 3), (1, 3), (2, 5))), 1, "corona pairs are not disjoint"),
+    ("corona", rewired(None, (6, 7)), 1, "a non-core vertex is not a leaf"),
+    ("corona", field(core_vertices=((0, 3), (4, 1), (2, 5))), 1,
+     "the inner corona vertices do not induce a connected graph"),
+    ("corona", field(core_vertices=((0, 4), (1, 3), (2, 5))), 1,
+     "pendant partner edge (0, 4) missing"),
+    ("corona", rewired(None, (3, 4)), 1, "corona leaf 3 has core neighbors besides 0"),
+    ("corona", field(), 2, "corona leaf 3 has 1 < k=2 leaves"),
+    ("corona", field(leaf_assignment={3: 2, 4: 1, 5: 1}), 1, "leaf assignment wrong at 3"),
+]
+
+
+class TestCertificateCorruptions:
+    @pytest.mark.parametrize("change, message", F_CORRUPTIONS)
+    def test_F_clause_fires(self, change, message):
+        t, cert = change(*gen_family_F(3, 2))
+        assert message in cert.validate(t)
+
+    @pytest.mark.parametrize("change, message", TK_CORRUPTIONS)
+    def test_Tk_clause_fires(self, change, message):
+        t, cert = change(*gen_family_Tk(3, 4, [(0, 1), (2, 3)], [0, 1, 1, 2]))
+        assert message in cert.validate(t)
+
+    @pytest.mark.parametrize("kind, change, k, message", CORONA_CORRUPTIONS)
+    def test_corona_clause_fires(self, kind, change, k, message):
+        if kind == "c4":
+            member = gen_char_orderminusleaves("c4", 1, leaf_counts=[1, 1, 1, 1])
+        else:
+            member = gen_char_orderminusleaves("corona", 1, base_edges=[(0, 1), (1, 2)], base_n=3)
+        g, cert = change(*member)
+        assert message in cert.validate(g, k)
+
+    def test_every_clause_has_a_row(self):
+        # one row per v.append line of the three validate methods
+        import inspect
+
+        counts = [inspect.getsource(cls.validate).count("v.append(")
+                  for cls in (FCertificate, TkCertificate, CoronaCertificate)]
+        assert counts == [len(F_CORRUPTIONS), len(TK_CORRUPTIONS), len(CORONA_CORRUPTIONS)]
 
 
 class TestMinIsoSetTk:

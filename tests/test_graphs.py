@@ -750,6 +750,31 @@ class TestGraph6:
         assert (g.n, g.edge_count) == (4000, 0)
         assert peak < 4 * len(text)
 
+    def test_more_edges_than_the_limit_rejected_before_decoding(self):
+        # K_2000 codes 1,999,000 edges in 333 KB: every data byte is "~"
+        n = 2000
+        header = "~" + "".join(chr(63 + (n >> shift & 63)) for shift in (12, 6, 0))
+        text = header + "~" * ((n * (n - 1) // 2 + 5) // 6) + "\n"
+        tracemalloc.start()
+        try:
+            with pytest.raises(GraphError) as excinfo:
+                parse_graph6(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(excinfo.value) == "graph6: more than the limit of 1000000 edges"
+        assert peak < 4 * len(text)
+
+    def test_the_limit_counts_no_padding_bit(self, monkeypatch):
+        # "D~~" is K_5: 10 pair bits and 2 padding bits, all set
+        import stariso.formats
+
+        monkeypatch.setattr(stariso.formats, "MAX_GRAPH6_EDGES", 10)
+        assert parse_graph6("D~~").edge_count == 10
+        monkeypatch.setattr(stariso.formats, "MAX_GRAPH6_EDGES", 9)
+        with pytest.raises(GraphError, match="^graph6: more than the limit of 9 edges$"):
+            parse_graph6("D~~")
+
     @pytest.mark.parametrize("n", [2, 3, 4, 7, 13])
     def test_each_pair_alone_and_the_padding_bits(self, n):
         for u, v in itertools.combinations(range(n), 2):

@@ -25,7 +25,6 @@ from stariso.bounds import (
     bound_key,
     bound_report,
     evaluate_bounds,
-    row_violations,
 )
 from stariso.families import gen_corona_extremal, recognize_F
 from stariso.graphs import (
@@ -382,7 +381,6 @@ def reference_bounds_suite(t, k, iota, iota1):
     for name, value in report.bounds.items():
         if iota * value.denominator > value.numerator:
             violations.append(f"k={k}: iota={iota} exceeds {name}={value}")
-    violations.extend(f"k={k}: {v}" for v in row_violations(bound_key(t, k), iota))
     if SUPPORT_BOUND in report.bounds:
         sb = report.bounds[SUPPORT_BOUND]
         opl = report.bounds[ORDER_PLUS_LEAVES]

@@ -1,7 +1,8 @@
 """Every name the benchmark's span tracer (``bench/spans.py``) wraps still
-exists in the package, so deleting or renaming one fails here; no stariso
-module imports another one's private names; every cache in the package is
-bounded; and the CLI's copy of the sweep's suite names matches the sweep."""
+exists in the package, so deleting or renaming one fails here; so does
+every call README.md names; no stariso module imports another one's
+private names; every cache in the package is bounded; and the CLI's copy
+of the sweep's suite names matches the sweep."""
 
 import ast
 import importlib
@@ -14,6 +15,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 SPANS = ROOT / "bench" / "spans.py"
 PACKAGE = ROOT / "src" / "stariso"
+README = ROOT / "README.md"
 
 
 def load_spans():
@@ -40,6 +42,47 @@ def test_traced_method_resolves(module, cls, name):
 def test_traced_command_resolves(attr, command):
     cli = importlib.import_module("stariso.cli")
     assert cli.cli.commands[command] is getattr(cli, attr)
+
+
+#: Backticked calls in README.md that name no stariso code: a builtin, the
+#: standard library and the pair count n(n-1)/2.
+FOREIGN_CALLS = {"len", "json.loads", "n"}
+
+
+def namespaces():
+    """Each stariso module and each class defined in one, by name."""
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = importlib.import_module("stariso" if path.stem == "__init__" else f"stariso.{path.stem}")
+        found[module.__name__.rpartition(".")[2]] = module
+        found.update((name, value) for name, value in vars(module).items()
+                     if isinstance(value, type) and value.__module__.startswith("stariso"))
+    return found
+
+
+def unresolved_calls(text):
+    """Each backticked call in ``text``, `` `name(`` or `` `owner.name(``,
+    whose name is in no stariso module and no class of one; an owner that
+    is a stariso module or class must hold the name itself."""
+    spaces = namespaces()
+    missing = []
+    for call in re.findall(r"`([A-Za-z_][\w.]*)\(", text):
+        owner, _, name = call.rpartition(".")
+        where = [spaces[owner]] if owner in spaces else spaces.values()
+        if call not in FOREIGN_CALLS and not any(hasattr(space, name) for space in where):
+            missing.append(call)
+    return missing
+
+
+def test_readme_calls_resolve():
+    assert unresolved_calls(README.read_text(encoding="utf-8")) == []
+
+
+def test_the_scan_sees_missing_calls():
+    text = ("`bound_report(key, iota)` and `row_violations(key, iota)`; "
+            "`Tree.rooted(0)`, `Tree.nope()`, `summary.violation_lines(3)`, "
+            "`len(x)`, `json.loads(line)`, `json.dumps(entry)`")
+    assert unresolved_calls(text) == ["row_violations", "Tree.nope", "json.dumps"]
 
 
 def private_imports(path):
