@@ -261,6 +261,17 @@ class TestGenerate:
         assert captured.out == ""
         assert captured.err == f"Error: {message}\n"
 
+    @pytest.mark.parametrize("family, args", [
+        ("corona-c4", ["--k", "0"]),
+        ("corona-corona", ["--k", "0", "--r", "2"]),
+        ("corona-corona", ["--k", "-1", "--r", "2"]),
+    ])
+    def test_corona_kinds_reject_k_below_one(self, capsys, family, args):
+        assert main(["generate", "--family", family, *args]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"Error: need k >= 1, got {args[1]}\n"
+
     def test_corona_kinds_round_trip(self, capsys):
         from stariso.families import recognize_char_orderminusleaves
 

@@ -1,10 +1,14 @@
 """Family generators, recognizers and constructive sets, cross-checked
 against exhaustive-labeling oracles and brute-force optima."""
 
+import ast
 import hashlib
+import inspect
 import itertools
 import json
 import random
+import re
+import textwrap
 from dataclasses import replace
 from fractions import Fraction
 
@@ -535,8 +539,10 @@ class TestRecognizerCertificates:
 
 class TestTkCertificateValidate:
     def test_hub_distance_clause_fires(self):
-        # C1-B1-A-B2-C2: A vertex 0 carries two bridges, so hubs 5 and 6
-        # sit at distance 4; vertex 1 completes the A component
+        # C1-B1-A-B2-C2: A vertex 0 carries two bridges, so hubs 5 and 6 sit
+        # at distance 4; that breaks A vertex 0's one-bridge rule, which is
+        # why hubs of a member are at least 5 apart; vertex 1 completes the
+        # A component
         edges = [(0, 1), (0, 2), (0, 3), (1, 4), (2, 5), (3, 6), (4, 7),
                  (5, 8), (6, 9), (7, 10)]
         t = as_tree(build_graph(11, edges))
@@ -549,11 +555,7 @@ class TestTkCertificateValidate:
             h=1,
             n0=2,
         )
-        violations = cert.validate(t)
-        assert "A vertex 0 has 2 B-neighbors, want 1" in violations
-        assert "C vertices 5, 6 at distance 4 < 5" in violations
-        # hub 7 is at distance 5 from both others
-        assert not any("C vertices" in v and "7" in v for v in violations)
+        assert "A vertex 0 has 2 B-neighbors, want 1" in cert.validate(t)
 
 
 # ---------------------------------------------------------------------------
@@ -591,22 +593,13 @@ def rewired(drop, add):
 F_CORRUPTIONS = [
     (field(a_set=frozenset({3, 6})), "parts do not partition the vertex set"),
     (swapped("b_set", "c_set"), "C is not exactly the leaf set"),
-    (swapped("a_set", "b_set"), "B is not exactly the support set"),
     (rewired((0, 9), (1, 9)), "support 1 has degree 3 != 2"),
     (moved(0, "a_set", "b_set"), "support 1 lacks one A-neighbor and one C-neighbor"),
     (moved(16, "x_set", "y_set"), "Y vertex 16 has degree 3 != 2"),
     (moved(10, "y_set", "x_set"), "Y vertex 11 lacks one X-neighbor and one Y-neighbor"),
     (moved(10, "y_set", "x_set"), "X vertex 9 has 0 Y-neighbors, want 1"),
-    (rewired((0, 9), (0, 10)), "X vertex 9 has no neighbor in X u A"),
     (moved(0, "a_set", "b_set"), "X vertex 9 has a neighbor outside Y u X u A"),
-    (field(p4_copies=((12, 10, 11, 13), (9, 14, 15, 16))),
-     "X-X edge (12, 13) inside one 4-path copy"),
-    (moved(2, "c_set", "b_set"), "|A|=3, |B|=4, |C|=2 not all equal"),
     (field(a_set=frozenset({0}), x_set=frozenset({3, 6, 9, 12, 13, 16})), "|A|=1 < 2"),
-    (moved(10, "y_set", "x_set"), "|X|=5, |Y|=3 must be equal and even"),
-    (moved(0, "a_set", "y_set"), "n=17 != 3|A| + 2|X| >= 6"),
-    (moved(0, "a_set", "y_set"), "(n+l)/4 = 5 != |A| + |X|/2"),
-    (swapped("a_set", "c_set"), "vertex 2 in A u X is a leaf"),
     (field(p3_copies=((0, 1, 2), (3, 4, 5))), "wrong number of 3-path copies"),
     (field(p3_copies=((2, 1, 0), (3, 4, 5), (6, 7, 8))), "3-path copy (2,1,0) mislabeled"),
     (field(p3_copies=((0, 1, 5), (3, 4, 2), (6, 7, 8))), "3-path copy (0,1,5) is not a path"),
@@ -618,7 +611,6 @@ F_CORRUPTIONS = [
      "4-path copy (9,11,10,12) is not a path"),
     (field(p4_copies=((9, 10, 11, 12), (9, 10, 11, 12))),
      "4-path copies do not partition X u Y"),
-    (moved(0, "a_set", "x_set"), "X u Y component of order 9 not divisible by 4"),
 ]
 
 # gen_family_Tk(3, 4, [(0, 1), (2, 3)], [0, 1, 1, 2]): A = {0, 1, 2, 3} in two
@@ -630,14 +622,33 @@ TK_CORRUPTIONS = [
     (swapped("c_set", "leaf_set"), "L is not exactly the leaf set"),
     (field(h=1), "A induces 2 components, certificate says h=1"),
     (moved(1, "a_set", "b_set"), "A component [0] is trivial"),
-    (field(n0=5), "|A|=4, |B|=4, n0=5 inconsistent"),
+    (field(n0=5), "|A|=4, n0=5 inconsistent"),
     (moved(4, "b_set", "a_set"), "A vertex 0 has 0 B-neighbors, want 1"),
     (moved(1, "a_set", "c_set"), "A vertex 0 has a neighbor outside A u B"),
     (moved(9, "c_set", "b_set"), "B vertex 9 has degree 3 != 2"),
     (moved(8, "c_set", "a_set"), "B vertex 4 lacks one A-neighbor and one C-neighbor"),
     (field(k=4), "C vertex 8 has degree 3 != k=4"),
-    (moved(11, "leaf_set", "c_set"), "C vertex 11 has no B-neighbor"),
     (moved(11, "leaf_set", "c_set"), "C vertex 8 has a neighbor outside B u L"),
+]
+
+# Changes that break a consequence of the clauses, not a clause: each row
+# names the consequence (as the clause that once checked it read), and
+# ``validate`` must still reject the change through a defining clause
+F_IMPLIED = [
+    (swapped("a_set", "b_set"), "B is not exactly the support set"),
+    (rewired((0, 9), (0, 10)), "X vertex 9 has no neighbor in X u A"),
+    (field(p4_copies=((12, 10, 11, 13), (9, 14, 15, 16))),
+     "X-X edge (12, 13) inside one 4-path copy"),
+    (moved(2, "c_set", "b_set"), "|A|=3, |B|=4, |C|=2 not all equal"),
+    (moved(10, "y_set", "x_set"), "|X|=5, |Y|=3 must be equal and even"),
+    (moved(0, "a_set", "y_set"), "n=17 != 3|A| + 2|X| >= 6"),
+    (moved(0, "a_set", "y_set"), "(n+l)/4 = 5 != |A| + |X|/2"),
+    (swapped("a_set", "c_set"), "vertex 2 in A u X is a leaf"),
+    (moved(0, "a_set", "x_set"), "X u Y component of order 9 not divisible by 4"),
+]
+
+TK_IMPLIED = [
+    (moved(11, "leaf_set", "c_set"), "C vertex 11 has no B-neighbor"),
     (moved(8, "c_set", "b_set"), "leaf 11 is not attached to C"),
     (moved(9, "c_set", "leaf_set"), "A u B u C does not induce a tree"),
     (moved(9, "c_set", "leaf_set"), "|C|=2 != n0-(h-1)=3"),
@@ -665,19 +676,45 @@ CORONA_CORRUPTIONS = [
     ("corona", rewired(None, (3, 4)), 1, "corona leaf 3 has core neighbors besides 0"),
     ("corona", field(), 2, "corona leaf 3 has 1 < k=2 leaves"),
     ("corona", field(leaf_assignment={3: 2, 4: 1, 5: 1}), 1, "leaf assignment wrong at 3"),
+    ("c4", field(leaf_assignment={0: 1, 1: 1, 2: 1, 3: 1, 5: 7}), 1,
+     "leaf assignment wrong at 5"),
+    ("corona", field(leaf_assignment={}), 1, "leaf assignment wrong at 5"),
+    ("corona", field(leaf_assignment={0: 0, 3: 1, 4: 1, 5: 1}), 1, "leaf assignment wrong at 0"),
 ]
 
 
+def assert_rejected(violations, message, implied):
+    """A clause's row must report its message; an implied row must be
+    rejected by the defining clauses alone."""
+    if any(message == m for _, m in implied):
+        assert violations and message not in violations
+    else:
+        assert message in violations
+
+
+def clause_patterns(cls):
+    """One regular expression per distinct message ``cls.validate`` can
+    report, each formatted field matching any text."""
+    patterns = set()
+    for node in ast.walk(ast.parse(textwrap.dedent(inspect.getsource(cls.validate)))):
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "v.append":
+            (text,) = node.args
+            pieces = text.values if isinstance(text, ast.JoinedStr) else [text]
+            patterns.add("".join(re.escape(p.value) if isinstance(p, ast.Constant) else ".+"
+                                 for p in pieces))
+    return patterns
+
+
 class TestCertificateCorruptions:
-    @pytest.mark.parametrize("change, message", F_CORRUPTIONS)
+    @pytest.mark.parametrize("change, message", F_CORRUPTIONS + F_IMPLIED)
     def test_F_clause_fires(self, change, message):
         t, cert = change(*gen_family_F(3, 2))
-        assert message in cert.validate(t)
+        assert_rejected(cert.validate(t), message, F_IMPLIED)
 
-    @pytest.mark.parametrize("change, message", TK_CORRUPTIONS)
+    @pytest.mark.parametrize("change, message", TK_CORRUPTIONS + TK_IMPLIED)
     def test_Tk_clause_fires(self, change, message):
         t, cert = change(*gen_family_Tk(3, 4, [(0, 1), (2, 3)], [0, 1, 1, 2]))
-        assert message in cert.validate(t)
+        assert_rejected(cert.validate(t), message, TK_IMPLIED)
 
     @pytest.mark.parametrize("kind, change, k, message", CORONA_CORRUPTIONS)
     def test_corona_clause_fires(self, kind, change, k, message):
@@ -689,12 +726,127 @@ class TestCertificateCorruptions:
         assert message in cert.validate(g, k)
 
     def test_every_clause_has_a_row(self):
-        # one row per v.append line of the three validate methods
-        import inspect
+        # each message a validate method can report is some row's message,
+        # and each row's message is exactly one of them
+        tables = [(FCertificate, F_CORRUPTIONS), (TkCertificate, TK_CORRUPTIONS),
+                  (CoronaCertificate, CORONA_CORRUPTIONS)]
+        for cls, rows in tables:
+            messages = sorted(row[-1] for row in rows)
+            hits = {p: [m for m in messages if re.fullmatch(p, m)] for p in clause_patterns(cls)}
+            assert all(hits.values()), cls
+            assert sorted(m for found in hits.values() for m in found) == messages, cls
+        assert [len(clause_patterns(cls)) for cls, _ in tables] == [17, 12, 12]
 
-        counts = [inspect.getsource(cls.validate).count("v.append(")
-                  for cls in (FCertificate, TkCertificate, CoronaCertificate)]
-        assert counts == [len(F_CORRUPTIONS), len(TK_CORRUPTIONS), len(CORONA_CORRUPTIONS)]
+    def test_the_pattern_scan_sees_every_clause(self):
+        class Checked:
+            def validate(self, t):
+                v = []
+                v.append("plain clause")
+                v.append(f"vertex {t} has {len(t)} < k={t} leaves")
+                v.append(f"vertex {t} has {len(t)} < k={t} leaves")
+                return v
+
+        plain, formatted = sorted(clause_patterns(Checked))
+        assert re.fullmatch(plain, "plain clause")
+        assert re.fullmatch(formatted, "vertex 3 has 1 < k=2 leaves")
+        assert not re.fullmatch(formatted, "vertex 3 has 1 < k=2 leaf")
+
+
+# ---------------------------------------------------------------------------
+# Labelings are unique: ``validate`` accepts a member's own labeling and no
+# other, checked against every labeling (T_k) and random edits (F)
+# ---------------------------------------------------------------------------
+
+def tk_labelings(t, k):
+    """Every certificate that labels t's non-leaves A, B or C, with h and
+    n0 read off its A part."""
+    inner = [v for v in range(t.n) if v not in t.leaf_set]
+    for labels in itertools.product("ABC", repeat=len(inner)):
+        a, b, c = (frozenset(v for v, got in zip(inner, labels) if got == want) for want in "ABC")
+        yield TkCertificate(k=k, a_set=a, b_set=b, c_set=c, leaf_set=t.leaf_set,
+                            h=_component_count(t, a), n0=len(a))
+
+
+F_PARTS = ("a_set", "b_set", "c_set", "x_set", "y_set")
+
+
+def f_labeling(cert):
+    """A certificate's parts and copies, each 4-path copy read from its
+    smaller end and the copies in order."""
+    return ([getattr(cert, part) for part in F_PARTS], sorted(cert.p3_copies),
+            sorted(min(q, q[::-1]) for q in cert.p4_copies))
+
+
+def f_edit(rng, t, cert):
+    """One random change of an F certificate: a vertex moved to a part, two
+    parts swapped, or one copy reversed, dropped, doubled, shuffled, given
+    a random vertex or traded a vertex with another copy."""
+    copies = rng.choice(["p3_copies", "p4_copies"])
+    seq = list(getattr(cert, copies))
+    edit = rng.randrange(8)
+    if edit == 0:
+        v = rng.randrange(t.n)
+        src = next(part for part in F_PARTS if v in getattr(cert, part))
+        dst = rng.choice(F_PARTS)
+        cert = replace(cert, **{src: getattr(cert, src) - {v}})
+        return replace(cert, **{dst: getattr(cert, dst) | {v}})
+    if edit == 1:
+        p, q = rng.sample(F_PARTS, 2)
+        return replace(cert, **{p: getattr(cert, q), q: getattr(cert, p)})
+    if not seq:
+        return cert
+    i, j = rng.randrange(len(seq)), rng.randrange(len(seq))
+    if edit == 2:
+        seq[i] = seq[i][::-1]
+    elif edit == 3:
+        del seq[i]
+    elif edit == 4:
+        seq.append(seq[i])
+    elif edit == 5:
+        rng.shuffle(seq)
+    elif edit == 6:
+        slot = rng.randrange(len(seq[i]))
+        seq[i] = seq[i][:slot] + (rng.randrange(t.n),) + seq[i][slot + 1:]
+    else:
+        slot = rng.randrange(len(seq[i]))
+        seq[i], seq[j] = (seq[i][:slot] + seq[j][slot:slot + 1] + seq[i][slot + 1:],
+                          seq[j][:slot] + seq[i][slot:slot + 1] + seq[j][slot + 1:])
+    return replace(cert, **{copies: tuple(seq)})
+
+
+class TestLabelingsAreUnique:
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_only_the_recognized_tk_labeling_of_a_small_tree_is_valid(self, k):
+        trees = [t for n in range(1, 11) for t in enumerate_free_trees(n)
+                 if t.n - t.leaf_order <= 7]
+        labelings = members = 0
+        for t in trees:
+            certs = list(tk_labelings(t, k))
+            got = recognize_Tk(t, k)
+            assert [cert for cert in certs if not cert.validate(t)] == ([] if got is None else [got])
+            labelings += len(certs)
+            members += got is not None
+        assert (len(trees), labelings, members) == (200, 56332, 1)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("n0, forest", [(2, [(0, 1)]), (3, [(0, 1), (1, 2)])])
+    def test_only_the_own_labeling_of_a_small_tk_member_is_valid(self, k, n0, forest):
+        t, cert = gen_family_Tk(k, n0, forest, list(range(n0)))
+        assert t.n - t.leaf_order <= 9
+        assert [c for c in tk_labelings(t, k) if not c.validate(t)] == [cert]
+
+    def test_edited_F_certificates_are_rejected_unless_unchanged(self):
+        rng = random.Random(28)
+        edits = changed = 0
+        for _ in range(60):
+            t, cert = sample_family_F(rng, rng.randint(2, 4), rng.randint(0, 3))
+            for _ in range(50):
+                edited = f_edit(rng, t, cert)
+                same = f_labeling(edited) == f_labeling(cert)
+                assert (not edited.validate(t)) == same, (t.edges(), cert, edited)
+                edits += 1
+                changed += not same
+        assert (edits, changed) == (3000, 1970)
 
 
 class TestMinIsoSetTk:
@@ -724,6 +876,14 @@ class TestMinIsoSetTk:
 
 def leaf_order(g):
     return sum(1 for v in range(g.n) if g.degree(v) == 1)
+
+
+def leafy_four_cycle(counts):
+    """The 4-cycle 0-1-2-3 with counts[i] leaves on vertex i, numbered from
+    4 in turn (``gen_char_orderminusleaves``'s layout, any count)."""
+    edges = [(0, 1), (1, 2), (2, 3), (0, 3)]
+    edges += [(i, 4 + sum(counts[:i]) + j) for i, cnt in enumerate(counts) for j in range(cnt)]
+    return build_graph(4 + sum(counts), edges)
 
 
 class TestCoronaExtremal:
@@ -778,6 +938,15 @@ class TestCharOrderMinusLeaves:
     def test_k_below_one_rejected(self, k):
         with pytest.raises(FamilyError, match=f"need k >= 1, got {k}"):
             recognize_char_orderminusleaves(path_tree(6), k)
+
+    @pytest.mark.parametrize("kind, shape", [
+        ("c4", {"leaf_counts": [0, 0, 0, 0]}),
+        ("corona", {"base_edges": [(0, 1)], "base_n": 2}),
+    ])
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_generator_rejects_k_below_one(self, kind, shape, k):
+        with pytest.raises(FamilyError, match=f"^need k >= 1, got {k}$"):
+            gen_char_orderminusleaves(kind, k, **shape)
 
     def test_five_path_not_recognized(self):
         assert recognize_char_orderminusleaves(path_tree(5), 1) is None
@@ -840,8 +1009,7 @@ class TestCharOrderMinusLeaves:
         graphs += [build_graph(h.number_of_nodes(), list(h.edges()))
                    for h in nx.graph_atlas_g()
                    if 3 <= h.number_of_nodes() <= 6 and nx.is_connected(h)]
-        graphs += [gen_char_orderminusleaves("c4", 0, leaf_counts=list(counts))[0]
-                   for counts in itertools.product(range(4), repeat=4)]
+        graphs += [leafy_four_cycle(counts) for counts in itertools.product(range(4), repeat=4)]
         digest = hashlib.sha256()
         accepted = 0
         for g in graphs:

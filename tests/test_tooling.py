@@ -1,8 +1,9 @@
 """Every name the benchmark's span tracer (``bench/spans.py``) wraps still
 exists in the package, so deleting or renaming one fails here; so does
 every call README.md names; no stariso module imports another one's
-private names; every cache in the package is bounded; and the CLI's copy
-of the sweep's suite names matches the sweep."""
+private names; no module or script imports a name it never reads; every
+cache in the package is bounded; and the CLI's copy of the sweep's suite
+names matches the sweep."""
 
 import ast
 import importlib
@@ -111,6 +112,43 @@ def test_the_scan_sees_private_imports(tmp_path):
                     "from stariso.sweep import _worker\n"
                     "from os import _exit\n")
     assert private_imports(path) == ["bounds: _closed_forms", "stariso.sweep: _worker"]
+
+
+SOURCES = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
+
+
+def unused_imports(path):
+    """``line N: name`` for each name that ``path`` imports and never reads,
+    ``from __future__ import annotations`` aside."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [(node.lineno, alias.asname or alias.name.partition(".")[0])
+                         for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [(node.lineno, alias.asname or alias.name) for alias in node.names]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"line {line}: {name}" for line, name in sorted(imported) if name not in read]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_unused_imports(path):
+    assert unused_imports(path) == []
+
+
+def test_the_scan_sees_unused_imports(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text("from __future__ import annotations\n"
+                    "import importlib.util\n"
+                    "import os, sys as system\n"
+                    "from fractions import Fraction\n"
+                    "from .graphs import Tree, as_tree\n"
+                    "def f(t: Tree) -> int:\n"
+                    "    from json import dumps\n"
+                    "    return importlib.util.find_spec(os.sep)\n")
+    assert unused_imports(path) == [
+        "line 3: system", "line 4: Fraction", "line 5: as_tree", "line 7: dumps"]
 
 
 def unbounded_caches(path):
