@@ -26,11 +26,12 @@ from __future__ import annotations
 import json
 import os
 import random
+import stat
 import tempfile
 from collections import defaultdict
 from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager, nullcontext, suppress
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from heapq import merge
@@ -563,13 +564,32 @@ class SweepSummary:
 
 @contextmanager
 def _all_or_nothing(path: str) -> Iterator[TextIO]:
-    """Write to ``<path>.partial``, opened at once; move it onto ``path``
-    when the block succeeds and delete it when anything raises."""
+    """Write to ``<path>.partial``, opened at once, after refusing a
+    ``path`` that exists and is not a regular file.  When the block
+    succeeds, unlink the older file at ``path`` and rename the new one onto
+    the free name; when anything raises, delete ``<path>.partial`` and
+    leave ``path`` as it was.
+
+    Renaming onto an existing file makes ext4 (default ``auto_da_alloc``)
+    start writing the new file back at once, and the next run must then
+    free its blocks: that rename took 120-144 ms at max-n 12 (1.5 MB) and
+    333-509 ms at max-n 14 (8.2 MB) on a 2-vCPU host.  Unlinking an older
+    output the kernel has not yet written back (a rerun within its default
+    30 s delay) takes under 1 ms; one it has written back costs as much
+    either way.  There is no ``fsync``: the output reaches disk when the
+    kernel writes it back.  Between the unlink and the rename, nothing is
+    at ``path``.
+    """
+    with suppress(FileNotFoundError):
+        if not stat.S_ISREG(os.stat(path).st_mode):
+            raise OSError("exists and is not a regular file")
     tmp = f"{path}.partial"
     fh = open(tmp, "w", encoding="utf-8")
     try:
         with fh:
             yield fh
+        with suppress(FileNotFoundError):
+            os.unlink(path)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -582,9 +602,11 @@ def run_sweep(config: SweepConfig) -> tuple[SweepSummary, int]:
     as ``sweep_lines`` yields it.
 
     The output is opened before any tree is checked, so an unwritable
-    path fails at once.  It is written as ``<path>.partial`` and renamed
-    onto ``path`` only when the sweep completes; a failed run removes it
-    and leaves an older file at ``path`` as it was.
+    path, or one that exists and is not a regular file, fails at once.  It
+    is written as ``<path>.partial``; only when the last line is written is
+    an older file at ``path`` removed and the new one renamed onto the free
+    name (see ``_all_or_nothing`` for why).  A failed run removes the
+    partial file and leaves an older file at ``path`` as it was.
     """
     config.validate()
     summary = SweepSummary()

@@ -448,6 +448,25 @@ class TestSweepCommand:
         assert f"cannot write {out}: " in capsys.readouterr().err
         assert not out.parent.exists()
 
+    @pytest.mark.parametrize("make", [os.mkfifo, os.mkdir], ids=["fifo", "directory"])
+    def test_out_that_is_not_a_regular_file_fails_before_any_work(
+            self, monkeypatch, tmp_path, capsys, make):
+        import stariso.sweep
+
+        def never(*args, **kwargs):
+            raise AssertionError("no tree may be checked")
+
+        monkeypatch.setattr(stariso.sweep, "_worker", never)
+        monkeypatch.setattr(stariso.sweep, "check_tree", never)
+        out = tmp_path / "r.jsonl"
+        make(out)
+        before = out.stat()
+        assert main(["sweep", "--max-n", "4", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.endswith(
+            f"cannot write {out}: exists and is not a regular file\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["r.jsonl"]
+        assert (out.stat().st_ino, out.stat().st_mode) == (before.st_ino, before.st_mode)
+
 
 def python_env():
     src = str(Path(stariso.__file__).resolve().parents[1])

@@ -718,6 +718,51 @@ class TestRunSweep:
         else:
             assert out.read_text() == older
 
+    def test_an_older_output_is_replaced_only_after_the_last_line(self, monkeypatch, tmp_path):
+        # the older --out is unlinked first, so nothing is renamed over an
+        # existing file (ext4 would start writing the new output back)
+        real_worker, real_replace = stariso.sweep._worker, os.replace
+        config = SweepConfig(max_n=7, k_list=(1,), seed=0)
+        lines = "".join(r.line + "\n" for r in sweep_lines(config))
+        out = tmp_path / "r.jsonl"
+        out.write_text("older run\n")
+        checked, renamed = [], []
+
+        def reading(config, levels):
+            assert out.read_text() == "older run\n"
+            checked.append(len(levels))
+            return real_worker(config, levels)
+
+        def checking(src, dst, *args, **kwargs):
+            assert not os.path.lexists(dst)
+            renamed.append((Path(src).name, Path(dst).name))
+            return real_replace(src, dst, *args, **kwargs)
+
+        monkeypatch.setattr(stariso.sweep, "_worker", reading)
+        monkeypatch.setattr(os, "replace", checking)
+        monkeypatch.setattr(os, "rename", checking)
+        run_sweep(replace(config, output_path=str(out)))
+        assert len(checked) == sum(FREE_TREE_COUNTS[:7])
+        assert renamed == [("r.jsonl.partial", "r.jsonl")]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["r.jsonl"]
+        assert out.read_text() == lines
+
+    @pytest.mark.parametrize("make", [os.mkfifo, os.mkdir], ids=["fifo", "directory"])
+    def test_an_out_that_is_not_a_regular_file_fails_before_any_work(
+            self, monkeypatch, tmp_path, make):
+        def never(*args, **kwargs):
+            raise AssertionError("no tree may be checked")
+
+        monkeypatch.setattr(stariso.sweep, "_worker", never)
+        monkeypatch.setattr(stariso.sweep, "check_tree", never)
+        out = tmp_path / "r.jsonl"
+        make(out)
+        before = out.stat()
+        with pytest.raises(OSError, match="exists and is not a regular file"):
+            run_sweep(SweepConfig(max_n=4, k_list=(1,), output_path=str(out)))
+        assert [p.name for p in tmp_path.iterdir()] == ["r.jsonl"]
+        assert (out.stat().st_ino, out.stat().st_mode) == (before.st_ino, before.st_mode)
+
 
 class TestShares:
     """Each order is checked in one share per job, each in its own file

@@ -2,8 +2,8 @@
 exists in the package, so deleting or renaming one fails here; so does
 every call README.md names; no stariso module imports another one's
 private names; no module or script imports a name it never reads; every
-cache in the package is bounded; and the CLI's copy of the sweep's suite
-names matches the sweep."""
+cache in the package is bounded; only the sweep's output is renamed; and
+the CLI's copy of the sweep's suite names matches the sweep."""
 
 import ast
 import importlib
@@ -215,6 +215,54 @@ def test_the_scan_sees_unbounded_caches(tmp_path):
         "line 12: functools.cache",
         "line 14: lru_cache without a finite maxsize",
     ]
+
+
+RENAMES = {"rename", "renames", "replace"}
+
+
+def renames(path):
+    """``function: os.name`` for each call of ``os.rename``, ``os.renames``
+    or ``os.replace`` in ``path``, named by the innermost function around it
+    (``<module>`` outside any), and ``line N: from os import name`` for each
+    import of one, since a call through that name would escape the scan."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ImportFrom) and child.module == "os":
+                found.extend(f"line {child.lineno}: from os import {alias.name}"
+                             for alias in child.names if alias.name in RENAMES)
+            elif (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                  and child.func.attr in RENAMES and getattr(child.func.value, "id", None) == "os"):
+                found.append(f"{where}: os.{child.func.attr}")
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if inner else where)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), "<module>")
+    return found
+
+
+def test_only_the_sweep_output_is_renamed():
+    # a rename onto an existing file makes ext4 start writing the new file
+    # back at once; _all_or_nothing unlinks the older output first
+    found = [f"{path.parent.name}/{path.name}: {call}" for path in SOURCES
+             for call in renames(path)]
+    assert found == ["stariso/sweep.py: _all_or_nothing: os.replace"]
+
+
+def test_the_scan_sees_renames(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text("import os\n"
+                    "from os import replace as swap, unlink\n"
+                    "os.rename('a', 'b')\n"
+                    "def outer():\n"
+                    "    def inner():\n"
+                    "        os.replace('a', 'b')\n"
+                    "    os.renames('a', 'b')\n"
+                    "    'a'.replace('a', 'b')\n"
+                    "    return os.unlink('a')\n")
+    assert renames(path) == ["line 2: from os import replace", "<module>: os.rename",
+                             "inner: os.replace", "outer: os.renames"]
 
 
 def test_sweep_help_names_every_check_suite_in_order(capsys):
