@@ -565,20 +565,19 @@ class SweepSummary:
 @contextmanager
 def _all_or_nothing(path: str) -> Iterator[TextIO]:
     """Write to ``<path>.partial``, opened at once, after refusing a
-    ``path`` that exists and is not a regular file.  When the block
-    succeeds, unlink the older file at ``path`` and rename the new one onto
-    the free name; when anything raises, delete ``<path>.partial`` and
-    leave ``path`` as it was.
+    ``path`` that exists and is not a regular file.  When anything in the
+    block raises, delete ``<path>.partial`` and leave ``path`` as it was.
+    When the block succeeds, unlink the older file at ``path`` and rename
+    the new one onto the free name; should either call fail, the finished
+    output stays at ``<path>.partial``.
 
-    Renaming onto an existing file makes ext4 (default ``auto_da_alloc``)
-    start writing the new file back at once, and the next run must then
-    free its blocks: that rename took 120-144 ms at max-n 12 (1.5 MB) and
-    333-509 ms at max-n 14 (8.2 MB) on a 2-vCPU host.  Unlinking an older
-    output the kernel has not yet written back (a rerun within its default
-    30 s delay) takes under 1 ms; one it has written back costs as much
-    either way.  There is no ``fsync``: the output reaches disk when the
-    kernel writes it back.  Between the unlink and the rename, nothing is
-    at ``path``.
+    Renaming onto an existing file makes ext4 (``auto_da_alloc``) start
+    writing the new file back at once, so that a rerun into the same path
+    would then pay to free its blocks; an older output not yet written back
+    costs almost nothing to unlink.  The price is durability: there is no
+    ``fsync``, so after a machine crash before the kernel writes the new
+    output back, ``path`` may be empty or missing and the older output is
+    gone too.
     """
     with suppress(FileNotFoundError):
         if not stat.S_ISREG(os.stat(path).st_mode):
@@ -588,12 +587,12 @@ def _all_or_nothing(path: str) -> Iterator[TextIO]:
     try:
         with fh:
             yield fh
-        with suppress(FileNotFoundError):
-            os.unlink(path)
-        os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
         raise
+    with suppress(FileNotFoundError):
+        os.unlink(path)
+    os.replace(tmp, path)
 
 
 def run_sweep(config: SweepConfig) -> tuple[SweepSummary, int]:
@@ -605,8 +604,9 @@ def run_sweep(config: SweepConfig) -> tuple[SweepSummary, int]:
     path, or one that exists and is not a regular file, fails at once.  It
     is written as ``<path>.partial``; only when the last line is written is
     an older file at ``path`` removed and the new one renamed onto the free
-    name (see ``_all_or_nothing`` for why).  A failed run removes the
-    partial file and leaves an older file at ``path`` as it was.
+    name (see ``_all_or_nothing`` for why, and for what a machine crash
+    can then lose).  A failed run removes the partial file and leaves an
+    older file at ``path`` as it was.
     """
     config.validate()
     summary = SweepSummary()

@@ -719,8 +719,6 @@ class TestRunSweep:
             assert out.read_text() == older
 
     def test_an_older_output_is_replaced_only_after_the_last_line(self, monkeypatch, tmp_path):
-        # the older --out is unlinked first, so nothing is renamed over an
-        # existing file (ext4 would start writing the new output back)
         real_worker, real_replace = stariso.sweep._worker, os.replace
         config = SweepConfig(max_n=7, k_list=(1,), seed=0)
         lines = "".join(r.line + "\n" for r in sweep_lines(config))
@@ -746,6 +744,21 @@ class TestRunSweep:
         assert renamed == [("r.jsonl.partial", "r.jsonl")]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["r.jsonl"]
         assert out.read_text() == lines
+
+    def test_a_failed_final_rename_keeps_the_finished_output(self, monkeypatch, tmp_path):
+        config = SweepConfig(max_n=6, k_list=(1,), seed=0)
+        lines = "".join(r.line + "\n" for r in sweep_lines(config))
+        out = tmp_path / "r.jsonl"
+        out.write_text("older run\n")
+
+        def failing(src, dst):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(os, "replace", failing)
+        with pytest.raises(KeyboardInterrupt):
+            run_sweep(replace(config, output_path=str(out)))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["r.jsonl.partial"]
+        assert (tmp_path / "r.jsonl.partial").read_text() == lines
 
     @pytest.mark.parametrize("make", [os.mkfifo, os.mkdir], ids=["fifo", "directory"])
     def test_an_out_that_is_not_a_regular_file_fails_before_any_work(

@@ -243,8 +243,8 @@ def renames(path):
 
 
 def test_only_the_sweep_output_is_renamed():
-    # a rename onto an existing file makes ext4 start writing the new file
-    # back at once; _all_or_nothing unlinks the older output first
+    # _all_or_nothing never renames onto an existing file; a second caller
+    # would have to keep that rule too
     found = [f"{path.parent.name}/{path.name}: {call}" for path in SOURCES
              for call in renames(path)]
     assert found == ["stariso/sweep.py: _all_or_nothing: os.replace"]
