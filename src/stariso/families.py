@@ -544,31 +544,20 @@ def recognize_Tk(t: Tree, k: int) -> TkCertificate | None:
 
 
 def min_iso_set_Tk(t: Tree, cert: TkCertificate) -> IsolationSolution:
-    """The constructive minimum k-isolating set grown from one A component.
+    """The constructive minimum k-isolating set: A without, in every
+    component but the first, its vertex nearest the first component.
 
-    Starting from the first component, repeatedly absorb the components
-    reached at distance exactly 4 (through a shared hub), dropping the one
-    contact vertex of each newly absorbed component.  The result has size
-    |A| - (h - 1) = |C|.
+    A tree has one path between two components, so that vertex is the
+    component's unique contact.  The result has size |A| - (h - 1) = |C|.
     """
+    violations = cert.validate(t)
+    if violations:
+        raise FamilyError("; ".join(violations))
     comps = sorted(_components(set(cert.a_set), t), key=min)
-    a_all = set(cert.a_set)
-    comp_of = {}
-    for idx, comp in enumerate(comps):
-        for v in comp:
-            comp_of[v] = idx
-    chosen = set(comps[0])
-    absorbed = set(comps[0])
-    while absorbed != a_all:
-        dist = bfs_distances(t, absorbed)
-        contact = {u for u in a_all - absorbed if dist[u] == 4}
-        if not contact:
-            raise FamilyError("absorption procedure stalled: malformed certificate")
-        fresh = set()
-        for u in contact:
-            fresh |= comps[comp_of[u]]
-        chosen |= fresh - contact
-        absorbed |= fresh
+    dist = bfs_distances(t, comps[0])
+    chosen = set(cert.a_set)
+    for comp in comps[1:]:
+        chosen.remove(min(comp, key=dist.__getitem__))
     return IsolationSolution(cert.k, frozenset(chosen), len(chosen), "family_construction")
 
 

@@ -7,10 +7,11 @@ locally.
 ``iota_tree_dp`` is the rooted dynamic program used everywhere at scale,
 linear in time and memory; it walks the Tree's stored BFS order and
 parent array (``Tree.rooted``) instead of traversing the tree itself.  Its
-bottom-up pass runs each vertex through a finite ``Machine`` whose per-k
-transition table is filled lazily, and ``isolation_number`` runs that
-pass alone, without the witness.  Both ``iota_*`` functions return a
-witness set that re-verifies through ``is_isolating``.
+bottom-up pass runs each vertex through a finite ``Machine``, whose
+accumulator is the DP's partial costs and whose per-k transition table is
+filled lazily, and ``isolation_number`` runs that pass alone, without the
+witness.  Both ``iota_*`` functions return a witness set that re-verifies
+through ``is_isolating``.
 ``isolation_certificate`` is an oracle independent of the DP: a linear
 greedy that returns a k-isolating set (k = 0: a dominating set) together
 with a packing of k-stars, and ``certificate_failures`` proves the set
@@ -154,6 +155,16 @@ _IN, _SAT, _NEED, _FREE_HI, _FREE_LO = range(5)
 _INF = 2  # a pruned state: relative costs that survive are 0 or 1
 
 
+def _free_cost(excess: int, used: int, optional: int, budget: int) -> int:
+    """A FREE state's cost when at most budget children may be FREE_LO:
+    one optional FREE_LO child can go back to SAT for one more."""
+    if used <= budget:
+        return excess
+    if used == budget + 1 and optional:
+        return excess + 1
+    return _INF
+
+
 class Machine(dict):
     """The tree DP at one k as a finite machine over interned state ids.
 
@@ -165,13 +176,13 @@ class Machine(dict):
     instead keeps D isolating (v's parent turns SAT, or stays IN or SAT),
     so an optimum never uses it.  A shape is thus a point of {0, 1, INF}^5.
 
-    An accumulator holds v's sums over the children attached so far,
-    relative to the sum of their bases: ``(sat, has_in, uplift, need, free,
-    must, gains)``, the terms of SAT, NEED and the FREE states, with
-    ``must`` counting the children that have to be FREE_LO and ``gains``
-    those where FREE_LO is one cheaper than SAT.  Each counter saturates
-    where it stops mattering (sat and need above 1, free above k, must
-    above k - 1, gains at k - 1), so the states are finite for each k.
+    An accumulator holds v's partial costs over the children attached so
+    far, relative to the sum of their bases: ``(sat, need, excess, used,
+    optional)``.  The FREE states put a child FREE_LO where SAT costs more,
+    paying ``excess`` for ``used`` such children, ``optional`` set when one
+    of them could be SAT for one more (``_free_cost``).  Costs only grow,
+    so once FREE_HI costs more than 1 the FREE fields collapse to one dead
+    value, and the states are finite: 10k + 4 of them for k >= 2.
     ``attach(acc, shape)`` adds a finished child and ``finish(acc)`` gives
     v's shape and base - B.  States are interned as they first appear; the
     machine itself is attach's table, keyed by ``acc << 8 | shape`` (there
@@ -188,7 +199,7 @@ class Machine(dict):
         # finish(acc), by acc id
         self.finished_shape: list[int] = []
         self.finished_low: list[int] = []
-        self.start = self._intern_acc((0, 0, _INF, 0, 0, 0, 0))
+        self.start = self._intern_acc((_INF, 0, 0, 0, 0))
 
     def attach(self, acc: int, shape: int) -> int:
         return self[acc << 8 | shape]
@@ -197,32 +208,26 @@ class Machine(dict):
         return self.finished_shape[acc], self.finished_low[acc]
 
     def __missing__(self, key: int) -> int:
-        k = self.k
-        sat, has_in, uplift, need, free, must, gains = self.accumulators[key >> 8]
+        sat, need, excess, used, optional = self.accumulators[key >> 8]
         a, b, _, f, lo = self.shapes[key & 255]
         # IN: children IN, SAT or NEED, whose least is the child's base, so
         # IN - B is always 1 and needs no term
-        # SAT: children IN, SAT or FREE_HI, at least one IN (cheapest uplift)
+        # SAT: children IN, SAT or FREE_HI, at least one IN: an earlier
+        # child, or this one on top of NEED
         # NEED: children SAT or FREE_HI; the parent must take v's cover
         m = min(b, f)
-        need += m
-        if a <= m:
-            sat += a
-            has_in = 1
+        sat, need = min(sat + min(a, m), need + a, _INF), min(need + m, _INF)
+        # FREE: children SAT or FREE_LO, FREE_LO where SAT is dearer
+        if lo < b:
+            excess += lo
+            used += 1
+            if b < _INF:
+                optional = 1
         else:
-            sat += m
-            uplift = min(uplift, a - m)
-        # FREE: children SAT or FREE_LO, at most budget of them FREE_LO
-        if b < _INF:
-            free += b
-            gains += lo < b
-        elif lo < _INF:
-            free += lo
-            must += 1
-        else:
-            free = k + 1
-        acc = self[key] = self._intern_acc((min(sat, _INF), has_in, uplift, min(need, _INF),
-                                            min(free, k + 1), min(must, k), min(gains, k - 1)))
+            excess += b
+        if _free_cost(excess, used, optional, self.k - 1) > 1:
+            excess, used, optional = _INF, 0, 0
+        acc = self[key] = self._intern_acc((sat, need, excess, used, optional))
         return acc
 
     def _intern_acc(self, acc: tuple[int, ...]) -> int:
@@ -231,15 +236,8 @@ class Machine(dict):
         if i is None:
             i = self._acc_ids[acc] = len(self.accumulators)
             self.accumulators.append(acc)
-            k = self.k
-            sat, has_in, uplift, need, free, must, gains = acc
-            costs = (
-                1,
-                sat if has_in else sat + uplift,
-                need,
-                free - min(gains, k - 1 - must) if must <= k - 1 else _INF,
-                free - min(gains, k - 2 - must) if must <= k - 2 else _INF,
-            )
+            sat, need, *free = acc
+            costs = (1, sat, need, _free_cost(*free, self.k - 1), _free_cost(*free, self.k - 2))
             low = min(costs[:3])
             shape = tuple(c - low if c <= 1 else _INF for c in costs)
             if shape not in self._shape_ids:

@@ -565,7 +565,8 @@ class SweepSummary:
 @contextmanager
 def _all_or_nothing(path: str) -> Iterator[TextIO]:
     """Write to ``<path>.partial``, opened at once, after refusing a
-    ``path`` that exists and is not a regular file.  When anything in the
+    ``path`` or ``<path>.partial`` that exists and is not a regular file
+    (opening a FIFO would wait for a reader).  When anything in the
     block raises, delete ``<path>.partial`` and leave ``path`` as it was.
     When the block succeeds, unlink the older file at ``path`` and rename
     the new one onto the free name; should either call fail, the finished
@@ -579,10 +580,11 @@ def _all_or_nothing(path: str) -> Iterator[TextIO]:
     output back, ``path`` may be empty or missing and the older output is
     gone too.
     """
-    with suppress(FileNotFoundError):
-        if not stat.S_ISREG(os.stat(path).st_mode):
-            raise OSError("exists and is not a regular file")
     tmp = f"{path}.partial"
+    for name, prefix in ((path, ""), (tmp, f"{tmp} ")):
+        with suppress(FileNotFoundError):
+            if not stat.S_ISREG(os.stat(name).st_mode):
+                raise OSError(f"{prefix}exists and is not a regular file")
     fh = open(tmp, "w", encoding="utf-8")
     try:
         with fh:
@@ -601,12 +603,12 @@ def run_sweep(config: SweepConfig) -> tuple[SweepSummary, int]:
     as ``sweep_lines`` yields it.
 
     The output is opened before any tree is checked, so an unwritable
-    path, or one that exists and is not a regular file, fails at once.  It
-    is written as ``<path>.partial``; only when the last line is written is
-    an older file at ``path`` removed and the new one renamed onto the free
-    name (see ``_all_or_nothing`` for why, and for what a machine crash
-    can then lose).  A failed run removes the partial file and leaves an
-    older file at ``path`` as it was.
+    path, or a path or ``<path>.partial`` that exists and is not a regular
+    file, fails at once.  It is written as ``<path>.partial``; only when
+    the last line is written is an older file at ``path`` removed and the
+    new one renamed onto the free name (see ``_all_or_nothing`` for why,
+    and for what a machine crash can then lose).  A failed run removes the
+    partial file and leaves an older file at ``path`` as it was.
     """
     config.validate()
     summary = SweepSummary()

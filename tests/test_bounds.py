@@ -51,6 +51,8 @@ class TestRegimeClassify:
             regime_classify(4, 5, 1)
         with pytest.raises(ValueError):
             regime_classify(4, 2, 0)
+        with pytest.raises(ValueError, match="leaf order -1 out of range"):
+            regime_classify(5, -1, 1)
 
 
 class TestEvaluateBounds:

@@ -480,6 +480,23 @@ def run_python(*args):
                           text=True)
 
 
+@pytest.mark.parametrize("make", [os.mkfifo, os.mkdir], ids=["fifo", "directory"])
+def test_partial_that_is_not_a_regular_file_fails_at_once(tmp_path, make):
+    # opening a FIFO for writing waits for a reader: the timeout turns a
+    # regression into a failure instead of a hang
+    out = tmp_path / "r.jsonl"
+    partial = tmp_path / "r.jsonl.partial"
+    make(partial)
+    proc = subprocess.run([sys.executable, "-m", "stariso.cli", "sweep", "--max-n", "3",
+                           "--out", str(out)],
+                          env=python_env(), capture_output=True, text=True, timeout=20)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.endswith(
+        f"cannot write {out}: {partial} exists and is not a regular file\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["r.jsonl.partial"]
+    assert not partial.is_file()
+
+
 def test_cli_import_loads_only_what_solve_needs():
     unused = ["stariso.families", "stariso.bounds", "stariso.sweep",
               "multiprocessing", "networkx", "click", "json"]

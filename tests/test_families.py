@@ -869,6 +869,23 @@ class TestMinIsoSetTk:
         assert is_isolating(t, sol.set, 3)
         assert sol.size == iota_tree_dp(t, 3).size
 
+    def test_sampled_members_give_a_minimum_set_inside_a(self):
+        rng = random.Random(31)
+        for _ in range(200):
+            k, h = rng.randint(2, 4), rng.randint(1, 5)
+            t, cert = sample_family_Tk(rng, k, rng.randint(2 * h, 2 * h + 4), h)
+            sol = min_iso_set_Tk(t, cert)
+            assert sol.set <= cert.a_set and sol.size == len(cert.a_set) - (h - 1)
+            assert sol.size == len(cert.c_set) == iota_tree_dp(t, k).size
+            assert is_isolating(t, sol.set, k)
+
+    def test_a_rejected_certificate_raises(self):
+        t, cert = gen_family_Tk(3, 3, [(0, 1), (1, 2)], [0, 1, 2])
+        with pytest.raises(FamilyError, match="A induces 1 components, certificate says h=2"):
+            min_iso_set_Tk(t, replace(cert, h=2))
+        with pytest.raises(FamilyError, match="C vertex"):
+            min_iso_set_Tk(t, replace(cert, k=2))
+
 
 # ---------------------------------------------------------------------------
 # (n - l)/2 graphs

@@ -124,6 +124,18 @@ def test_full_verification_rejects_an_unwritable_out_before_any_work(tmp_path):
     assert proc.stderr.count("\n") == 1
 
 
+def test_full_verification_rejects_a_fifo_partial_before_any_work(tmp_path):
+    out = tmp_path / "results.jsonl"
+    partial = tmp_path / "results.jsonl.partial"
+    os.mkfifo(partial)
+    proc = run_script("full_verification.py", "--out", str(out), timeout=20)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        f"error: cannot write {out}: {partial} exists and is not a regular file\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["results.jsonl.partial"]
+
+
 @pytest.mark.parametrize("flag, value, message", [
     ("--k-list", "1,x", "bad k list '1,x'"),
     ("--k-list", "1,25", "k values must be at most 20: (1, 25)"),

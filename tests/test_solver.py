@@ -308,15 +308,15 @@ class TestMachine:
                 assert isolation_number(t, k) == iota_tree_dp(t, k).size
 
     @pytest.mark.parametrize("k, accumulators, shapes", [
-        (1, 17, 12), (2, 85, 19), (3, 188, 19), (4, 349, 19),
-        (5, 580, 19), (6, 893, 19), (7, 1300, 19),
+        (1, 12, 12), (2, 24, 19), (3, 34, 19), (4, 44, 19),
+        (5, 54, 19), (6, 64, 19), (7, 74, 19),
     ])
     def test_closure_state_counts(self, k, accumulators, shapes):
         # every accumulator finishes as it is interned, so attaching every
         # shape to every accumulator until nothing new appears is the closure
         m = Machine(k)
         assert (m.accumulators[m.start], m.shapes[m.finish(m.start)[0]]) == (
-            (0, 0, 2, 0, 0, 0, 0), (1, 2, 0, 0, 0 if k >= 2 else 2),
+            (2, 0, 0, 0, 0), (1, 2, 0, 0, 0 if k >= 2 else 2),
         )
         while True:
             seen = len(m.accumulators), len(m.shapes)
@@ -416,14 +416,27 @@ class TestIsolationCertificate:
             "stars (0, 1) and (2, 3) have overlapping closed neighborhoods"
         ]
 
+    def test_each_overlap_names_the_first_star_there(self):
+        packing = [(0, 1), (0, 2), (0, 3)]
+        assert certificate_failures(star_graph(3), 1, {0}, packing) == [
+            "stars (0, 1) and (0, 2) have overlapping closed neighborhoods",
+            "stars (0, 1) and (0, 3) have overlapping closed neighborhoods",
+            "set has 1 vertices, packing has 3 stars",
+        ]
+
     def test_non_stars(self):
         g = path_graph(7)
-        packing = [(0, 1), (5, 3), (4, 3, 5), (6, 9), ()]
-        assert certificate_failures(g, 1, {1, 4, 5, 6, 3}, packing) == [
+        # (-1, 5): adj[-1] would read vertex 6's neighbors, (5,)
+        packing = [(0, 1), (5, 3), (4, 3, 5), (6, 9), (), (-1, 5)]
+        assert certificate_failures(g, 1, {1, 2, 3, 4, 5, 6}, packing) == [
             "(5, 3) is not a 1-star",
             "(4, 3, 5) is not a 1-star",
             "(6, 9) is not a 1-star",
             "() is not a 1-star",
+            "(-1, 5) is not a 1-star",
+        ]
+        assert certificate_failures(path_graph(3), 1, {1}, [(-1, 1)]) == [
+            "(-1, 1) is not a 1-star"
         ]
         # a repeated leaf: three entries, but two distinct vertices
         assert certificate_failures(star_graph(3), 2, {0}, [(0, 1, 1)]) == [
