@@ -170,7 +170,8 @@ def _first_edge_fault(n: int, edges: list[tuple[int, int]]) -> str:
 
 
 class Tree(Graph):
-    """A validated tree: a connected acyclic Graph plus cached statistics.
+    """A validated tree: a connected acyclic Graph plus cached statistics,
+    its leaves, its support vertices and its max degree.
 
     A Tree is a Graph, sharing the adjacency of the graph it was built
     from, so every graph-level function takes a tree as it is.  A single
@@ -179,25 +180,15 @@ class Tree(Graph):
     checks connectivity with and the DP walks.
     """
 
-    __slots__ = ("leaf_set", "support_set", "strong_support_set", "max_degree",
-                 "order", "parent")
+    __slots__ = ("leaf_set", "support_set", "max_degree", "order", "parent")
 
     def __init__(self, graph: Graph):
         self.n, self.edge_count = graph.n, graph.edge_count
         self.adjacency = adjacency = graph.adjacency
         leaves = [v for v, a in enumerate(adjacency) if len(a) == 1]
-        # a support is a leaf's only neighbor; a strong one is reached twice
-        support = set()
-        strong = set()
-        for v in leaves:
-            s = adjacency[v][0]
-            if s in support:
-                strong.add(s)
-            else:
-                support.add(s)
         self.leaf_set = frozenset(leaves)
-        self.support_set = frozenset(support)
-        self.strong_support_set = frozenset(strong)
+        # a support is a leaf's only neighbor
+        self.support_set = frozenset(adjacency[v][0] for v in leaves)
         self.max_degree = max(map(len, adjacency), default=0)
         self.order, self.parent = bfs_order(self, 0) if self.n else ([], [])
 

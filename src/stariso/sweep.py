@@ -7,12 +7,11 @@ machine-checked statement failed on a concrete instance.
 
 The bounds suite and a record's per-k entry read only a few values of
 (tree, k): the bound key (n, l, s, k and the two star flags), iota,
-iota_1, whether the tree has a strong support vertex, whether its max
-degree is at least k, and the two family-membership flags.  Each process
-computes both once per such key, in one ``functools.lru_cache``
-(``_per_k``) bounded at ``CACHE_SIZE`` keys.  The entry is its JSON text,
-one ``str`` shared by the records of its key, which
-``SweepRecord.to_json_line`` splices.
+iota_1, whether its max degree is at least k, and the two
+family-membership flags.  Each process computes both once per such key,
+in one ``functools.lru_cache`` (``_per_k``) bounded at ``CACHE_SIZE``
+keys.  The entry is its JSON text, one ``str`` shared by the records of
+its key, which ``SweepRecord.to_json_line`` splices.
 
 Each order is checked in one share per job, whose task claims the
 order's trees one at a time, so a worker that falls behind checks fewer.
@@ -66,7 +65,6 @@ from .graphs import (
     Tree,
     as_tree,
     centered_code,
-    diameter_path,
     far_path,
     free_tree_levels,
     is_star,
@@ -218,29 +216,15 @@ def _twin_leaf_member(t: Tree) -> bool:
     return recognize_F(_strip_to_single_leaves(t)) is not None
 
 
-def _bounds_suite(report: BoundReport, key: BoundKey, iota1: int, strong: bool,
-                  wide: bool) -> tuple[str, ...]:
+def _bounds_suite(report: BoundReport, iota1: int, wide: bool) -> tuple[str, ...]:
     """The bounds suite's violations at one (tree, k): a function of the
-    report, the bound key it was made from, iota_1, whether the tree has a
-    strong support vertex and whether its max degree is at least k
-    (``wide``)."""
-    n, l, _, k, _, star_k = key
-    iota = report.iota
+    report, iota_1 and whether the tree's max degree is at least k
+    (``wide``).  No clause restates the tree's counts: s <= l, and a
+    vertex of degree k gives n+l >= 2k+1, tight only on the k-star."""
+    k, iota = report.k, report.iota
     violations = [f"k={k}: iota={iota} exceeds {name}={value}"
                   for name, value in report.bounds.items()
                   if iota * value.denominator > value.numerator]
-    if SUPPORT_BOUND in report.bounds:
-        sb = report.bounds[SUPPORT_BOUND]
-        opl = report.bounds[ORDER_PLUS_LEAVES]
-        if sb > opl:
-            violations.append(f"k={k}: support bound {sb} above (n+l)/4 {opl}")
-        if (sb == opl) != (not strong):
-            violations.append(f"k={k}: support bound ties (n+l)/4 iff no strong support failed")
-    if k >= 2 and wide:
-        if n + l < 2 * k + 1:
-            violations.append(f"k={k}: n+l={n + l} below 2k+1")
-        if (n + l == 2 * k + 1) != star_k:
-            violations.append(f"k={k}: n+l=2k+1 boundary is not the k-star")
     if (iota == 0) != (not wide):
         violations.append(f"k={k}: iota=0 iff max degree < k failed")
     if iota > iota1:
@@ -249,9 +233,8 @@ def _bounds_suite(report: BoundReport, key: BoundKey, iota1: int, strong: bool,
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def _per_k(key: BoundKey, iota: int, iota1: int, strong: bool, wide: bool,
-           tk_member: bool | None, corona_member: bool | None
-           ) -> tuple[str, frozenset[str], tuple[str, ...]]:
+def _per_k(key: BoundKey, iota: int, iota1: int, wide: bool, tk_member: bool | None,
+           corona_member: bool | None) -> tuple[str, frozenset[str], tuple[str, ...]]:
     """A record's entry at one k as its JSON text, the names of the bounds
     iota attains there and the bounds suite's violations, from the values
     they read (``_bounds_suite``'s and the membership flags).  The entry
@@ -268,12 +251,16 @@ def _per_k(key: BoundKey, iota: int, iota1: int, strong: bool, wide: bool,
     if corona_member is not None:
         entry["corona_char_member"] = corona_member
     equal = frozenset(name for name, eq in report.equality.items() if eq)
-    violations = _bounds_suite(report, key, iota1, strong, wide)
+    violations = _bounds_suite(report, iota1, wide)
     return json.dumps(entry, sort_keys=True), equal, violations
 
 
 def check_tree(t: Tree, config: SweepConfig, source: str = "enumerated") -> SweepRecord:
-    """Run every enabled check suite on one tree and collect violations."""
+    """Run every enabled check suite on one tree and collect violations.
+    No clause restates a validated certificate beside its membership
+    clause (a T_k member's hub count, n >= 2k+4, diameter >= 5 and hubs
+    of degree k; an F member's lack of strong supports) or n >= 3 iff
+    n+l > 4."""
     checks = config.active_checks()
     n, l, s = t.n, t.leaf_order, t.support_count
     # one BFS gives the diameter here and the centers of the tree code
@@ -291,7 +278,6 @@ def check_tree(t: Tree, config: SweepConfig, source: str = "enumerated") -> Swee
     f_cert = recognize_F(t)
     corona_check = "corona-char" in checks and n >= 3
     corona = corona_shape(t) if corona_check else None
-    strong = bool(t.strong_support_set)
 
     for k in sorted(set(config.k_list)):
         sol = solutions[k]
@@ -299,7 +285,7 @@ def check_tree(t: Tree, config: SweepConfig, source: str = "enumerated") -> Swee
         tk_cert = recognize_Tk(t, k) if k >= 2 else None
         corona_cert = corona_certificate(t, corona, k) if corona_check else None
         text, equal, bound_violations = _per_k(
-            bound_key(t, k), iota, iota1, strong, t.max_degree >= k,
+            bound_key(t, k), iota, iota1, t.max_degree >= k,
             tk_cert is not None if k >= 2 else None,
             corona_cert is not None if corona_check else None,
         )
@@ -333,16 +319,6 @@ def check_tree(t: Tree, config: SweepConfig, source: str = "enumerated") -> Swee
                 built = min_iso_set_Tk(t, tk_cert)
                 if built.size != iota or not is_isolating(t, built.set, k):
                     violations.append(f"k={k}: constructive hub set is not a minimum witness")
-                if built.size != len(tk_cert.c_set) or n < 2 * k + 4:
-                    violations.append(f"k={k}: hub count or order clause failed")
-            if eq and n + l > 2 * k + 1 and n < 2 * k + 4:
-                violations.append(f"k={k}: equality instance in the forbidden small-order band")
-            if eq and not is_star(t, k) and diam < 5:
-                violations.append(f"k={k}: non-star equality instance with diameter {diam}")
-            if eq:  # a k-star exists, so n >= 3
-                u1 = diameter_path(t).vertices[1]
-                if t.degree(u1) != k:
-                    violations.append(f"k={k}: equality instance with deg(u1)={t.degree(u1)} != k")
             if n >= 3 and k <= t.max_degree and n <= 2 * k + 1 and iota != 1:
                 violations.append(f"k={k}: small-order tree with iota={iota} != 1")
 
@@ -376,8 +352,7 @@ def check_tree(t: Tree, config: SweepConfig, source: str = "enumerated") -> Swee
     # k list: iota_1 is always solved
     if "f-equality" in checks:
         if equal1 is None:
-            equal1 = _per_k(bound_key(t, 1), iota1, iota1, strong, t.max_degree >= 1, None,
-                            None)[1]
+            equal1 = _per_k(bound_key(t, 1), iota1, iota1, t.max_degree >= 1, None, None)[1]
         eq = ORDER_PLUS_LEAVES in equal1
         member = f_cert is not None
         if eq != (member or n == 2):
@@ -387,12 +362,8 @@ def check_tree(t: Tree, config: SweepConfig, source: str = "enumerated") -> Swee
             built = min_iso_set_F(t, f_cert, root)
             if built.size != iota1 or not is_isolating(t, built.set, 1):
                 violations.append("constructive family set is not a minimum witness")
-        if iota1 == 1 and (n >= 3) != (4 < n + l):
-            violations.append("iota=1 strictness iff n >= 3 failed")
         if 2 <= diam <= 3 and iota1 != 1:
             violations.append(f"diameter {diam} tree needs iota=1, got {iota1}")
-        if strong and n >= 3 and eq:
-            violations.append("strong support vertex on an (n+l)/4 equality tree")
         if s >= 2 and n >= 3:
             eq2 = SUPPORT_BOUND in equal1
             member2 = _twin_leaf_member(t)
@@ -566,11 +537,12 @@ class SweepSummary:
 def _all_or_nothing(path: str) -> Iterator[TextIO]:
     """Write to ``<path>.partial``, opened at once, after refusing a
     ``path`` or ``<path>.partial`` that exists and is not a regular file
-    (opening a FIFO would wait for a reader).  When anything in the
-    block raises, delete ``<path>.partial`` and leave ``path`` as it was.
-    When the block succeeds, unlink the older file at ``path`` and rename
-    the new one onto the free name; should either call fail, the finished
-    output stays at ``<path>.partial``.
+    (opening a FIFO would wait for a reader) and a ``<path>.partial``
+    that is a symbolic link (writing would go through it).  When anything
+    in the block raises, delete ``<path>.partial`` and leave ``path`` as
+    it was.  When the block succeeds, unlink the older file at ``path``
+    and rename the new one onto the free name; should either call fail,
+    the finished output stays at ``<path>.partial``.
 
     Renaming onto an existing file makes ext4 (``auto_da_alloc``) start
     writing the new file back at once, so that a rerun into the same path
@@ -581,9 +553,9 @@ def _all_or_nothing(path: str) -> Iterator[TextIO]:
     gone too.
     """
     tmp = f"{path}.partial"
-    for name, prefix in ((path, ""), (tmp, f"{tmp} ")):
+    for name, prefix, status in ((path, "", os.stat), (tmp, f"{tmp} ", os.lstat)):
         with suppress(FileNotFoundError):
-            if not stat.S_ISREG(os.stat(name).st_mode):
+            if not stat.S_ISREG(status(name).st_mode):
                 raise OSError(f"{prefix}exists and is not a regular file")
     fh = open(tmp, "w", encoding="utf-8")
     try:

@@ -3,6 +3,11 @@
 from fractions import Fraction
 
 
+def strong_supports(t):
+    """The support vertices of t with two or more leaf neighbors."""
+    return {v for v in t.support_set if sum(w in t.leaf_set for w in t.adjacency[v]) >= 2}
+
+
 def fraction_table_violations(n, l, k, iota, regime):
     """The active piecewise-table row for a tree of order n >= 3 with l
     leaves that is not a star, iota = iota_k and the given regime label,

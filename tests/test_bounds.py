@@ -22,7 +22,7 @@ from stariso.families import gen_corona_extremal, gen_spider_gap
 from stariso.graphs import as_tree, build_graph, enumerate_free_trees, is_any_star, is_star
 from stariso.solver import iota_tree_dp
 
-from bound_helpers import fraction_table_violations
+from bound_helpers import fraction_table_violations, strong_supports
 
 
 def path_tree(n):
@@ -159,7 +159,7 @@ class TestSweptInvariants:
                 sb = report.bounds[SUPPORT_BOUND]
                 opl = report.bounds[ORDER_PLUS_LEAVES]
                 assert sb <= opl
-                assert (sb == opl) == (not t.strong_support_set)
+                assert (sb == opl) == (not strong_supports(t))
 
     def test_order_plus_leaf_order_floor(self):
         # any tree with a k-star has n + l >= 2k + 1, tight only at the star

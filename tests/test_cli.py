@@ -2,6 +2,7 @@
 
 import json
 import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -480,21 +481,32 @@ def run_python(*args):
                           text=True)
 
 
-@pytest.mark.parametrize("make", [os.mkfifo, os.mkdir], ids=["fifo", "directory"])
+def symlink_to_a_file(partial):
+    target = partial.with_name("target.txt")
+    target.write_text("older\n")
+    partial.symlink_to(target)
+
+
+@pytest.mark.parametrize("make", [os.mkfifo, os.mkdir, symlink_to_a_file],
+                         ids=["fifo", "directory", "symlink"])
 def test_partial_that_is_not_a_regular_file_fails_at_once(tmp_path, make):
     # opening a FIFO for writing waits for a reader: the timeout turns a
-    # regression into a failure instead of a hang
+    # regression into a failure instead of a hang; a symbolic link would
+    # have the sweep written through it, and --out renamed to the link
     out = tmp_path / "r.jsonl"
     partial = tmp_path / "r.jsonl.partial"
     make(partial)
+    before = sorted(p.name for p in tmp_path.iterdir())
     proc = subprocess.run([sys.executable, "-m", "stariso.cli", "sweep", "--max-n", "3",
                            "--out", str(out)],
                           env=python_env(), capture_output=True, text=True, timeout=20)
     assert (proc.returncode, proc.stdout) == (1, "")
     assert proc.stderr.endswith(
         f"cannot write {out}: {partial} exists and is not a regular file\n")
-    assert [p.name for p in tmp_path.iterdir()] == ["r.jsonl.partial"]
-    assert not partial.is_file()
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+    assert not stat.S_ISREG(os.lstat(partial).st_mode)
+    target = tmp_path / "target.txt"
+    assert not target.exists() or target.read_text() == "older\n"
 
 
 def test_cli_import_loads_only_what_solve_needs():

@@ -11,6 +11,7 @@ import re
 import textwrap
 from dataclasses import replace
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -43,6 +44,7 @@ from stariso.graphs import (
 )
 from stariso.solver import iota_bruteforce, iota_tree_dp, is_isolating
 
+from bound_helpers import strong_supports
 from family_helpers import add_twin_leaves
 
 
@@ -262,7 +264,7 @@ class TestRecognizeF:
     def test_strong_support_excluded(self):
         # twin leaf at a support of the six-path
         t = as_tree(build_graph(7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (1, 6)]))
-        assert t.strong_support_set
+        assert strong_supports(t)
         assert recognize_F(t) is None
         assert Fraction(iota_bruteforce(t, 1).size) < Fraction(t.n + t.leaf_order, 4)
 
@@ -885,6 +887,57 @@ class TestMinIsoSetTk:
             min_iso_set_Tk(t, replace(cert, h=2))
         with pytest.raises(FamilyError, match="C vertex"):
             min_iso_set_Tk(t, replace(cert, k=2))
+
+
+# ---------------------------------------------------------------------------
+# What a validated membership implies: the sweep checks the membership, and
+# these statements are checked here, on the members themselves
+# ---------------------------------------------------------------------------
+
+def recognized_members(recognize, sample, draws):
+    """Each tree with n <= 14 that ``recognize`` accepts, with its
+    certificate, then ``draws`` seeded ``sample(rng)`` trees, each checked
+    to be recognized."""
+    for n in range(1, 15):
+        for t in enumerate_free_trees(n):
+            cert = recognize(t)
+            if cert is not None:
+                yield t, cert
+    rng = random.Random(7)
+    for _ in range(draws):
+        t = sample(rng)
+        cert = recognize(t)
+        assert cert is not None
+        yield t, cert
+
+
+class TestWhatMembershipImplies:
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_a_Tk_member_fixes_its_hub_count_order_diameter_and_hub_degree(self, k):
+        def sample(rng):
+            h = rng.randint(1, 3)
+            return sample_family_Tk(rng, k, rng.randint(2 * h, 2 * h + 4), h)[0]
+
+        small = 0
+        for t, cert in recognized_members(partial(recognize_Tk, k=k), sample, 200):
+            assert min_iso_set_Tk(t, cert).size == len(cert.c_set)
+            assert t.n >= 2 * k + 4
+            # the path c-b-a-a'-b'-c' through two hubs; u_1 is a hub
+            path = diameter_path(t)
+            assert path.length >= 5
+            assert t.degree(path.vertices[1]) == k
+            small += t.n <= 14
+        assert small > 0
+
+    def test_no_F_member_has_a_strong_support(self):
+        def sample(rng):
+            return sample_family_F(rng, rng.randint(2, 5), rng.randint(0, 3))[0]
+
+        small = 0
+        for t, _ in recognized_members(recognize_F, sample, 200):
+            assert not strong_supports(t)
+            small += t.n <= 14
+        assert small > 0
 
 
 # ---------------------------------------------------------------------------

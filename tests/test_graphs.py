@@ -44,6 +44,8 @@ from stariso.solver import (
     residual_degrees,
 )
 
+from bound_helpers import strong_supports
+
 
 def path_graph(n):
     return build_graph(n, [(i, i + 1) for i in range(n - 1)])
@@ -206,13 +208,13 @@ class TestAsTree:
         assert t.leaf_order == 2
         assert t.support_count == 2
         assert t.max_degree == 2
-        assert t.strong_support_set == frozenset()
+        assert strong_supports(t) == set()
 
     def test_star_statistics(self):
         t = as_tree(star_graph(4))
         assert t.leaf_order == 4
         assert t.support_set == frozenset({0})
-        assert t.strong_support_set == frozenset({0})
+        assert strong_supports(t) == {0}
         assert t.max_degree == 4
 
     def test_cycle_rejected(self):
@@ -243,7 +245,6 @@ class TestAsTree:
         leaf_neighbors = [sum(1 for w in t.adjacency[v] if w in leaves) for v in range(t.n)]
         assert t.leaf_set == leaves
         assert t.support_set == {v for v in range(t.n) if leaf_neighbors[v] >= 1}
-        assert t.strong_support_set == {v for v in range(t.n) if leaf_neighbors[v] >= 2}
         assert t.max_degree == max(t.degree(v) for v in range(t.n))
 
     @given(random_trees(max_n=12))
@@ -544,9 +545,25 @@ class TestEnumeration:
         assert {canonical_code(t) for t in enumerate_free_trees(n)} == oracle
 
 
+@pytest.mark.parametrize("n", range(1, 15))
+def test_what_a_trees_counts_imply(n):
+    # a tree has at least as many leaves as supports, and as many as its
+    # max degree, which with n > max degree gives n + l >= 2 max degree + 1
+    for t in enumerate_free_trees(n):
+        l, s, top = t.leaf_order, t.support_count, t.max_degree
+        assert s <= l
+        assert (s == l) == (not strong_supports(t))
+        assert n + l >= 2 * top + 1
+        if n + l == 2 * top + 1:
+            assert is_star(t, top)
+        if is_any_star(t):
+            assert n + l == 2 * top + 1
+        assert (n >= 3) == (n + l > 4)
+
+
 def tree_fields(t):
     return (t.n, t.adjacency, t.edge_count, t.order, t.parent,
-            t.leaf_set, t.support_set, t.strong_support_set, t.max_degree)
+            t.leaf_set, t.support_set, t.max_degree)
 
 
 class TestTreeIsAGraph:

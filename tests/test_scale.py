@@ -23,6 +23,7 @@ from stariso.solver import (
     isolation_certificate,
 )
 
+from bound_helpers import strong_supports
 from family_helpers import add_twin_leaves
 
 
@@ -65,7 +66,7 @@ def test_family_F_with_twin_leaves_at_a_hundred_thousand_vertices():
     t, cert = gen_family_F(20000, 5000)
     t = add_twin_leaves(t, cert, {b: i % 3 for i, b in enumerate(sorted(cert.b_set))})
     assert t.n == 99999
-    assert t.strong_support_set
+    assert strong_supports(t)
     assert_isolation_number(t, 1, Fraction(t.n - t.leaf_order + 2 * t.support_count, 4))
 
 

@@ -1,16 +1,21 @@
 """Sweep machinery: record content, determinism, and the check suites."""
 
+import ast
 import copy
 import hashlib
+import inspect
 import json
 import os
 import pickle
+import re
 import subprocess
 import sys
 import tempfile
+import textwrap
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from fractions import Fraction
 from functools import lru_cache, partial
 from pathlib import Path
 
@@ -35,7 +40,6 @@ from stariso.graphs import (
     diameter_path,
     enumerate_free_trees,
     free_tree_levels,
-    is_star,
 )
 from stariso.solver import iota_tree_dp
 from stariso.sweep import (
@@ -251,85 +255,38 @@ class TestDpCalls:
         cfg = SweepConfig(max_n=8, k_list=(1, 2), bf_max=7)
         assert self.count_calls(monkeypatch, path_tree(8), cfg) == (2, [])
 
-    def test_forged_certificate_names_each_fault(self, monkeypatch):
-        import stariso.sweep
-
-        real = stariso.sweep.isolation_certificate
-
-        def one_star_short(t, k):
-            dominators, packing = real(t, k)
-            return dominators, packing[:-1]
-
-        monkeypatch.setattr(stariso.sweep, "isolation_certificate", one_star_short)
-        cfg = SweepConfig(max_n=8, k_list=(1, 2), bf_max=8)
-        rec = check_tree(path_tree(8), cfg)
-        # the 8-path: iota_1 = iota_2 = 2, domination number 3
-        assert rec.violations == [
-            "k=1: set has 2 vertices, packing has 1 stars",
-            "k=1: dp=2 != certificate=1",
-            "k=2: set has 2 vertices, packing has 1 stars",
-            "k=2: dp=2 != certificate=1",
-            "k=0: set has 3 vertices, packing has 2 stars",
-        ]
-
-
-    def test_domination_bound_reads_the_certificate(self, monkeypatch):
-        import stariso.sweep
-
-        def one_above_half(t, k):
-            return frozenset(range(t.n // 2 + 1)), [(v,) for v in range(t.n // 2 + 1)]
-
-        monkeypatch.setattr(stariso.sweep, "isolation_certificate", one_above_half)
-        monkeypatch.setattr(stariso.sweep, "certificate_failures", lambda *args: [])
-        rec = check_tree(path_tree(8), SweepConfig(max_n=8, k_list=(1,), checks=("bounds",)))
-        assert rec.violations == ["domination number 5 above n/2"]
-
 
 class TestRecordShape:
     """The record's diameter and tree code come from one BFS and match the
-    public functions; ``diameter_path`` runs only on tk-equality
-    instances, where its u_1 is read."""
+    public functions; the sweep never runs ``diameter_path``."""
 
     def test_diameter_and_code_match_the_public_functions(self, monkeypatch):
-        import stariso.sweep
+        import stariso.graphs
 
-        calls = []
+        def no_call(t):
+            raise AssertionError("the sweep ran diameter_path")
 
-        def counting(t):
-            calls.append(t)
-            return diameter_path(t)
-
-        monkeypatch.setattr(stariso.sweep, "diameter_path", counting)
+        monkeypatch.setattr(stariso.graphs, "diameter_path", no_call)
         cfg = SweepConfig(max_n=12, k_list=(1, 2, 3), bf_max=0)
-        expected = 0
         for n in range(1, 13):
             for t in enumerate_free_trees(n):
                 rec = check_tree(t, cfg)
                 assert rec.violations == []
                 assert rec.diam == (diameter_path(t).length if n >= 2 else 0)
                 assert rec.tree_code == canonical_code(t).decode("ascii")
-                expected += sum((2 * k + 1) * json.loads(rec.per_k[k])["iota"] == n + rec.l
-                                for k in (2, 3))
-        assert 0 < expected == len(calls)
 
-    def test_no_diameter_path_without_the_tk_suite(self, monkeypatch):
+    def test_no_diameter_path_without_the_tk_suite(self):
+        # the tk-equality suite was its last reader: the sweep no longer
+        # holds the name
         import stariso.sweep
 
-        def no_call(t):
-            raise AssertionError("diameter_path ran outside the tk-equality suite")
-
-        monkeypatch.setattr(stariso.sweep, "diameter_path", no_call)
-        checks = tuple(c for c in CHECK_SUITES if c != "tk-equality")
-        cfg = SweepConfig(max_n=10, k_list=(1, 2, 3), checks=checks, bf_max=0)
-        for n in range(1, 11):
-            for t in enumerate_free_trees(n):
-                assert check_tree(t, cfg).violations == []
+        assert not hasattr(stariso.sweep, "diameter_path")
 
 
 class TestBoundTableReads:
     """check_tree reads each record's regime, bound strings and equality
-    flags from the bound report of its key, and its equality clauses read
-    the flags."""
+    flags from the bound report of its key (its equality clauses read the
+    flags: see the ``*-flag`` rows of ``CLAUSE_FAULTS``)."""
 
     def test_per_k_entry_matches_the_report(self):
         cfg = SweepConfig(max_n=10, k_list=(1, 2, 3, 4), bf_max=0)
@@ -343,58 +300,225 @@ class TestBoundTableReads:
                     for key in ("regime", "bounds", "equality"):
                         assert entry[key] == want[key], (n, k, key)
 
-    @pytest.mark.parametrize("t, k, name, whole, violation", [
-        (path_tree(6), 1, ORDER_PLUS_LEAVES, None,
-         "(n+l)/4 equality is False but family membership is True"),
-        (path_tree(5), 1, ORDER_PLUS_LEAVES, 1,
-         "(n+l)/4 equality is True but family membership is False"),
-        (path_tree(6), 1, SUPPORT_BOUND, None,
-         "(n-l+2s)/4 equality is False but twin-leaf reduction membership is True"),
-        (path_tree(8), 2, STAR_BOUND, None,
-         "k=2: (n+l)/(2k+1) equality is False but membership is True"),
-        (as_tree(gen_corona_extremal(2, 2, 8)), 2, ORDER_MINUS_LEAVES, None,
-         "k=2: (n-l)/2 equality is False but corona membership is True"),
-    ])
-    def test_a_flipped_flag_fires_its_clause(self, monkeypatch, fresh_cache, t, k, name, whole,
-                                             violation):
-        # ``whole`` stands in for the bound's value where it is a whole number
+
+def star_tree(k):
+    return as_tree(build_graph(k + 1, [(0, i) for i in range(1, k + 1)]))
+
+
+def flipped(name):
+    """A ``bound_report`` fault: the real report with ``name``'s equality
+    flag turned over."""
+    def fake(real):
+        def report(key, iota):
+            got = real(key, iota)
+            return got._replace(equality=dict(got.equality, **{name: not got.equality[name]}))
+        return report
+    return fake
+
+
+def lowered(name):
+    """A ``bound_report`` fault: ``name``'s bound one half below iota."""
+    def fake(real):
+        def report(key, iota):
+            got = real(key, iota)
+            return got._replace(bounds=dict(got.bounds, **{name: Fraction(2 * iota - 1, 2)}))
+        return report
+    return fake
+
+
+def resized(change, at_k=None):
+    """A fault of a function whose answer is an ``IsolationSolution``: its
+    size plus ``change`` (at ``at_k`` only, where given), the set kept."""
+    def fake(real):
+        def solve(t, *args):
+            sol = real(t, *args)
+            return sol if at_k not in (None, sol.k) else sol._replace(size=sol.size + change)
+        return solve
+    return fake
+
+
+def with_a_leaf(real):
+    """A solution fault: the real solution with a leaf added."""
+    def solve(t, *args):
+        sol = real(t, *args)
+        leafy = sol.set | {min(t.leaf_set)}
+        return sol._replace(set=leafy, size=len(leafy))
+    return solve
+
+
+def one_star_short(real):
+    """A certificate fault: the real packing without its last star."""
+    def certify(t, k):
+        dominators, packing = real(t, k)
+        return dominators, packing[:-1]
+    return certify
+
+
+def one_above_half(real):
+    """A certificate fault: a set of more than n/2 vertices, each its own
+    star."""
+    def certify(t, k):
+        return frozenset(range(t.n // 2 + 1)), [(v,) for v in range(t.n // 2 + 1)]
+    return certify
+
+
+def row(name, t, k_list, checks, faults, clauses, violations, bf_max=0):
+    """A ``CLAUSE_FAULTS`` row: check ``t`` at ``k_list`` with the suites
+    ``checks`` and the brute-force oracle up to ``bf_max``."""
+    cfg = SweepConfig(max_n=t.n, k_list=k_list, checks=checks, bf_max=bf_max)
+    return pytest.param(t, cfg, faults, clauses, violations, id=name)
+
+
+ALL = ("all",)
+DOUBLE_STAR = as_tree(build_graph(6, [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5)]))
+
+#: One row per fault: the tree, the config, the faults (each a sweep-level
+#: name and a function of the real one that returns the fake), the clauses
+#: the row fires (message templates of ``check_tree`` and ``_bounds_suite``,
+#: each formatted field written ``{}``) and the exact violations it gives.
+CLAUSE_FAULTS = [
+    row("brute-force", path_tree(6), (1,), ("oracle",), {"iota_bruteforce": resized(1)},
+        ["k={}: dp={} != brute_force={}"], ["k=1: dp=2 != brute_force=3"], bf_max=6),
+    row("dp-witness", path_tree(6), (1,), ("oracle",),
+        {"iota_tree_dp": lambda real: lambda t, k: real(t, k)._replace(set=t.leaf_set)},
+        ["k={}: dp witness fails verification"], ["k=1: dp witness fails verification"],
+        bf_max=6),
+    # the 8-path: iota_1 = iota_2 = 2, domination number 3
+    row("forged-certificate", path_tree(8), (1, 2), ALL,
+        {"isolation_certificate": one_star_short},
+        ["k={}: {}", "k={}: dp={} != certificate={}", "k=0: {}"],
+        ["k=1: set has 2 vertices, packing has 1 stars", "k=1: dp=2 != certificate=1",
+         "k=2: set has 2 vertices, packing has 1 stars", "k=2: dp=2 != certificate=1",
+         "k=0: set has 3 vertices, packing has 2 stars"], bf_max=8),
+    # a certificate that passes is a minimum dominating set, at most n/2
+    # (Ore), so the clause fires only when its check is broken too
+    row("domination", path_tree(8), (1,), ("bounds",),
+        {"isolation_certificate": one_above_half,
+         "certificate_failures": lambda real: lambda *args: []},
+        ["domination number {} above n/2"], ["domination number 5 above n/2"], bf_max=8),
+    row("bound-exceeded", path_tree(6), (1,), ("bounds",),
+        {"bound_report": lowered(ORDER_PLUS_LEAVES)}, ["k={}: iota={} exceeds {}={}"],
+        ["k=1: iota=2 exceeds order_plus_leaves=3/2"]),
+    row("iota-zero", path_tree(6), (2,), ("bounds",), {"iota_tree_dp": resized(-1)},
+        ["k={}: iota=0 iff max degree < k failed"], ["k=2: iota=0 iff max degree < k failed"]),
+    row("above-iota-1", path_tree(8), (2,), ("bounds",), {"iota_tree_dp": resized(-1, at_k=1)},
+        ["k={}: iota_k={} above iota_1={}"], ["k=2: iota_k=2 above iota_1=1"]),
+    row("tk-flag", path_tree(8), (2,), ALL, {"bound_report": flipped(STAR_BOUND)},
+        ["k={}: (n+l)/(2k+1) equality is {} but membership is {}"],
+        ["k=2: (n+l)/(2k+1) equality is False but membership is True"]),
+    row("hub-set", path_tree(8), (2,), ("tk-equality",), {"min_iso_set_Tk": resized(-1)},
+        ["k={}: constructive hub set is not a minimum witness"],
+        ["k=2: constructive hub set is not a minimum witness"]),
+    row("small-order", star_tree(3), (2,), ("tk-equality",), {"iota_tree_dp": resized(1)},
+        ["k={}: small-order tree with iota={} != 1"], ["k=2: small-order tree with iota=2 != 1"]),
+    row("double-star-flag", DOUBLE_STAR, (2,), ("corona-char",),
+        {"bound_report": flipped(ORDER_MINUS_LEAVES)},
+        ["k={}: double-star (n-l)/2 equality is {} with max degree {}"],
+        ["k=2: double-star (n-l)/2 equality is False with max degree 3"]),
+    row("corona-flag", as_tree(gen_corona_extremal(2, 2, 8)), (2,), ALL,
+        {"bound_report": flipped(ORDER_MINUS_LEAVES)},
+        ["k={}: (n-l)/2 equality is {} but corona membership is {}"],
+        ["k=2: (n-l)/2 equality is False but corona membership is True"]),
+    row("leaf-normalization", path_tree(4), (1,), ("normalizers",),
+        {"normalize_no_leaves": with_a_leaf},
+        ["k={}: leaf normalization broke the witness", "k={}: leaf normalization left a leaf"],
+        ["k=1: leaf normalization broke the witness", "k=1: leaf normalization left a leaf"]),
+    row("F-flag", path_tree(6), (1,), ALL, {"bound_report": flipped(ORDER_PLUS_LEAVES)},
+        ["(n+l)/4 equality is {} but family membership is {}"],
+        ["(n+l)/4 equality is False but family membership is True"]),
+    row("family-set", path_tree(6), (1,), ("f-equality",), {"min_iso_set_F": resized(-1)},
+        ["constructive family set is not a minimum witness"],
+        ["constructive family set is not a minimum witness"]),
+    row("diameter", star_tree(3), (1,), ("f-equality",), {"iota_tree_dp": resized(1)},
+        ["diameter {} tree needs iota=1, got {}"], ["diameter 2 tree needs iota=1, got 2"]),
+    row("twin-leaf-flag", path_tree(6), (1,), ALL, {"bound_report": flipped(SUPPORT_BOUND)},
+        ["(n-l+2s)/4 equality is {} but twin-leaf reduction membership is {}"],
+        ["(n-l+2s)/4 equality is False but twin-leaf reduction membership is True"]),
+    row("support-normalization", path_tree(6), (1,), ("normalizers",),
+        {"normalize_no_deg2_support": with_a_leaf},
+        ["support normalization broke the witness", "support normalization left a leaf"],
+        ["support normalization broke the witness", "support normalization left a leaf"]),
+    row("degree-2-support", path_tree(6), (1,), ("normalizers",),
+        {"normalize_no_deg2_support": lambda real: lambda t, sol: sol},
+        ["support normalization left a degree-2 support"],
+        ["support normalization left a degree-2 support"]),
+]
+
+
+def template_pattern(template):
+    return ".+".join(map(re.escape, template.split("{}")))
+
+
+def clause_templates(functions=(check_tree, _bounds_suite)):
+    """Each message template of ``functions``: the text of each string or
+    f-string appended to, extended into or first assigned to
+    ``violations``, its formatted fields written ``{}``."""
+    templates = []
+    for function in functions:
+        for node in ast.walk(ast.parse(textwrap.dedent(inspect.getsource(function)))):
+            if isinstance(node, ast.Call) and ast.unparse(node.func) in (
+                    "violations.append", "violations.extend"):
+                (text,) = node.args
+            elif isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "violations":
+                text = node.value
+            else:
+                continue
+            if isinstance(text, (ast.GeneratorExp, ast.ListComp)):
+                text = text.elt
+            if isinstance(text, ast.JoinedStr):
+                templates.append("".join(p.value if isinstance(p, ast.Constant) else "{}"
+                                         for p in text.values))
+            elif isinstance(text, ast.Constant):
+                templates.append(text.value)
+    return templates
+
+
+class TestEveryClauseFires:
+    """Each clause of ``check_tree`` and ``_bounds_suite`` has a fault in a
+    sweep-level name that makes it fire, with the exact violations it
+    gives: a clause no fault can fire checks nothing."""
+
+    @pytest.mark.parametrize("t, cfg, faults, clauses, violations", CLAUSE_FAULTS)
+    def test_a_fault_fires_its_clauses(self, monkeypatch, fresh_cache, t, cfg, faults, clauses,
+                                       violations):
         import stariso.sweep
 
-        cfg = SweepConfig(max_n=t.n, k_list=(k,), bf_max=0)
         assert check_tree(t, cfg).violations == []
+        for name, fault in faults.items():
+            monkeypatch.setattr(stariso.sweep, name, fault(getattr(stariso.sweep, name)))
+        fresh_cache.cache_clear()  # the per-k cache holds the real reports
+        assert check_tree(t, cfg).violations == violations
+        for clause in clauses:
+            assert any(re.fullmatch(template_pattern(clause), v) for v in violations), clause
 
-        def flipped(key, iota):
-            report = bound_report(key, iota)
-            return report._replace(equality=dict(report.equality, **{name: whole == iota}))
+    def test_every_clause_has_a_row(self):
+        templates = clause_templates()
+        named = [clause for row in CLAUSE_FAULTS for clause in row.values[3]]
+        assert len(set(templates)) == len(templates) == 23
+        assert sorted(named) == sorted(templates)
 
-        monkeypatch.setattr(stariso.sweep, "bound_report", flipped)
-        fresh_cache.cache_clear()
-        assert check_tree(t, cfg).violations == [violation]
+    def test_the_template_scan_sees_every_kind_of_clause(self):
+        def checks(k, xs):
+            violations = [f"k={k}: {x} is odd" for x in xs if x % 2]
+            violations.append("plain clause")
+            violations.extend(f"k=0: {x}" for x in xs)
+            violations.extend(xs)
+            other = [f"k={k}"]
+            other.append("not a violation")
+            return violations + other
+
+        assert sorted(clause_templates([checks])) == ["k=0: {}", "k={}: {} is odd",
+                                                      "plain clause"]
 
 
 def reference_bounds_suite(t, k, iota, iota1):
     """The bounds suite as check_tree ran it inline, reading the tree:
     the reference for the cached suite."""
     report = evaluate_bounds(t, k, iota)
-    n, l = t.n, t.leaf_order
     violations = []
     for name, value in report.bounds.items():
         if iota * value.denominator > value.numerator:
             violations.append(f"k={k}: iota={iota} exceeds {name}={value}")
-    if SUPPORT_BOUND in report.bounds:
-        sb = report.bounds[SUPPORT_BOUND]
-        opl = report.bounds[ORDER_PLUS_LEAVES]
-        if sb > opl:
-            violations.append(f"k={k}: support bound {sb} above (n+l)/4 {opl}")
-        if (sb == opl) != (not t.strong_support_set):
-            violations.append(
-                f"k={k}: support bound ties (n+l)/4 iff no strong support failed"
-            )
-    if k >= 2 and t.max_degree >= k:
-        if n + l < 2 * k + 1:
-            violations.append(f"k={k}: n+l={n + l} below 2k+1")
-        if (n + l == 2 * k + 1) != is_star(t, k):
-            violations.append(f"k={k}: n+l=2k+1 boundary is not the k-star")
     if (iota == 0) != (t.max_degree < k):
         violations.append(f"k={k}: iota=0 iff max degree < k failed")
     if iota > iota1:
@@ -433,11 +557,10 @@ class TestMemos:
         for n in range(1, 11):
             for t in enumerate_free_trees(n):
                 iota1 = iota_tree_dp(t, 1).size
-                strong = bool(t.strong_support_set)
                 for k in range(1, 5):
                     key = bound_key(t, k)
                     for iota in range(n + 1):
-                        *_, got = cache(key, iota, iota1, strong, t.max_degree >= k, None, None)
+                        *_, got = cache(key, iota, iota1, t.max_degree >= k, None, None)
                         want = reference_bounds_suite(t, k, iota, iota1)
                         assert list(got) == want, (n, k, iota)
                         lookups += 1
@@ -450,13 +573,13 @@ class TestMemos:
 
     def test_a_fresh_entry_is_not_served_another_entrys_verdict(self, fresh_cache):
         key = bound_key(path_tree(6), 1)
-        real = _per_k(key, 3, 3, False, True, None, None)
+        real = _per_k(key, 3, 3, True, None, None)
         assert "k=1: iota=3 exceeds order_plus_leaves=2" in real[2]
         edited = key[:2] + (1,) + key[3:]  # s = 1, so no support bound
-        text, _, got = _per_k(edited, 3, 3, False, True, None, None)
-        assert got == _bounds_suite(bound_report(edited, 3), edited, 3, False, True) != real[2]
+        text, _, got = _per_k(edited, 3, 3, True, None, None)
+        assert got == _bounds_suite(bound_report(edited, 3), 3, True) != real[2]
         assert json.loads(text)["bounds"][SUPPORT_BOUND] == "N/A: requires s != 1"
-        assert _per_k(key, 3, 3, False, True, None, None) is real
+        assert _per_k(key, 3, 3, True, None, None) is real
         assert fresh_cache.cache_info().currsize == 2
 
     def test_a_sweep_misses_once_per_key(self, fresh_cache):
@@ -472,9 +595,9 @@ class TestMemos:
             for k in config.k_list:
                 entry = record["k"][str(k)]
                 # with no violations, iota = 0 exactly where the max degree is
-                # below k; a strong support vertex exists exactly where l > s
+                # below k
                 keys.add(((n, l, s, k, n >= 3 and star, star and n == k + 1),
-                          entry["iota"], record["k"]["1"]["iota"], l > s, entry["iota"] > 0,
+                          entry["iota"], record["k"]["1"]["iota"], entry["iota"] > 0,
                           entry.get("tk_member"), entry.get("corona_char_member")))
         info = fresh_cache.cache_info()
         assert info.hits + info.misses == records * len(config.k_list)
@@ -490,8 +613,7 @@ class TestMemos:
                 iota1 = json.loads(per_k[1])["iota"]
                 for k, text in per_k.items():
                     entry = json.loads(text)
-                    key = (bound_key(t, k), entry["iota"], iota1,
-                           bool(t.strong_support_set), t.max_degree >= k,
+                    key = (bound_key(t, k), entry["iota"], iota1, t.max_degree >= k,
                            entry.get("tk_member"), entry.get("corona_char_member"))
                     assert by_key.setdefault(key, text) is text
                     entries += 1

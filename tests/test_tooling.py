@@ -1,14 +1,16 @@
 """Every name the benchmark's span tracer (``bench/spans.py``) wraps still
 exists in the package, so deleting or renaming one fails here; so does
 every call README.md names; no stariso module imports another one's
-private names; no module or script imports a name it never reads; every
-cache in the package is bounded; only the sweep's output is renamed; and
-the CLI's copy of the sweep's suite names matches the sweep."""
+private names; no module or script imports a name it never reads, or
+defines a private name that nothing names; every cache in the package is
+bounded; only the sweep's output is renamed; and the CLI's copy of the
+sweep's suite names matches the sweep."""
 
 import ast
 import importlib
 import importlib.util
 import re
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
@@ -149,6 +151,64 @@ def test_the_scan_sees_unused_imports(tmp_path):
                     "    return importlib.util.find_spec(os.sep)\n")
     assert unused_imports(path) == [
         "line 3: system", "line 4: Fraction", "line 5: as_tree", "line 7: dumps"]
+
+
+def unused_private_names(paths):
+    """``file: name`` for each module-level private function, class or
+    assignment in ``paths`` that no file of ``paths`` names outside its own
+    definition (dunder names aside)."""
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in paths}
+    named = defaultdict(set)
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named[node.id].add(node)
+            elif isinstance(node, ast.Attribute):
+                named[node.attr].add(node)
+            elif isinstance(node, ast.alias):
+                named[node.name].add(node)
+    found = []
+    for path, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for target in targets for n in ast.walk(target)
+                         if isinstance(n, ast.Name)]
+            else:
+                continue
+            own = set(ast.walk(node))
+            found += [f"{path.name}: {name}" for name in names
+                      if name.startswith("_") and not name.startswith("__") and not named[name] - own]
+    return found
+
+
+def test_no_unused_private_names():
+    assert unused_private_names(SOURCES) == []
+
+
+def test_the_scan_sees_unused_private_names(tmp_path):
+    helper = tmp_path / "helper.py"
+    helper.write_text("import os\n"
+                      "_LIMIT = 3\n"
+                      "_DEAD: int = 4\n"
+                      "__all__ = ['run']\n"
+                      "def _used(x):\n"
+                      "    return _used(x - 1) if x else _LIMIT\n"
+                      "def _recursive(x):\n"
+                      "    return _recursive(x - 1)\n"
+                      "class _Spare:\n"
+                      "    pass\n"
+                      "def run():\n"
+                      "    return os.sep\n")
+    caller = tmp_path / "caller.py"
+    caller.write_text("from helper import _used\n"
+                      "import helper\n"
+                      "helper._Spare\n")
+    assert unused_private_names([helper]) == [
+        "helper.py: _DEAD", "helper.py: _used", "helper.py: _recursive", "helper.py: _Spare"]
+    assert unused_private_names([helper, caller]) == ["helper.py: _DEAD", "helper.py: _recursive"]
 
 
 def unbounded_caches(path):
