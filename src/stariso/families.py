@@ -14,14 +14,18 @@ their consequences (listed in each docstring):
 
 The two tree recognizers pass one cheap gate, then label the tree in one
 bottom-up pass over it rooted at its smallest leaf; ``validate`` alone
-decides whether that labeling makes it a member.  The corona pass reads
-core degrees off the graph and builds no subgraph.
+decides whether that labeling makes it a member.  Inside a tree a vertex
+set induces a forest, so the T_k components are counted, not searched:
+h = |A| - e(A), and a trivial component is an A vertex with no A-neighbor.
+The corona pass reads core degrees off the graph, builds no subgraph and
+validates its candidate once, at the largest k it serves (``validate``
+reads k only in its ``< k`` leaf-count clauses), so a graph is a member
+at k exactly when k is at most that largest k.
 """
 
 from __future__ import annotations
 
 import random
-from collections import deque
 from dataclasses import dataclass
 
 from .graphs import (
@@ -38,26 +42,6 @@ from .solver import IsolationSolution
 
 class FamilyError(ValueError):
     """A generator input violates a family clause (named in the message)."""
-
-
-def _components(vertices: set[int], g: Graph) -> list[set[int]]:
-    """Connected components of the subgraph induced on ``vertices``."""
-    remaining = set(vertices)
-    comps = []
-    for start in sorted(remaining):
-        if start not in remaining:
-            continue
-        seen = {start}
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for w in g.adjacency[u]:
-                if w in remaining and w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        comps.append(seen)
-        remaining -= seen
-    return comps
 
 
 # ---------------------------------------------------------------------------
@@ -381,12 +365,14 @@ class TkCertificate:
             return v
         if L != t.leaf_set:
             v.append("L is not exactly the leaf set")
-        comps = _components(set(A), t)
-        if len(comps) != self.h or self.h < 1:
-            v.append(f"A induces {len(comps)} components, certificate says h={self.h}")
-        for comp in comps:
-            if len(comp) < 2:
-                v.append(f"A component {sorted(comp)} is trivial")
+        # A induces a forest: its components number |A| less its edges
+        a_degree = {a: sum(w in A for w in t.adjacency[a]) for a in A}
+        h = len(A) - sum(a_degree.values()) // 2
+        if h != self.h or self.h < 1:
+            v.append(f"A induces {h} components, certificate says h={self.h}")
+        for a in sorted(A):
+            if not a_degree[a]:
+                v.append(f"A component [{a}] is trivial")
         if len(A) != self.n0:
             v.append(f"|A|={len(A)}, n0={self.n0} inconsistent")
         for a in A:
@@ -442,13 +428,12 @@ def gen_family_Tk(
         forest = build_graph(n0, a_forest_edges)
     except Exception as exc:
         raise FamilyError(f"bad A-forest: {exc}") from exc
-    comps = _components(set(range(n0)), forest)
-    h = len(comps)
-    for comp in comps:
-        if len(comp) < 2:
-            raise FamilyError(
-                f"A component {sorted(comp)} is trivial; all components need >= 2 vertices"
-            )
+    # a forest's components number its vertices less its edges; a cycle
+    # fails the hub-count check or the tree build below
+    h = n0 - forest.edge_count
+    for a in range(n0):
+        if not forest.degree(a):
+            raise FamilyError(f"A component [{a}] is trivial; all components need >= 2 vertices")
     n_c = n0 - (h - 1)
     if len(hub_assignment) != n0:
         raise FamilyError(f"hub assignment must name a hub for each of the {n0} bridges")
@@ -537,7 +522,8 @@ def recognize_Tk(t: Tree, k: int) -> TkCertificate | None:
         b_set=labeled(_BRIDGE_OVER_HUB | _BRIDGE_OVER_A),
         c_set=labeled(_HUB),
         leaf_set=t.leaf_set,
-        h=len(_components(set(a_set), t)),
+        # the lower end of each A-A edge is an A vertex (the root is a leaf)
+        h=len(a_set) - sum(parent[a] in a_set for a in a_set),
         n0=len(a_set),
     )
     return cert if not cert.validate(t) else None
@@ -548,17 +534,17 @@ def min_iso_set_Tk(t: Tree, cert: TkCertificate) -> IsolationSolution:
     component but the first, its vertex nearest the first component.
 
     A tree has one path between two components, so that vertex is the
-    component's unique contact.  The result has size |A| - (h - 1) = |C|.
+    component's unique contact.  Rooted at min(A), in the first component,
+    a contact is the one vertex of its component whose parent is outside
+    A.  The result has size |A| - (h - 1) = |C|.
     """
     violations = cert.validate(t)
     if violations:
         raise FamilyError("; ".join(violations))
-    comps = sorted(_components(set(cert.a_set), t), key=min)
-    dist = bfs_distances(t, comps[0])
-    chosen = set(cert.a_set)
-    for comp in comps[1:]:
-        chosen.remove(min(comp, key=dist.__getitem__))
-    return IsolationSolution(cert.k, frozenset(chosen), len(chosen), "family_construction")
+    a_set = cert.a_set
+    _, parent = bfs_order(t, min(a_set))
+    chosen = frozenset(a for a in a_set if parent[a] in a_set)
+    return IsolationSolution(cert.k, chosen, len(chosen), "family_construction")
 
 
 def sample_family_Tk(rng: random.Random, k: int, n0: int, h: int) -> tuple[Tree, TkCertificate]:
@@ -782,7 +768,7 @@ def gen_char_orderminusleaves(
 
 def corona_shape(g: Graph) -> tuple[CoronaCertificate, int] | None:
     """The k-free pass of (n - l)/2 recognition on a connected graph with
-    n >= 3: the candidate certificate and the largest k it can serve.
+    n >= 3: the validated certificate and the largest k it serves, or None.
 
     Strips the leaves and tests the core: a chordless 4-cycle, every core
     vertex of which needs >= k leaves, or a corona core, one pendant
@@ -793,7 +779,11 @@ def corona_shape(g: Graph) -> tuple[CoronaCertificate, int] | None:
     rejected at once.  A core vertex's core degree is its degree minus
     its leaves.  No subgraph is built: a leaf is never inside a path, so
     the core of a connected graph is connected, and so are its inner
-    vertices (``CoronaCertificate.validate`` re-checks them).
+    vertices (``CoronaCertificate.validate`` re-checks them).  The
+    candidate is validated once, at the largest k: ``validate`` reads k
+    only in its ``< k`` leaf-count clauses, so it passes at that k
+    exactly when it passes at every smaller one, and the graph is a
+    member at k exactly when k is at most the largest k.
     """
     adjacency = g.adjacency
     leaves = {u for u in range(g.n) if g.degree(u) == 1}
@@ -811,46 +801,37 @@ def corona_shape(g: Graph) -> tuple[CoronaCertificate, int] | None:
             cycle.append(cur)
             prev, cur = cur, next(w for w in adjacency[cur] if w != prev and w not in leaves)
         cert = CoronaCertificate("c4_leaves", tuple(cycle), attached)
-        return cert, min(attached.values())
-
-    core_leaves = {u for u in core_vertices if core_degree[u] == 1}
-    if len(core_vertices) == 2:
-        pairs = [tuple(core_vertices)]
+        largest_k = min(attached.values())
     else:
-        inner = [u for u in core_vertices if core_degree[u] > 1]
-        if len(inner) != len(core_leaves):
-            return None
-        partner = {}  # one-to-one: a core leaf has one core neighbor
-        for u in inner:
-            pendants = [w for w in adjacency[u] if w in core_leaves]
-            if len(pendants) != 1:
+        core_leaves = {u for u in core_vertices if core_degree[u] == 1}
+        if len(core_vertices) == 2:
+            pairs = [tuple(core_vertices)]
+        else:
+            inner = [u for u in core_vertices if core_degree[u] > 1]
+            if len(inner) != len(core_leaves):
                 return None
-            partner[u] = pendants[0]
-        pairs = sorted(partner.items())
-    assignment = {u: attached[u] for u in core_vertices if attached[u] > 0}
-    cert = CoronaCertificate("corona_with_leaves", tuple(pairs), assignment)
-    return cert, min(attached[u] for u in core_leaves)
-
-
-def corona_certificate(
-    g: Graph, shape: tuple[CoronaCertificate, int] | None, k: int
-) -> CoronaCertificate | None:
-    """The per-k step: the certificate of ``corona_shape(g)`` if it serves
-    k and ``CoronaCertificate.validate`` accepts it, else None."""
-    if shape is None or shape[1] < k:
-        return None
-    cert = shape[0]
-    return cert if not cert.validate(g, k) else None
+            partner = {}  # one-to-one: a core leaf has one core neighbor
+            for u in inner:
+                pendants = [w for w in adjacency[u] if w in core_leaves]
+                if len(pendants) != 1:
+                    return None
+                partner[u] = pendants[0]
+            pairs = sorted(partner.items())
+        assignment = {u: attached[u] for u in core_vertices if attached[u] > 0}
+        cert = CoronaCertificate("corona_with_leaves", tuple(pairs), assignment)
+        largest_k = min(attached[u] for u in core_leaves)
+    return None if cert.validate(g, largest_k) else (cert, largest_k)
 
 
 def recognize_char_orderminusleaves(g: Graph, k: int) -> CoronaCertificate | None:
-    """Match g against the (n - l)/2 equality shapes (``corona_shape``),
-    then check the shape for k (``corona_certificate``)."""
+    """Match g against the (n - l)/2 equality shapes (``corona_shape``,
+    validated once); g is a member at k when its shape serves k."""
     if k < 1:
         raise FamilyError(f"need k >= 1, got {k}")
     if g.n < 3 or not g.is_connected():
         raise FamilyError("recognition needs a connected graph with n >= 3")
-    return corona_certificate(g, corona_shape(g), k)
+    shape = corona_shape(g)
+    return shape[0] if shape is not None and shape[1] >= k else None
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ after a ``#`` is a comment; blank lines are skipped.
 
 from __future__ import annotations
 
+import os
 import re
 from math import isqrt
 
@@ -118,9 +119,19 @@ def parse_graph6(text: str) -> Graph:
 
 
 def load_graph(path: str, graph6: bool = False) -> Graph:
-    """Read a graph file in either supported format."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    """Read a graph file in either supported format.
+
+    A path that exists and is not a regular file is refused before it is
+    opened: a FIFO would wait for a writer, and ``/dev/zero`` never ends.
+    Text that is not UTF-8 is a ``GraphError``.
+    """
+    if os.path.exists(path) and not os.path.isfile(path):
+        raise OSError("exists and is not a regular file")
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise GraphError(f"input is not UTF-8: {exc}") from None
     if graph6:
         return parse_graph6(text)
     return parse_edgelist(text)

@@ -50,7 +50,6 @@ from .bounds import (
     bound_report,
 )
 from .families import (
-    corona_certificate,
     corona_shape,
     min_iso_set_F,
     min_iso_set_Tk,
@@ -283,11 +282,10 @@ def check_tree(t: Tree, config: SweepConfig, source: str = "enumerated") -> Swee
         sol = solutions[k]
         iota = sol.size
         tk_cert = recognize_Tk(t, k) if k >= 2 else None
-        corona_cert = corona_certificate(t, corona, k) if corona_check else None
+        corona_member = corona is not None and corona[1] >= k if corona_check else None
         text, equal, bound_violations = _per_k(
             bound_key(t, k), iota, iota1, t.max_degree >= k,
-            tk_cert is not None if k >= 2 else None,
-            corona_cert is not None if corona_check else None,
+            tk_cert is not None if k >= 2 else None, corona_member,
         )
         if k == 1:
             equal1 = equal
@@ -333,10 +331,9 @@ def check_tree(t: Tree, config: SweepConfig, source: str = "enumerated") -> Swee
                         f"k={k}: double-star (n-l)/2 equality is {eq} with max degree "
                         f"{t.max_degree}"
                     )
-            elif eq != (corona_cert is not None):
+            elif eq != corona_member:
                 violations.append(
-                    f"k={k}: (n-l)/2 equality is {eq} but corona membership is "
-                    f"{corona_cert is not None}"
+                    f"k={k}: (n-l)/2 equality is {eq} but corona membership is {corona_member}"
                 )
 
         if "normalizers" in checks and n >= 3:

@@ -19,18 +19,11 @@ from stariso.bounds import (
     regime_classify,
 )
 from stariso.families import gen_corona_extremal, gen_spider_gap
-from stariso.graphs import as_tree, build_graph, enumerate_free_trees, is_any_star, is_star
+from stariso.graphs import as_tree, enumerate_free_trees, is_any_star, is_star
 from stariso.solver import iota_tree_dp
 
 from bound_helpers import fraction_table_violations, strong_supports
-
-
-def path_tree(n):
-    return as_tree(build_graph(n, [(i, i + 1) for i in range(n - 1)]))
-
-
-def star_tree(k):
-    return as_tree(build_graph(k + 1, [(0, i) for i in range(1, k + 1)]))
+from tree_helpers import path_tree, star_tree
 
 
 class TestRegimeClassify:

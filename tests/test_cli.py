@@ -2,6 +2,7 @@
 
 import json
 import os
+import resource
 import stat
 import subprocess
 import sys
@@ -507,6 +508,39 @@ def test_partial_that_is_not_a_regular_file_fails_at_once(tmp_path, make):
     assert not stat.S_ISREG(os.lstat(partial).st_mode)
     target = tmp_path / "target.txt"
     assert not target.exists() or target.read_text() == "older\n"
+
+
+def not_utf8(tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"\xff\xfe\n")
+    return str(path), ("parse error: input is not UTF-8: 'utf-8' codec can't decode byte "
+                       "0xff in position 0: invalid start byte")
+
+
+def a_fifo(tmp_path):
+    path = tmp_path / "in.fifo"
+    os.mkfifo(path)
+    return str(path), f"cannot read {path}: exists and is not a regular file"
+
+
+def dev_zero(tmp_path):
+    return "/dev/zero", "cannot read /dev/zero: exists and is not a regular file"
+
+
+def limit_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("make", [not_utf8, a_fifo, dev_zero], ids=["not-utf8", "fifo", "dev-zero"])
+def test_hostile_input_exits_1_with_a_message(tmp_path, make):
+    # a FIFO with no writer would block the read and /dev/zero never ends:
+    # the timeout and the address-space limit turn a regression into a
+    # failure instead of a hang or a machine out of memory
+    path, message = make(tmp_path)
+    proc = subprocess.run([sys.executable, "-m", "stariso.cli", "solve", "--input", path,
+                           "--k", "1"], env=python_env(), capture_output=True, text=True,
+                          timeout=20, preexec_fn=limit_memory)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", f"Error: {message}\n")
 
 
 def test_cli_import_loads_only_what_solve_needs():

@@ -37,6 +37,7 @@ from stariso.families import (
 from stariso.graphs import (
     Tree,
     as_tree,
+    bfs_distances,
     build_graph,
     canonical_code,
     diameter_path,
@@ -46,6 +47,7 @@ from stariso.solver import iota_bruteforce, iota_tree_dp, is_isolating
 
 from bound_helpers import strong_supports
 from family_helpers import add_twin_leaves
+from tree_helpers import path_tree, star_tree
 
 
 def shape_item(shape):
@@ -54,14 +56,6 @@ def shape_item(shape):
         return None
     cert, most = shape
     return (cert.kind, cert.core_vertices, tuple(cert.leaf_assignment.items()), most)
-
-
-def path_tree(n):
-    return as_tree(build_graph(n, [(i, i + 1) for i in range(n - 1)]))
-
-
-def star_tree(k):
-    return as_tree(build_graph(k + 1, [(0, i) for i in range(1, k + 1)]))
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +154,7 @@ def oracle_member_Tk(t: Tree, k: int) -> bool:
             a_set = set(range(t.n)) - leaves - c_set - b_set
             if not a_set:
                 continue
-            comps = _component_count(t, a_set)
+            comps = len(induced_components(t, a_set))
             cert = TkCertificate(
                 k=k,
                 a_set=frozenset(a_set),
@@ -175,20 +169,22 @@ def oracle_member_Tk(t: Tree, k: int) -> bool:
     return False
 
 
-def _component_count(g, vertices):
+def induced_components(g, vertices):
+    """The components of the subgraph induced on ``vertices``, found by
+    search, in the order of their smallest vertices."""
     remaining = set(vertices)
-    count = 0
+    comps = []
     while remaining:
-        queue = [min(remaining)]
-        remaining.discard(queue[0])
+        comp = {min(remaining)}
+        queue = list(comp)
         while queue:
-            u = queue.pop()
-            for w in g.adjacency[u]:
-                if w in remaining:
-                    remaining.discard(w)
+            for w in g.adjacency[queue.pop()]:
+                if w in remaining and w not in comp:
+                    comp.add(w)
                     queue.append(w)
-        count += 1
-    return count
+        remaining -= comp
+        comps.append(comp)
+    return comps
 
 
 # ---------------------------------------------------------------------------
@@ -339,6 +335,18 @@ class TestGenFamilyTk:
     def test_trivial_component_rejected(self):
         with pytest.raises(FamilyError, match="trivial"):
             gen_family_Tk(2, 2, [], [0, 1])
+
+    @pytest.mark.parametrize("n0, forest, hubs, message", [
+        # a triangle: counted h = 3 - 3 = 0 opens 4 hubs for 3 bridges
+        (3, [(0, 1), (1, 2), (0, 2)], [0, 1, 2], "hub 3 receives 0 bridges"),
+        # a triangle and an edge: h = 5 - 4 = 1, and the built graph has
+        # n - 1 edges and a cycle
+        (5, [(0, 1), (1, 2), (0, 2), (3, 4)], [0, 1, 2, 3, 4],
+         "wiring does not assemble a tree: disconnected"),
+    ])
+    def test_cyclic_forest_rejected(self, n0, forest, hubs, message):
+        with pytest.raises(FamilyError, match=message):
+            gen_family_Tk(2, n0, forest, hubs)
 
     def test_overloaded_hub_rejected(self):
         with pytest.raises(FamilyError, match="between 1 and 2"):
@@ -559,6 +567,24 @@ class TestTkCertificateValidate:
         )
         assert "A vertex 0 has 2 B-neighbors, want 1" in cert.validate(t)
 
+    def test_counted_components_match_a_search(self):
+        # validate counts A's components as |A| - e(A) and names each A
+        # vertex with no A-neighbor; on seeded vertex subsets of every free
+        # tree with n <= 10 a search reports the same, message for message
+        rng = random.Random(5)
+        for n in range(1, 11):
+            for t in enumerate_free_trees(n):
+                for _ in range(24):
+                    a_set = frozenset(v for v in range(n) if rng.random() < 0.5)
+                    cert = TkCertificate(k=2, a_set=a_set, b_set=frozenset(range(n)) - a_set,
+                                         c_set=frozenset(), leaf_set=frozenset(), h=0,
+                                         n0=len(a_set))
+                    comps = induced_components(t, a_set)
+                    want = [f"A induces {len(comps)} components, certificate says h=0"]
+                    want += [f"A component {sorted(c)} is trivial" for c in comps if len(c) == 1]
+                    got = cert.validate(t)
+                    assert [m for m in got if m.startswith(("A induces", "A component"))] == want
+
 
 # ---------------------------------------------------------------------------
 # Certificate corruptions: each row starts from a generated member and its
@@ -766,7 +792,7 @@ def tk_labelings(t, k):
     for labels in itertools.product("ABC", repeat=len(inner)):
         a, b, c = (frozenset(v for v, got in zip(inner, labels) if got == want) for want in "ABC")
         yield TkCertificate(k=k, a_set=a, b_set=b, c_set=c, leaf_set=t.leaf_set,
-                            h=_component_count(t, a), n0=len(a))
+                            h=len(induced_components(t, a)), n0=len(a))
 
 
 F_PARTS = ("a_set", "b_set", "c_set", "x_set", "y_set")
@@ -880,6 +906,19 @@ class TestMinIsoSetTk:
             assert sol.set <= cert.a_set and sol.size == len(cert.a_set) - (h - 1)
             assert sol.size == len(cert.c_set) == iota_tree_dp(t, k).size
             assert is_isolating(t, sol.set, k)
+
+    def test_matches_the_nearest_contact_reference(self):
+        # the reference: A less, in each component but the one holding
+        # min(A), the vertex nearest that component
+        rng = random.Random(43)
+        for _ in range(300):
+            k, h = rng.randint(2, 5), rng.randint(2, 6)
+            t, cert = sample_family_Tk(rng, k, rng.randint(2 * h, 2 * h + 6), h)
+            comps = induced_components(t, cert.a_set)
+            dist = bfs_distances(t, comps[0])
+            want = cert.a_set - {min(c, key=dist.__getitem__) for c in comps[1:]}
+            assert len(comps) == h == recognize_Tk(t, k).h
+            assert min_iso_set_Tk(t, cert).set == want
 
     def test_a_rejected_certificate_raises(self):
         t, cert = gen_family_Tk(3, 3, [(0, 1), (1, 2)], [0, 1, 2])

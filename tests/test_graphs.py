@@ -45,14 +45,7 @@ from stariso.solver import (
 )
 
 from bound_helpers import strong_supports
-
-
-def path_graph(n):
-    return build_graph(n, [(i, i + 1) for i in range(n - 1)])
-
-
-def star_graph(k):
-    return build_graph(k + 1, [(0, i) for i in range(1, k + 1)])
+from tree_helpers import path_graph, random_trees, star_graph
 
 
 def tree_centers(t):
@@ -60,15 +53,6 @@ def tree_centers(t):
     path = far_path(t)
     d = len(path) - 1
     return sorted(path[d // 2:(d + 1) // 2 + 1])
-
-
-@st.composite
-def random_trees(draw, min_n=2, max_n=10):
-    n = draw(st.integers(min_n, max_n))
-    if n == 2:
-        return as_tree(build_graph(2, [(0, 1)]))
-    seq = draw(st.lists(st.integers(0, n - 1), min_size=n - 2, max_size=n - 2))
-    return prufer_decode(seq)
 
 
 def first_fault(n, edges):

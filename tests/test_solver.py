@@ -35,22 +35,7 @@ from stariso.solver import (
     residual_degrees,
 )
 
-
-def path_graph(n):
-    return build_graph(n, [(i, i + 1) for i in range(n - 1)])
-
-
-def star_graph(k):
-    return build_graph(k + 1, [(0, i) for i in range(1, k + 1)])
-
-
-@st.composite
-def random_trees(draw, min_n=2, max_n=9):
-    n = draw(st.integers(min_n, max_n))
-    if n == 2:
-        return as_tree(build_graph(2, [(0, 1)]))
-    seq = draw(st.lists(st.integers(0, n - 1), min_size=n - 2, max_size=n - 2))
-    return prufer_decode(seq)
+from tree_helpers import path_graph, random_trees, star_graph
 
 
 class TestResidual:

@@ -59,9 +59,7 @@ from stariso.sweep import (
     sweep_lines,
 )
 
-
-def path_tree(n):
-    return as_tree(build_graph(n, [(i, i + 1) for i in range(n - 1)]))
+from tree_helpers import path_tree, star_tree
 
 
 @pytest.fixture
@@ -299,10 +297,6 @@ class TestBoundTableReads:
                     want = evaluate_bounds(t, k, entry["iota"]).to_json_dict()
                     for key in ("regime", "bounds", "equality"):
                         assert entry[key] == want[key], (n, k, key)
-
-
-def star_tree(k):
-    return as_tree(build_graph(k + 1, [(0, i) for i in range(1, k + 1)]))
 
 
 def flipped(name):
