@@ -45,6 +45,7 @@ _EXPORTS = {
     "solver": (
         "IsolationSolution",
         "certificate_failures",
+        "first_isolating",
         "gamma_bruteforce",
         "iota_bruteforce",
         "iota_tree_dp",

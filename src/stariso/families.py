@@ -786,12 +786,12 @@ def corona_shape(g: Graph) -> tuple[CoronaCertificate, int] | None:
     member at k exactly when k is at most the largest k.
     """
     adjacency = g.adjacency
-    leaves = {u for u in range(g.n) if g.degree(u) == 1}
+    leaves = {u for u, a in enumerate(adjacency) if len(a) == 1}
     core_vertices = [u for u in range(g.n) if u not in leaves]
     if not core_vertices or len(core_vertices) % 2:
         return None
     attached = {u: sum(1 for w in adjacency[u] if w in leaves) for u in core_vertices}
-    core_degree = {u: g.degree(u) - attached[u] for u in core_vertices}
+    core_degree = {u: len(adjacency[u]) - attached[u] for u in core_vertices}
 
     if len(core_vertices) == 4 and all(d == 2 for d in core_degree.values()):
         first = core_vertices[0]

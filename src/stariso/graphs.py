@@ -301,11 +301,12 @@ def _rooted_code(t: Tree, root: int) -> bytes:
     """AHU parenthesis code of the tree rooted at root (iterative)."""
     order, parent = t.rooted(root)
     adjacency = t.adjacency
-    code = [b""] * t.n
+    code = [b"10"] * t.n  # a leaf's code
     for u in reversed(order):
         p = parent[u]
-        children = sorted(code[v] for v in adjacency[u] if v != p)
-        code[u] = b"1" + b"".join(children) + b"0"
+        if len(adjacency[u]) > 1 or p == u:
+            children = sorted(code[v] for v in adjacency[u] if v != p)
+            code[u] = b"1" + b"".join(children) + b"0"
     return code[root]
 
 
@@ -448,11 +449,15 @@ def level_tree(levels: tuple[int, ...]) -> Tree:
     level-sequence indices: equal to ``as_tree(build_graph(n,
     level_edges(levels)))``.  A vertex's parent comes before it and its
     children after it, in ascending order, so the neighbor tuples come
-    out sorted with no sort and no duplicate scan."""
+    out sorted with no sort and no duplicate scan, and no edge list."""
     adjacency: list[list[int]] = [[] for _ in levels]
-    for v, p in level_edges(levels):
+    last = [0] * len(levels)  # as in level_edges
+    for v in range(1, len(levels)):
+        d = levels[v]
+        p = last[d - 1]
         adjacency[v].append(p)
         adjacency[p].append(v)
+        last[d] = v
     return as_tree(Graph(len(levels), tuple(map(tuple, adjacency))))
 
 

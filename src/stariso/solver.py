@@ -1,21 +1,24 @@
 """Exact solvers for k-star isolation and domination.
 
-``iota_bruteforce`` is the increasing-size subset oracle (n <= 24), and
-``gamma_bruteforce`` is the same search at k = 0, where K_{1,0} is a single
-vertex and isolation is domination; the search builds per-vertex bitmasks
-locally.
+``first_isolating`` is the increasing-size subset oracle (n <= 24): one
+search answers every k of a graph, each subset serving every k its
+residual max degree is below.  ``iota_bruteforce`` is that search at one
+k, and ``gamma_bruteforce`` at k = 0, where K_{1,0} is a single vertex and
+isolation is domination; the search builds per-vertex bitmasks locally.
 ``iota_tree_dp`` is the rooted dynamic program used everywhere at scale,
 linear in time and memory; it walks the Tree's stored BFS order and
 parent array (``Tree.rooted``) instead of traversing the tree itself.  Its
 bottom-up pass runs each vertex through a finite ``Machine``, whose
 accumulator is the DP's partial costs and whose per-k transition table is
 filled lazily, and ``isolation_number`` runs that pass alone, without the
-witness.  Both ``iota_*`` functions return a witness set that re-verifies
-through ``is_isolating``.
+witness; the top-down witness pass reads each child's state from the
+machine's per-shape tables.  Both ``iota_*`` functions return a witness set
+that re-verifies through ``is_isolating``.
 ``isolation_certificate`` is an oracle independent of the DP: a linear
 greedy that returns a k-isolating set (k = 0: a dominating set) together
 with a packing of k-stars, and ``certificate_failures`` proves the set
-minimum from the packing by explicit checks.
+minimum from the packing by explicit checks, in one pass over the
+residual and one over the stars.
 """
 
 from __future__ import annotations
@@ -53,8 +56,7 @@ def residual_degrees(g: Graph, dominators: frozenset[int] | set[int]) -> dict[in
 
     Counts in place, without building the residual subgraph.
     """
-    _check_vertex_set(g, dominators)
-    removed = closed_neighborhood(g, dominators)
+    removed = _removed(g, dominators)
     adjacency = g.adjacency
     return {
         v: len(adjacency[v]) - len(removed.intersection(adjacency[v]))
@@ -71,8 +73,7 @@ def is_isolating(g: Graph, dominators: frozenset[int] | set[int], k: int) -> boo
     """
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
-    _check_vertex_set(g, dominators)
-    removed = closed_neighborhood(g, dominators)
+    removed = _removed(g, dominators)
     for v, neighbors in enumerate(g.adjacency):
         if (len(neighbors) >= k and v not in removed
                 and len(neighbors) - len(removed.intersection(neighbors)) >= k):
@@ -86,59 +87,83 @@ def _check_vertex_set(g: Graph, vertices) -> None:
             raise GraphError(f"vertex {v} out of range for n={g.n}")
 
 
-def _adjacency_masks(g: Graph) -> list[int]:
-    """Open-neighborhood bitmask of every vertex (brute-force sizes only)."""
-    masks = []
+def _removed(g: Graph, dominators) -> set[int]:
+    """N[D] as a plain set, built in place once D is checked in range."""
+    _check_vertex_set(g, dominators)
+    adjacency = g.adjacency
+    removed = set(dominators)
+    for v in dominators:
+        removed.update(adjacency[v])
+    return removed
+
+
+def first_isolating(g: Graph, ks) -> dict[int, IsolationSolution]:
+    """For each k in ks (k >= 0), the lexicographically first among the
+    smallest vertex sets whose closed neighborhood leaves no k-star (at
+    k = 0: no vertex at all), from one increasing-size subset search.
+
+    Each subset's residual max degree d (-1 for an empty residual) serves
+    every open k above d, so each k takes the first subset that isolates
+    it; the scan of a residual stops once d reaches the largest open k.
+    Guarded to n <= 24; an empty ks searches nothing.
+    """
+    if g.n > BRUTE_FORCE_MAX_N:
+        raise InstanceTooLarge(f"brute force capped at n={BRUTE_FORCE_MAX_N}, got {g.n}")
+    open_ks = sorted(set(ks))
+    if not open_ks:
+        return {}
+    if open_ks[0] < 0:
+        raise ValueError(f"k must be nonnegative, got {open_ks[0]}")
+    adj = []
     for neighbors in g.adjacency:
         m = 0
         for w in neighbors:
             m |= 1 << w
-        masks.append(m)
-    return masks
-
-
-def _residual_has_k_star(adj: list[int], full: int, picked: tuple[int, ...], k: int) -> bool:
-    removed = 0
-    for v in picked:
-        removed |= adj[v] | (1 << v)
-    remaining = full & ~removed
-    m = remaining
-    while m:
-        v = (m & -m).bit_length() - 1
-        m &= m - 1
-        if (adj[v] & remaining).bit_count() >= k:
-            return True
-    return False
-
-
-def _first_isolating(g: Graph, k: int) -> IsolationSolution:
-    """The lexicographically first among the smallest vertex sets whose
-    closed neighborhood leaves no k-star (at k = 0: no vertex at all)."""
-    if g.n > BRUTE_FORCE_MAX_N:
-        raise InstanceTooLarge(f"brute force capped at n={BRUTE_FORCE_MAX_N}, got {g.n}")
-    adj = _adjacency_masks(g)
+        adj.append(m)
+    closed = [m | 1 << v for v, m in enumerate(adj)]
     full = (1 << g.n) - 1
+    found = {}
     for size in range(g.n + 1):
         for picked in combinations(range(g.n), size):
-            if not _residual_has_k_star(adj, full, picked, k):
-                return IsolationSolution(k, frozenset(picked), size, "brute_force")
-    raise AssertionError("unreachable: V always isolates")
+            top = open_ks[-1]
+            removed = 0
+            for v in picked:
+                removed |= closed[v]
+            remaining = m = full & ~removed
+            degree = -1
+            while m:
+                v = (m & -m).bit_length() - 1
+                m &= m - 1
+                d = (adj[v] & remaining).bit_count()
+                if d > degree:
+                    degree = d
+                    if d >= top:
+                        break
+            if degree < top:
+                solution = frozenset(picked)
+                while open_ks and open_ks[-1] > degree:
+                    k = open_ks.pop()
+                    found[k] = IsolationSolution(k, solution, size, "brute_force")
+                if not open_ks:
+                    return found
+    raise AssertionError("unreachable: V isolates at every k")
 
 
 def iota_bruteforce(g: Graph, k: int) -> IsolationSolution:
-    """Minimum k-isolating set by increasing-size subset search.
+    """Minimum k-isolating set by increasing-size subset search
+    (``first_isolating`` at k alone).
 
     Deterministic witness: the lexicographically smallest vertex set among
     the minimum ones.  Guarded to n <= 24.
     """
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
-    return _first_isolating(g, k)
+    return first_isolating(g, (k,))[k]
 
 
 def gamma_bruteforce(g: Graph) -> IsolationSolution:
     """Minimum dominating set: the isolation brute force at k = 0."""
-    return _first_isolating(g, 0)
+    return first_isolating(g, (0,))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -153,6 +178,9 @@ def gamma_bruteforce(g: Graph) -> IsolationSolution:
 #   FREE_LO  outside N[D], at most k-2 residual children (parent residual)
 _IN, _SAT, _NEED, _FREE_HI, _FREE_LO = range(5)
 _INF = 2  # a pruned state: relative costs that survive are 0 or 1
+# a child of a FREE vertex that is SAT, or FREE_LO for one less while the
+# parent's budget lasts
+_SAT_OR_LO = 5
 
 
 def _free_cost(excess: int, used: int, optional: int, budget: int) -> int:
@@ -187,6 +215,11 @@ class Machine(dict):
     v's shape and base - B.  States are interned as they first appear; the
     machine itself is attach's table, keyed by ``acc << 8 | shape`` (there
     are at most 3^5 shapes) and filled on a miss.
+
+    ``under[shape]`` is the witness pass's table, filled as each shape is
+    interned: a child's cheapest state under a parent IN, SAT or NEED, and
+    under a FREE parent FREE_LO, SAT or ``_SAT_OR_LO``.  Ties go to the
+    earliest state in the order IN, SAT, NEED, FREE_HI.
     """
 
     def __init__(self, k: int) -> None:
@@ -194,6 +227,7 @@ class Machine(dict):
         self.k = k
         self.accumulators: list[tuple[int, ...]] = []
         self.shapes: list[tuple[int, ...]] = []
+        self.under: list[bytes] = []
         self._acc_ids: dict[tuple[int, ...], int] = {}
         self._shape_ids: dict[tuple[int, ...], int] = {}
         # finish(acc), by acc id
@@ -243,6 +277,13 @@ class Machine(dict):
             if shape not in self._shape_ids:
                 self._shape_ids[shape] = len(self.shapes)
                 self.shapes.append(shape)
+                a, b, d, f, lo = shape
+                self.under.append(bytes((
+                    _IN if a <= b and a <= d else (_SAT if b <= d else _NEED),
+                    _IN if a <= b and a <= f else (_SAT if b <= f else _FREE_HI),
+                    _SAT if b <= f else _FREE_HI,
+                    _FREE_LO if b >= _INF else (_SAT_OR_LO if lo < b else _SAT),
+                )))
             self.finished_shape.append(self._shape_ids[shape])
             self.finished_low.append(low)
         return i
@@ -259,9 +300,9 @@ def machine(k: int) -> Machine:
 
 
 def _bottom_up(t: Tree, k: int,
-               root: int) -> tuple[list, list[int], list[int], list[int], int] | None:
-    """Finish every vertex of t rooted at root: the machine's shapes, the
-    rooted view, each vertex's shape id and the root's base.  None when k
+               root: int) -> tuple[Machine, list[int], list[int], list[int], int] | None:
+    """Finish every vertex of t rooted at root: the machine, the rooted
+    view, each vertex's shape id and the root's base.  None when k
     is above the max degree: t has no k-star, so iota is 0, and k's machine
     is neither built nor run."""
     if k < 1:
@@ -283,7 +324,7 @@ def _bottom_up(t: Tree, k: int,
         p = parent[v]
         acc[p] = m[acc[p] << 8 | s]
     shape[root], low = m.finish(acc[root])
-    return m.shapes, order, parent, shape, base + low
+    return m, order, parent, shape, base + low
 
 
 def isolation_number(t: Tree, k: int) -> int:
@@ -292,8 +333,8 @@ def isolation_number(t: Tree, k: int) -> int:
     run = _bottom_up(t, k, 0)
     if run is None:
         return 0
-    costs, _, _, shape, base = run
-    a, b, _, f, _ = costs[shape[0]]
+    m, _, _, shape, base = run
+    a, b, _, f, _ = m.shapes[shape[0]]
     return base + min(a, b, f)
 
 
@@ -312,9 +353,9 @@ def iota_tree_dp(t: Tree, k: int, root: int = 0) -> IsolationSolution:
     run = _bottom_up(t, k, root)
     if run is None:
         return IsolationSolution(k, frozenset(), 0, "tree_dp")
-    costs, order, parent, shape, base = run
-    adj = t.adjacency
-    a, b, _, f, _ = costs[shape[root]]
+    m, order, parent, shape, base = run
+    adj, under = t.adjacency, m.under
+    a, b, _, f, _ = m.shapes[shape[root]]
     best_state, best = _IN, a
     if b < best:
         best_state, best = _SAT, b
@@ -327,17 +368,12 @@ def iota_tree_dp(t: Tree, k: int, root: int = 0) -> IsolationSolution:
     for v in order:
         p = parent[v]
         s = state[v]
-        if s == _IN:
-            witness.append(v)
+        if s == _IN or s == _NEED:
+            if s == _IN:
+                witness.append(v)
             for c in adj[v]:
                 if c != p:
-                    a, b, d, _, _ = costs[shape[c]]
-                    state[c] = _IN if a <= b and a <= d else (_SAT if b <= d else _NEED)
-        elif s == _NEED:
-            for c in adj[v]:
-                if c != p:
-                    _, b, _, f, _ = costs[shape[c]]
-                    state[c] = _SAT if b <= f else _FREE_HI
+                    state[c] = under[shape[c]][s]
         elif s == _SAT:
             # IN where it is cheapest; with no such child, the first child
             # goes IN, as its uplift is 1 like every other child's
@@ -345,14 +381,11 @@ def iota_tree_dp(t: Tree, k: int, root: int = 0) -> IsolationSolution:
             first = -1
             for c in adj[v]:
                 if c != p:
-                    a, b, _, f, _ = costs[shape[c]]
-                    if a <= b and a <= f:
-                        state[c] = _IN
+                    c_state = state[c] = under[shape[c]][_SAT]
+                    if c_state == _IN:
                         has_in = True
-                    else:
-                        state[c] = _SAT if b <= f else _FREE_HI
-                        if first < 0:
-                            first = c
+                    elif first < 0:
+                        first = c
             if not has_in:
                 state[first] = _IN
         else:
@@ -362,13 +395,13 @@ def iota_tree_dp(t: Tree, k: int, root: int = 0) -> IsolationSolution:
             optional = []
             for c in adj[v]:
                 if c != p:
-                    _, b, _, _, lo = costs[shape[c]]
-                    if b >= _INF:
+                    c_state = under[shape[c]][_FREE_HI]
+                    if c_state == _FREE_LO:
                         state[c] = _FREE_LO
                         budget -= 1
                     else:
                         state[c] = _SAT
-                        if lo < b:
+                        if c_state == _SAT_OR_LO:
                             optional.append(c)
             for c in optional[:budget]:
                 state[c] = _FREE_LO
@@ -458,12 +491,15 @@ def certificate_failures(
     pairwise disjoint closed neighborhoods need one vertex each: an
     isolating set as large as such a packing is minimum.
     """
-    failures = []
-    for v, degree in residual_degrees(g, dominators).items():
-        if degree >= k:
-            failures.append(f"set is not isolating: vertex {v} keeps residual degree {degree}")
-            break
+    removed = _removed(g, dominators)
     adj = g.adjacency
+    failures = []
+    for v, neighbors in enumerate(adj):
+        if v not in removed:
+            degree = len(neighbors) - len(removed.intersection(neighbors))
+            if degree >= k:
+                failures.append(f"set is not isolating: vertex {v} keeps residual degree {degree}")
+                break
     owner = [-1] * g.n
     for i, star in enumerate(packing):
         leaves = set(star[1:])
@@ -475,12 +511,14 @@ def certificate_failures(
         ):
             failures.append(f"{star} is not a {k}-star")
             continue
-        hood = set(star).union(*(adj[v] for v in star))
-        for j in sorted({owner[u] for u in hood if owner[u] >= 0}):
-            failures.append(f"stars {packing[j]} and {star} have overlapping closed neighborhoods")
-        for u in hood:
+        earlier = set()
+        for u in set(star).union(*(adj[v] for v in star)):
             if owner[u] < 0:
                 owner[u] = i
+            else:
+                earlier.add(owner[u])
+        for j in sorted(earlier):
+            failures.append(f"stars {packing[j]} and {star} have overlapping closed neighborhoods")
     if len(dominators) != len(packing):
         failures.append(f"set has {len(dominators)} vertices, packing has {len(packing)} stars")
     return failures
@@ -500,10 +538,11 @@ def normalize_no_leaves(t: Tree, sol: IsolationSolution) -> IsolationSolution:
     if t.n < 3:
         raise GraphError(f"normalization needs n >= 3, got {t.n}")
     _check_vertex_set(t, sol.set)
+    adjacency = t.adjacency
     replaced = set()
     for v in sol.set:
-        if t.degree(v) == 1:
-            replaced.add(t.adjacency[v][0])
+        if len(adjacency[v]) == 1:
+            replaced.add(adjacency[v][0])
         else:
             replaced.add(v)
     return IsolationSolution(sol.k, frozenset(replaced), len(replaced), sol.method)

@@ -71,7 +71,7 @@ from .graphs import (
 )
 from .solver import (
     certificate_failures,
-    iota_bruteforce,
+    first_isolating,
     iota_tree_dp,
     is_isolating,
     isolation_certificate,
@@ -277,8 +277,13 @@ def check_tree(t: Tree, config: SweepConfig, source: str = "enumerated") -> Swee
     f_cert = recognize_F(t)
     corona_check = "corona-char" in checks and n >= 3
     corona = corona_shape(t) if corona_check else None
+    ks = sorted(set(config.k_list))
+    # one subset search answers every k
+    oracle = "oracle" in checks and n <= config.bf_max
+    brute_force = first_isolating(t, ks) if oracle else None
+    norm1 = None  # the k = 1 leaf normalization, where 1 is in the k list
 
-    for k in sorted(set(config.k_list)):
+    for k in ks:
         sol = solutions[k]
         iota = sol.size
         tk_cert = recognize_Tk(t, k) if k >= 2 else None
@@ -290,10 +295,10 @@ def check_tree(t: Tree, config: SweepConfig, source: str = "enumerated") -> Swee
         if k == 1:
             equal1 = equal
 
-        if "oracle" in checks and n <= config.bf_max:
-            bf = iota_bruteforce(t, k)
-            if bf.size != iota:
-                violations.append(f"k={k}: dp={iota} != brute_force={bf.size}")
+        if oracle:
+            bf = brute_force[k].size
+            if bf != iota:
+                violations.append(f"k={k}: dp={iota} != brute_force={bf}")
             if not is_isolating(t, sol.set, k):
                 violations.append(f"k={k}: dp witness fails verification")
             cert_set, packing = isolation_certificate(t, k)
@@ -342,6 +347,8 @@ def check_tree(t: Tree, config: SweepConfig, source: str = "enumerated") -> Swee
                 violations.append(f"k={k}: leaf normalization broke the witness")
             if norm.set & t.leaf_set:
                 violations.append(f"k={k}: leaf normalization left a leaf")
+            if k == 1:
+                norm1 = norm
 
         per_k[k] = text
 
@@ -370,7 +377,7 @@ def check_tree(t: Tree, config: SweepConfig, source: str = "enumerated") -> Swee
                 )
 
     if "normalizers" in checks and n >= 5:
-        norm = normalize_no_deg2_support(t, normalize_no_leaves(t, solutions[1]))
+        norm = normalize_no_deg2_support(t, norm1 or normalize_no_leaves(t, solutions[1]))
         if norm.size != iota1 or not is_isolating(t, norm.set, 1):
             violations.append("support normalization broke the witness")
         if norm.set & t.leaf_set:

@@ -22,6 +22,7 @@ from stariso.solver import (
     IsolationSolution,
     Machine,
     certificate_failures,
+    first_isolating,
     gamma_bruteforce,
     iota_bruteforce,
     iota_tree_dp,
@@ -186,6 +187,50 @@ class TestBruteForce:
         assert h.hexdigest() == (
             "a0b117b58b9f771e7b011fa7a3fa2428c1d72695cebe0356c4954c620978dc57"
         )
+
+
+def recorded_graphs():
+    """The 210 graphs of ``test_witnesses_match_recorded_digest``."""
+    graphs = [t for n in range(1, 11) for t in enumerate_free_trees(n)]
+    graphs += [build_graph(n, [(i, (i + 1) % n) for i in range(n)]) for n in range(3, 11)]
+    graphs.append(build_graph(4, list(itertools.combinations(range(4), 2))))
+    return graphs
+
+
+class TestFirstIsolating:
+    """One search for a tuple of k gives each k what its own call gives."""
+
+    @pytest.mark.parametrize("ks", [(3, 1), (2, 2, 5), (0, 1, 2, 3)])
+    def test_each_k_as_its_own_call(self, ks):
+        for g in recorded_graphs():
+            found = first_isolating(g, ks)
+            assert sorted(found) == sorted(set(ks))
+            for k in ks:
+                alone = gamma_bruteforce(g) if k == 0 else iota_bruteforce(g, k)
+                assert found[k] == alone
+                assert (found[k].k, found[k].method) == (k, "brute_force")
+
+    def test_each_k_is_the_first_minimum_isolating_set(self):
+        # against a search of its own per k, in the same subset order
+        for g in recorded_graphs()[:48]:  # every free tree with n <= 8
+            found = first_isolating(g, (1, 2, 3))
+            for k in (1, 2, 3):
+                first = next(set(c) for size in range(g.n + 1)
+                             for c in itertools.combinations(range(g.n), size)
+                             if is_isolating(g, c, k))
+                assert found[k].set == first and found[k].size == len(first)
+
+    def test_empty_tuple_searches_nothing(self):
+        assert first_isolating(path_graph(6), ()) == {}
+
+    @pytest.mark.parametrize("ks", [(1,), (0, 2), ()])
+    def test_hard_limit(self, ks):
+        with pytest.raises(InstanceTooLarge, match="capped at n=24, got 25"):
+            first_isolating(path_graph(25), ks)
+
+    def test_negative_k_rejected(self):
+        with pytest.raises(ValueError, match="k must be nonnegative, got -1"):
+            first_isolating(path_graph(3), (1, -1))
 
 
 class TestTreeDp:
@@ -426,6 +471,28 @@ class TestIsolationCertificate:
         # a repeated leaf: three entries, but two distinct vertices
         assert certificate_failures(star_graph(3), 2, {0}, [(0, 1, 1)]) == [
             "(0, 1, 1) is not a 2-star"
+        ]
+
+    def test_out_of_range_dominator_raises_first(self):
+        # the packing and the sizes are wrong too, but nothing is listed
+        for v in (7, -1):
+            with pytest.raises(GraphError, match=f"vertex {v} out of range for n=7"):
+                certificate_failures(path_graph(7), 1, {1, v}, [(9,)])
+
+    def test_a_star_meeting_two_earlier_stars_names_both(self):
+        # N[(2, 3)] meets (0, 1) at 1 and 2 and (5, 6) at 4: the earlier
+        # star in the packing comes first, whatever the vertex order
+        packing = [(5, 6), (0, 1), (2, 3)]
+        assert certificate_failures(path_graph(7), 1, {1, 4, 5}, packing) == [
+            "stars (5, 6) and (2, 3) have overlapping closed neighborhoods",
+            "stars (0, 1) and (2, 3) have overlapping closed neighborhoods",
+        ]
+
+    def test_non_isolating_names_the_lowest_vertex(self):
+        # two 2-stars, centered at 1 and at 4 (of degree 3)
+        g = build_graph(7, [(0, 1), (1, 2), (3, 4), (4, 5), (4, 6)])
+        assert certificate_failures(g, 2, set(), []) == [
+            "set is not isolating: vertex 1 keeps residual degree 2"
         ]
 
     def test_size_mismatch(self):

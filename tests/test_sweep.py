@@ -209,9 +209,9 @@ class TestCheckTree:
 
 
 class TestDpCalls:
-    """check_tree solves each k once; the oracle adds one certificate per k,
-    the bounds suite one k = 0 certificate, and neither calls the
-    domination brute force."""
+    """check_tree solves each k once; the oracle adds one brute-force search
+    per tree and one certificate per k, the bounds suite one k = 0
+    certificate, and neither calls the domination brute force."""
 
     @staticmethod
     def count_calls(monkeypatch, t, cfg):
@@ -252,6 +252,22 @@ class TestDpCalls:
     def test_no_certificate_above_bf_max(self, monkeypatch):
         cfg = SweepConfig(max_n=8, k_list=(1, 2), bf_max=7)
         assert self.count_calls(monkeypatch, path_tree(8), cfg) == (2, [])
+
+    @pytest.mark.parametrize("bf_max, searches", [(8, [(2, 3)]), (7, [])])
+    def test_one_brute_force_search_per_tree(self, monkeypatch, bf_max, searches):
+        import stariso.sweep
+
+        calls = []
+        real = stariso.sweep.first_isolating
+
+        def counting(g, ks):
+            calls.append(tuple(ks))
+            return real(g, ks)
+
+        monkeypatch.setattr(stariso.sweep, "first_isolating", counting)
+        cfg = SweepConfig(max_n=8, k_list=(3, 2, 3), bf_max=bf_max)
+        assert check_tree(path_tree(8), cfg).violations == []
+        assert calls == searches
 
 
 class TestRecordShape:
@@ -331,6 +347,16 @@ def resized(change, at_k=None):
     return fake
 
 
+def each_resized(change):
+    """A ``first_isolating`` fault: the solution at every k with its size
+    plus ``change``, the sets kept."""
+    def fake(real):
+        def solve(g, ks):
+            return {k: sol._replace(size=sol.size + change) for k, sol in real(g, ks).items()}
+        return solve
+    return fake
+
+
 def with_a_leaf(real):
     """A solution fault: the real solution with a leaf added."""
     def solve(t, *args):
@@ -371,7 +397,7 @@ DOUBLE_STAR = as_tree(build_graph(6, [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5)]))
 #: the row fires (message templates of ``check_tree`` and ``_bounds_suite``,
 #: each formatted field written ``{}``) and the exact violations it gives.
 CLAUSE_FAULTS = [
-    row("brute-force", path_tree(6), (1,), ("oracle",), {"iota_bruteforce": resized(1)},
+    row("brute-force", path_tree(6), (1,), ("oracle",), {"first_isolating": each_resized(1)},
         ["k={}: dp={} != brute_force={}"], ["k=1: dp=2 != brute_force=3"], bf_max=6),
     row("dp-witness", path_tree(6), (1,), ("oracle",),
         {"iota_tree_dp": lambda real: lambda t, k: real(t, k)._replace(set=t.leaf_set)},
@@ -777,6 +803,34 @@ class TestRunSweep:
         assert (len(summary), violations) == (999, 0)
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
             "38a28ca843397bdee1e4268755332244c899fc44343f197190277b6fac6e7520"
+        )
+
+    # recorded before one brute-force search answered every k of a tree
+    @pytest.mark.parametrize("k_list, fields, records, digest", [
+        ((1, 2, 3, 4, 5), {"max_n": 13, "bf_max": 10, "seed": 3}, 2300,
+         "c22fd06099c1a3e4940d70381105532c469b7170a77f7098c3cdc4f618ec44c4"),
+        # the oracle without k = 1 in the k list
+        ((2, 3), {"max_n": 11}, 448,
+         "1330cd5811e50d5fd0d26882bdbf4e5c5878dff836242d4154d11d889249e66d"),
+    ], ids=["k-1-to-5", "k-2-3"])
+    def test_cli_default_sweeps_match_recorded_digests(self, tmp_path, k_list, fields, records,
+                                                        digest):
+        out = tmp_path / "r.jsonl"
+        summary, violations = run_sweep(
+            SweepConfig(k_list=k_list, output_path=str(out), **fields))
+        assert (len(summary), violations) == (records, 0)
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.slow
+    def test_order_16_sweep_matches_recorded_digest(self, monkeypatch, tmp_path):
+        # stariso sweep --max-n 16 --k-list 2,3,4 --bf-max 0 --jobs 2
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        out = tmp_path / "r.jsonl"
+        summary, violations = run_sweep(SweepConfig(
+            max_n=16, k_list=(2, 3, 4), bf_max=0, jobs=2, seed=0, output_path=str(out)))
+        assert (len(summary), violations) == (32520, 0)
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "e0d500ef2734124e091c08a14f05be1f4bc43d73282cc5710197c43a2329b17f"
         )
 
     def test_streams_order_by_order(self, monkeypatch):
