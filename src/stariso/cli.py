@@ -17,6 +17,7 @@ stderr as ``Error: <message>``.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from copy import copy
@@ -152,9 +153,9 @@ _GRAPH6 = option("--graph6", action="store_true")
 )
 def solve(path: str, k: int, witness: bool, graph6: bool) -> int | None:
     """Compute the k-isolation number of the input graph."""
-    g = _load(path, graph6)
     if k < 1:
         raise CliError(f"k must be positive, got {k}")
+    g = _load(path, graph6)
     try:
         tree = as_tree(g)
     except GraphError:
@@ -191,13 +192,13 @@ def solve(path: str, k: int, witness: bool, graph6: bool) -> int | None:
 )
 def bounds(path: str, k: int, as_json: bool, graph6: bool) -> None:
     """Evaluate every bound for a tree and report equality flags."""
+    if k < 1:
+        raise CliError(f"k must be positive, got {k}")
     g = _load(path, graph6)
     try:
         tree = as_tree(g)
     except GraphError as exc:
         raise CliError(f"bounds need a tree input: {exc}") from exc
-    if k < 1:
-        raise CliError(f"k must be positive, got {k}")
     from .bounds import BOUND_NAMES, evaluate_bounds
 
     report = evaluate_bounds(tree, k, isolation_number(tree, k))
@@ -228,9 +229,9 @@ def bounds(path: str, k: int, as_json: bool, graph6: bool) -> None:
 )
 def verify_set(path: str, k: int, set_text: str, graph6: bool) -> int | None:
     """Check whether a vertex set is k-isolating; exit 2 when it is not."""
-    g = _load(path, graph6)
     if k < 1:
         raise CliError(f"k must be positive, got {k}")
+    g = _load(path, graph6)
     dominators = _parse_vertex_list(set_text, g)
     degrees = residual_degrees(g, dominators)
     max_deg = max(degrees.values(), default=0)
@@ -253,6 +254,10 @@ def verify_set(path: str, k: int, set_text: str, graph6: bool) -> int | None:
 )
 def recognize(family: str, path: str, k: int, graph6: bool) -> None:
     """Test family membership; print the certificate JSON or "none"."""
+    if family == "Tk" and k < 2:
+        raise CliError("--family Tk needs --k >= 2")
+    if family == "corona-char" and k < 1:
+        raise CliError(f"need k >= 1, got {k}")
     g = _load(path, graph6)
     from .families import (
         FamilyError,
@@ -265,8 +270,6 @@ def recognize(family: str, path: str, k: int, graph6: bool) -> None:
         if family == "F":
             cert = recognize_F(as_tree(g))
         elif family == "Tk":
-            if k < 2:
-                raise CliError("--family Tk needs --k >= 2")
             cert = recognize_Tk(as_tree(g), k)
         else:
             cert = recognize_char_orderminusleaves(g, k)
@@ -411,7 +414,17 @@ def main(argv: list[str] | None = None) -> int:
         except SystemExit:  # only --help exits: _Parser.error raises CliError
             return 0
         command = cli.commands[args.pop("command")]
-        return command.callback(**args) or 0
+        # the data hold no reference cycles, so the cyclic collector would
+        # only rescan the millions of tuples a large tree allocates: every
+        # command runs with it off, and the caller's state comes back on
+        # each way out
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return command.callback(**args) or 0
+        finally:
+            if was_enabled:
+                gc.enable()
     except CliError as exc:
         print(f"Error: {exc}", file=sys.stderr)
         return 1

@@ -11,7 +11,7 @@ import os
 import re
 from math import isqrt
 
-from .graphs import Graph, GraphError, build_graph, gc_paused
+from .graphs import Graph, GraphError, build_graph
 
 #: The most edges a graph6 input may code.  graph6 codes up to six edges a
 #: byte, so without a limit a 33 MB file builds about 2 * 10^8 edges.
@@ -22,8 +22,7 @@ def parse_edgelist(text: str) -> Graph:
     """Parse the edge-list text format into a Graph.
 
     A vertex count above 2m + 1, for m edge lines, is rejected before any
-    adjacency is allocated, so memory stays linear in the input size.  The
-    edge tuples and the graph are built under ``gc_paused``.
+    adjacency is allocated, so memory stays linear in the input size.
     """
     raw_lines = text.splitlines()
     lines = [line.split("#", 1)[0] for line in raw_lines] if "#" in text else raw_lines
@@ -41,22 +40,21 @@ def parse_edgelist(text: str) -> Graph:
         raise GraphError(f"line {header + 1}: bad vertex count {fields[0]!r}") from None
     edges: list[tuple[int, int]] = []
     append = edges.append
-    with gc_paused():
-        for lineno, line in enumerate(lines[header + 1:], start=header + 2):
-            fields = line.split()
-            if len(fields) == 2:
-                try:
-                    append((int(fields[0]), int(fields[1])))
-                except ValueError:
-                    raise GraphError(f"line {lineno}: bad edge {raw_lines[lineno - 1]!r}") from None
-            elif fields:
-                raise GraphError(f"line {lineno}: expected 'u v', got {raw_lines[lineno - 1]!r}")
-        m = len(edges)
-        if n > 2 * m + 1:
-            raise GraphError(
-                f"vertex count {n} exceeds 2m + 1 = {2 * m + 1} for m = {m} edge lines"
-            )
-        return build_graph(n, edges)
+    for lineno, line in enumerate(lines[header + 1:], start=header + 2):
+        fields = line.split()
+        if len(fields) == 2:
+            try:
+                append((int(fields[0]), int(fields[1])))
+            except ValueError:
+                raise GraphError(f"line {lineno}: bad edge {raw_lines[lineno - 1]!r}") from None
+        elif fields:
+            raise GraphError(f"line {lineno}: expected 'u v', got {raw_lines[lineno - 1]!r}")
+    m = len(edges)
+    if n > 2 * m + 1:
+        raise GraphError(
+            f"vertex count {n} exceeds 2m + 1 = {2 * m + 1} for m = {m} edge lines"
+        )
+    return build_graph(n, edges)
 
 
 def format_edgelist(g: Graph) -> str:

@@ -17,9 +17,7 @@ build, and ``enumerate_free_trees`` yields those Trees.
 
 from __future__ import annotations
 
-import gc
 import heapq
-from contextlib import contextmanager
 from typing import Iterable, Iterator, NamedTuple
 
 #: Number of free (unlabeled) trees on n vertices, n = 1..20 (OEIS A000055).
@@ -77,48 +75,32 @@ class Graph:
         return f"{type(self).__name__}(n={self.n}, edges={self.edges()})"
 
 
-@contextmanager
-def gc_paused() -> Iterator[None]:
-    """Pause cyclic garbage collection for a bulk build of tracked objects
-    (edge tuples, per-vertex lists), whose collections cost a large share
-    of a 10^6-vertex parse or build.  The caller's GC state is restored on
-    exit, also on error."""
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if was_enabled:
-            gc.enable()
-
-
 def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a simple graph from an edge list.
 
     Rejects out-of-range endpoints, self-loops and duplicate edges, naming
-    the first offending edge in input order.  Runs under ``gc_paused``.
+    the first offending edge in input order.
     """
     if n < 0:
         raise GraphError(f"vertex count must be nonnegative, got {n}")
-    with gc_paused():
-        edges = list(edges)  # a fault is named by a second, sequential pass
-        neighbors: list[list[int]] = [[] for _ in range(n)]
-        for u, v in edges:
-            if u != v and 0 <= u < n and 0 <= v < n:
-                neighbors[u].append(v)
-                neighbors[v].append(u)
-            else:
-                raise GraphError(_first_edge_fault(n, edges))
-        for a in neighbors:
-            if len(a) > 1:
-                a.sort()
-                # a repeated edge shows up as two equal neighbors side by side
-                previous = -1
-                for w in a:
-                    if w == previous:
-                        raise GraphError(_first_edge_fault(n, edges))
-                    previous = w
-        return Graph(n, tuple(map(tuple, neighbors)))
+    edges = list(edges)  # a fault is named by a second, sequential pass
+    neighbors: list[list[int]] = [[] for _ in range(n)]
+    for u, v in edges:
+        if u != v and 0 <= u < n and 0 <= v < n:
+            neighbors[u].append(v)
+            neighbors[v].append(u)
+        else:
+            raise GraphError(_first_edge_fault(n, edges))
+    for a in neighbors:
+        if len(a) > 1:
+            a.sort()
+            # a repeated edge shows up as two equal neighbors side by side
+            previous = -1
+            for w in a:
+                if w == previous:
+                    raise GraphError(_first_edge_fault(n, edges))
+                previous = w
+    return Graph(n, tuple(map(tuple, neighbors)))
 
 
 def bfs_order(g: Graph, root: int) -> tuple[list[int], list[int]]:

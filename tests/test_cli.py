@@ -1,5 +1,6 @@
 """Command-line interface: outputs, exit codes and file formats."""
 
+import gc
 import json
 import os
 import resource
@@ -12,7 +13,7 @@ import networkx as nx
 import pytest
 
 import stariso
-from stariso.cli import main
+from stariso.cli import CliError, main
 from stariso.formats import parse_edgelist
 from stariso.graphs import as_tree, build_graph
 from stariso.families import recognize_F
@@ -544,12 +545,16 @@ def test_hostile_input_exits_1_with_a_message(tmp_path, make):
 
 
 def test_cli_import_loads_only_what_solve_needs():
-    unused = ["stariso.families", "stariso.bounds", "stariso.sweep",
-              "multiprocessing", "networkx", "click", "json"]
-    code = f"import sys, stariso.cli; print([m for m in {unused!r} if m in sys.modules])"
-    proc = run_python("-c", code)
+    # -S: the interpreter's site hooks may pre-import some of these; what
+    # the CLI's import path loads is compiled on every start without bytecode
+    unused = ["networkx", "click", "dataclasses", "inspect", "logging", "fractions", "decimal",
+              "json", "tempfile", "random", "concurrent", "multiprocessing", "ast"]
+    code = (f"import sys, stariso.cli; print([m for m in {unused!r} if m in sys.modules]); "
+            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'stariso'))")
+    proc = run_python("-S", "-c", code)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.splitlines() == [
+        "[]", str(["stariso", "stariso.cli", "stariso.formats", "stariso.graphs", "stariso.solver"])]
 
 
 def test_cli_and_bounds_import_without_dataclasses_or_inspect():
@@ -658,3 +663,56 @@ def test_main_calls_the_command_callback_it_finds(p8_file, monkeypatch, capsys):
     assert main(["solve", "--input", p8_file, "--k", "2"]) == 0
     assert capsys.readouterr().out == "2\n"
     assert calls == [{"path": p8_file, "k": 2, "witness": False, "graph6": False}]
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+@pytest.mark.parametrize("raised, code", [
+    (None, 0), (CliError("bad"), 1), (BrokenPipeError(), 1), (KeyboardInterrupt(), 1),
+    (RuntimeError("unexpected"), None),
+], ids=["return", "cli-error", "broken-pipe", "interrupt", "unexpected"])
+def test_main_runs_the_command_with_the_collector_off(monkeypatch, tmp_path, raised, code,
+                                                      enabled):
+    import stariso.cli
+
+    states = []
+
+    def command(**kwargs):
+        states.append(gc.isenabled())
+        if raised is not None:
+            raise raised
+
+    monkeypatch.setattr(stariso.cli.solve, "callback", command)
+    # a broken pipe sends what stdout holds to devnull, so stdout needs a file
+    monkeypatch.setattr(sys, "stdout", (tmp_path / "stdout").open("w"))
+    was_enabled = gc.isenabled()
+    try:
+        gc.enable() if enabled else gc.disable()
+        args = ["solve", "--input", "unread.txt", "--k", "1"]
+        if code is None:
+            with pytest.raises(RuntimeError, match="unexpected"):
+                main(args)
+        else:
+            assert main(args) == code
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable() if was_enabled else gc.disable()
+        sys.stdout.close()
+    assert states == [False]
+
+
+@pytest.mark.parametrize("args, message", [
+    (["solve", "--k", "0"], "k must be positive, got 0"),
+    (["bounds", "--k", "0"], "k must be positive, got 0"),
+    (["verify-set", "--k", "0", "--set", "1"], "k must be positive, got 0"),
+    (["recognize", "--family", "Tk", "--k", "1"], "--family Tk needs --k >= 2"),
+    (["recognize", "--family", "corona-char", "--k", "0"], "need k >= 1, got 0"),
+], ids=["solve", "bounds", "verify-set", "recognize-Tk", "recognize-corona-char"])
+def test_a_bad_k_is_rejected_before_the_input_is_read(monkeypatch, capsys, args, message):
+    import stariso.cli
+
+    def unread(path, graph6=False):
+        raise AssertionError(f"{path} was read")
+
+    monkeypatch.setattr(stariso.cli, "load_graph", unread)
+    assert main([*args, "--input", "unread.txt"]) == 1
+    assert capsys.readouterr() == ("", f"Error: {message}\n")

@@ -604,21 +604,42 @@ class TestNormalizeNoDeg2Support:
             normalize_no_deg2_support(t, IsolationSolution(1, frozenset({1}), 1, "brute_force"))
 
 
+def minimum_isolating_sets(t, k):
+    """Every minimum k-isolating set of t, each as a brute-force solution."""
+    size = isolation_number(t, k)
+    for vertices in itertools.combinations(range(t.n), size):
+        if is_isolating(t, frozenset(vertices), k):
+            yield IsolationSolution(k, frozenset(vertices), size, "brute_force")
+
+
 class TestNormalizerContracts:
+    # per n: the minimum sets at k = 1 and 2, those holding a leaf, and the
+    # leaf-normalized k = 1 sets holding a degree-2 support (n >= 5), so
+    # that each normalizer has inputs to change
+    COUNTS = {3: (6, 4, 0), 4: (14, 8, 0), 5: (20, 10, 1), 6: (41, 18, 8),
+              7: (72, 29, 18), 8: (193, 84, 43), 9: (450, 204, 101)}
+
     @pytest.mark.parametrize("n", range(3, 10))
     def test_minimum_witnesses_stay_minimum(self, n):
+        sets = with_leaf = with_deg2_support = 0
         for t in enumerate_free_trees(n):
             for k in (1, 2):
-                sol = iota_tree_dp(t, k)
-                out = normalize_no_leaves(t, sol)
-                assert out.size == sol.size
-                assert is_isolating(t, out.set, k)
-                assert not out.set & t.leaf_set
-                if k == 1 and n >= 5:
-                    out2 = normalize_no_deg2_support(t, out)
-                    assert out2.size == sol.size
-                    assert is_isolating(t, out2.set, 1)
-                    assert not out2.set & t.leaf_set
-                    assert not any(
-                        v in t.support_set and t.degree(v) == 2 for v in out2.set
-                    )
+                for sol in minimum_isolating_sets(t, k):
+                    sets += 1
+                    with_leaf += bool(sol.set & t.leaf_set)
+                    out = normalize_no_leaves(t, sol)
+                    assert out.size == sol.size
+                    assert is_isolating(t, out.set, k)
+                    assert not out.set & t.leaf_set
+                    if k == 1 and n >= 5:
+                        with_deg2_support += any(
+                            v in t.support_set and t.degree(v) == 2 for v in out.set
+                        )
+                        out2 = normalize_no_deg2_support(t, out)
+                        assert out2.size == sol.size
+                        assert is_isolating(t, out2.set, 1)
+                        assert not out2.set & t.leaf_set
+                        assert not any(
+                            v in t.support_set and t.degree(v) == 2 for v in out2.set
+                        )
+        assert (sets, with_leaf, with_deg2_support) == self.COUNTS[n]

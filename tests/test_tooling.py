@@ -3,8 +3,9 @@ exists in the package, so deleting or renaming one fails here; so does
 every call README.md names; no stariso module imports another one's
 private names; no module or script imports a name it never reads, or
 defines a private name that nothing names; every cache in the package is
-bounded; only the sweep's output is renamed; and the CLI's copy of the
-sweep's suite names matches the sweep."""
+bounded; only the sweep's output is renamed; only the CLI touches the
+garbage collector; and the CLI's copy of the sweep's suite names matches
+the sweep."""
 
 import ast
 import importlib
@@ -323,6 +324,39 @@ def test_the_scan_sees_renames(tmp_path):
                     "    return os.unlink('a')\n")
     assert renames(path) == ["line 2: from os import replace", "<module>: os.rename",
                              "inner: os.replace", "outer: os.renames"]
+
+
+def collector_uses(path):
+    """``line N: ...`` for each import of ``gc`` in ``path`` and each
+    attribute read off a name ``gc``."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, f"import {alias.name}") for alias in node.names
+                      if alias.name == "gc"]
+        elif isinstance(node, ast.ImportFrom) and node.module == "gc":
+            found.append((node.lineno, "from gc import"))
+        elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "gc":
+            found.append((node.lineno, f"gc.{node.attr}"))
+    return [f"line {line}: {what}" for line, what in sorted(found)]
+
+
+def test_only_the_cli_touches_the_collector():
+    # the collector state is process-wide: main switches it around a whole
+    # command, and a library function doing so would undo that for its caller
+    assert [path.name for path in sorted(PACKAGE.glob("*.py")) if collector_uses(path)] == [
+        "cli.py"]
+
+
+def test_the_scan_sees_collector_calls(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text("import gc\n"
+                    "from gc import collect\n"
+                    "def f():\n"
+                    "    gc.disable()\n"
+                    "    return gcd(4, 6)\n")
+    assert collector_uses(path) == [
+        "line 1: import gc", "line 2: from gc import", "line 4: gc.disable"]
 
 
 def test_sweep_help_names_every_check_suite_in_order(capsys):
